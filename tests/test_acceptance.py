@@ -34,7 +34,12 @@ from pwtree.instances import (
     small_rational_lengths,
     unit_lengths,
 )
-from pwtree.pathwidth import composed_metric_graph, peel_path, tree_pathwidth
+from pwtree.pathwidth import (
+    LinearCompositionSequence,
+    composed_metric_graph,
+    peel_path,
+    tree_pathwidth,
+)
 from pwtree.pw2 import embed_pathwidth2, enumerate_pw2_distribution
 from pwtree.pwk import (
     embed_pathwidthk,
@@ -187,11 +192,10 @@ def test_criterion_06_no_size_growth():
     assert not growing, results
 
 
-def test_criterion_07_monte_carlo_matches_enumeration():
+def criterion_07_cases():
+    """(name, graph, sequence, algorithm) small enough to enumerate exactly."""
     cases = []
     g3, _ = cycle(3)
-    from pwtree.pathwidth import LinearCompositionSequence
-
     tri_seq = LinearCompositionSequence(2, [0, 1], [(2, {0, 1})])
     cases.append(("tri-w2", g3, tri_seq, "pw2"))
     for n in (4, 5, 6):
@@ -202,9 +206,12 @@ def test_criterion_07_monte_carlo_matches_enumeration():
     for i in range(3):
         g, seq = random_pathwidth_graph(2, 8, small_rational_lengths, rng)
         cases.append((f"rand-{i}", g, seq, "pwk"))
+    return cases
 
+
+def test_criterion_07_monte_carlo_matches_enumeration():
     total = within = 0
-    for name, g, seq, algo in cases:
+    for name, g, seq, algo in criterion_07_cases():
         metric = composed_metric_graph(g, seq)
         if algo == "pw2":
             dist = enumerate_pw2_distribution(seq, metric)
