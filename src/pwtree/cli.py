@@ -118,7 +118,7 @@ def cmd_embed(args) -> int:
     report = harness.estimate_distortion(
         g, embedder, args.samples, args.seed, pairs=args.pairs
     )
-    bound = Fraction((4 * k) ** k) ** (k * (k + 1) // 2 + 1) * (k + 1)
+    bound = pwk.proven_bound(k)
     payload = report.to_json()
     payload["bound"] = f"{bound.numerator}/{bound.denominator}"
     payload["bound_ok"] = (

@@ -7,12 +7,17 @@ edge is chosen among a random length-biased prefix of its edges by
 maximum risk counter ("rank").  The final clique is replaced by its
 minimum spanning tree, yielding a tree that inherits original lengths and
 therefore never contracts.
+
+Only the ranks depend on the sample, so each call first builds a plan of
+the departures (`_plan`) and then applies the one step rule (`_keep`) per
+departure: once with a random prefix length in the sampler, once per
+possible prefix length in the exact enumerator.  The rank cap C(k+1, 2)
+is checked at every step and a breach raises `InvariantViolated`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .graphs import MetricGraph, edge_key, minimum_spanning_tree
@@ -20,147 +25,17 @@ from .pathwidth import LinearCompositionSequence
 from .pw2 import TooManyOutcomes
 
 
-class VertexAbsent(KeyError):
-    pass
-
-
-class NotACliqueEdge(ValueError):
-    pass
-
-
-class IllegalWindow(ValueError):
-    pass
-
-
 class MissingLength(ValueError):
     pass
 
 
-class EmbeddingState:
-    """Mutable per-run state: subgraph edges, window, and rank counters.
-
-    ``classrank`` stores, per unordered pair {a, b} of clique vertices, the
-    maximum rank over all vertex pairs whose connecting path crosses the
-    clique through edge {a, b}.  That max is all the edge selection ever
-    reads, and it updates in O(k) per step; set ``track_pairs`` to also
-    carry the full per-pair rank map for brute-force cross-checks.
-    """
-
-    __slots__ = ("k", "g", "tau", "clique", "current", "edges",
-                 "tree_parent", "classrank", "pair_rank", "rank_cap")
-
-    def __init__(self, k, g, tau, clique, current, edges, tree_parent,
-                 classrank, pair_rank):
-        self.k = k
-        self.g = g
-        self.tau = tau
-        self.clique = clique
-        self.current = current
-        self.edges = edges
-        self.tree_parent = tree_parent
-        self.classrank = classrank
-        self.pair_rank = pair_rank
-        self.rank_cap = comb(k + 1, 2)
-
-    @property
-    def track_pairs(self):
-        return self.pair_rank is not None
-
-    def vertices(self):
-        return set(self.clique) | set(self.tree_parent)
-
-    def copy(self) -> "EmbeddingState":
-        return EmbeddingState(
-            self.k, self.g, self.tau, self.clique, self.current,
-            set(self.edges), dict(self.tree_parent), dict(self.classrank),
-            None if self.pair_rank is None else dict(self.pair_rank),
-        )
+class InvariantViolated(RuntimeError):
+    """A property the width-k analysis proves was found broken."""
 
 
-def initial_state(seq: LinearCompositionSequence, g: MetricGraph, tau=None,
-                  track_pairs=False) -> EmbeddingState:
-    """State after the first step: a complete clique on V0 + first vertex."""
-    if not seq.steps:
-        raise IllegalWindow("a zero-step sequence has no embedding state")
-    tau = Fraction(4 * seq.k) if tau is None else Fraction(tau)
-    v1, window = seq.steps[0]
-    clique = frozenset(seq.initial) | {v1}
-    edges = set()
-    for a, b in combinations(sorted(clique), 2):
-        if not g.has_edge(a, b):
-            raise MissingLength(f"composed edge ({a!r}, {b!r}) absent from the metric")
-        edges.add(edge_key(a, b))
-    return EmbeddingState(
-        seq.k, g, tau, clique, window, edges, {}, {},
-        {} if track_pairs else None,
-    )
-
-
-def _attachment_chain(state, v):
-    """Vertices from v up to its clique attachment point, inclusive."""
-    chain = [v]
-    while chain[-1] in state.tree_parent:
-        chain.append(state.tree_parent[chain[-1]])
-    return chain
-
-
-def canonical_path(state: EmbeddingState, u, v):
-    """Edge list of the unique u-v path crossing at most one clique edge."""
-    present = state.vertices()
-    for x in (u, v):
-        if x not in present:
-            raise VertexAbsent(f"{x!r} is not in the current subgraph")
-    if u == v:
-        return []
-    cu = _attachment_chain(state, u)
-    cv = _attachment_chain(state, v)
-    if cu[-1] != cv[-1]:
-        up = [edge_key(a, b) for a, b in zip(cu, cu[1:])]
-        down = [edge_key(a, b) for a, b in zip(cv, cv[1:])]
-        return up + [edge_key(cu[-1], cv[-1])] + down[::-1]
-    # same attachment: meet at the lowest common ancestor of the two chains
-    while len(cu) > 1 and len(cv) > 1 and cu[-2] == cv[-2]:
-        cu.pop()
-        cv.pop()
-    if cu[-1] in cv[:-1]:
-        cv = cv[: cv.index(cu[-1]) + 1]
-    elif cv[-1] in cu[:-1]:
-        cu = cu[: cu.index(cv[-1]) + 1]
-    up = [edge_key(a, b) for a, b in zip(cu, cu[1:])]
-    down = [edge_key(a, b) for a, b in zip(cv, cv[1:])]
-    return up + down[::-1]
-
-
-def edge_rank(state: EmbeddingState, e) -> int:
-    """Max rank over vertex pairs whose canonical path uses clique edge e."""
-    a, b = e
-    if a not in state.clique or b not in state.clique or a == b:
-        raise NotACliqueEdge(f"({a!r}, {b!r}) is not an edge of the current clique")
-    return state.classrank.get(frozenset(e), 0)
-
-
-def edge_rank_bruteforce(state: EmbeddingState, e) -> int:
-    """Recompute edge_rank from the tracked per-pair map (tests only)."""
-    assert state.track_pairs
-    a, b = e
-    if a not in state.clique or b not in state.clique or a == b:
-        raise NotACliqueEdge(f"({a!r}, {b!r}) is not an edge of the current clique")
-    target = edge_key(a, b)
-    best = 0
-    for pair, r in state.pair_rank.items():
-        if r > best and target in canonical_path(state, *pair):
-            best = r
-    return best
-
-
-def attachment_edges(state: EmbeddingState):
-    """Edges from the departing vertex to the retained window, sorted
-    ascending by (length, edge id); returns (w, [(length, edge), ...])."""
-    (w,) = state.clique - state.current
-    ranked = sorted(
-        (state.g.length(w, x), edge_key(w, x)) for x in state.current
-    )
-    return w, ranked
+def proven_bound(k) -> Fraction:
+    """Proven ceiling on the expected stretch of any pair at width k."""
+    return Fraction((4 * k) ** k) ** (comb(k + 1, 2) + 1) * (k + 1)
 
 
 def eligible_probs(lengths, tau):
@@ -185,90 +60,72 @@ def sample_prefix_length(probs, rng) -> int:
     return j
 
 
-def step_transition(state: EmbeddingState, v_new, window_new, rng) -> EmbeddingState:
-    """One random transition; mutates and returns `state`."""
-    w, ranked = attachment_edges(state)
-    probs = eligible_probs([l for l, _ in ranked], state.tau)
-    prefix_len = sample_prefix_length(probs, rng)
-    return apply_transition(state, v_new, window_new, prefix_len)
+def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
+    """Everything that does not depend on the sample: (departures, mst, cap).
+
+    Each departure is (w, ranked, probs): the vertex leaving the clique,
+    its edges to the retained window as [(edge, other_endpoint)] sorted by
+    (length, edge), and the eligible-prefix probabilities of those edges.
+    `mst` lists the edges of the final clique's minimum spanning tree.
+    """
+    tau = Fraction(4 * seq.k) if tau is None else Fraction(tau)
+    for a, b in sorted(seq.composed_edges()):
+        if not g.has_edge(a, b):
+            raise MissingLength(f"composed edge ({a!r}, {b!r}) absent from the metric")
+    departures = []
+    clique = window = frozenset(seq.initial)
+    for v, retained in seq.steps:
+        clique = window | {v}
+        (w,) = clique - retained
+        ranked = sorted((g.length(w, x), edge_key(w, x), x) for x in retained)
+        departures.append((
+            w,
+            [(e, x) for _, e, x in ranked],
+            eligible_probs([length for length, _, _ in ranked], tau),
+        ))
+        window = retained
+    # the last step's clique is final: its departure never happens
+    return departures[:-1], minimum_spanning_tree(g, clique), comb(seq.k + 1, 2)
 
 
-def apply_transition(state: EmbeddingState, v_new, window_new, prefix_len) -> EmbeddingState:
-    """Deterministic transition given the eligible-prefix length; mutates."""
-    window_new = frozenset(window_new)
-    if v_new in state.vertices():
-        raise IllegalWindow(f"vertex {v_new!r} was already introduced")
-    if len(window_new) != state.k or not window_new <= state.current | {v_new}:
-        raise IllegalWindow(f"illegal retained window {sorted(window_new)!r}")
-    w, ranked = attachment_edges(state)
-    eligible = [e for _, e in ranked[:prefix_len]]
+def _keep(ranks, w, ranked, j, cap):
+    """The step rule: `w` leaves the clique keeping one of its first `j` edges.
 
-    best = eligible[0]
-    best_rank = state.classrank.get(frozenset(best), 0)
-    for e in eligible[1:]:
-        r = state.classrank.get(frozenset(e), 0)
-        if r > best_rank:
-            best, best_rank = e, r
-    kept = best
-
-    if state.track_pairs:
-        _bump_tracked_pairs(state, set(eligible))
-
-    for e in eligible:
-        pair = frozenset(e)
-        bumped = state.classrank.get(pair, 0) + 1
-        assert bumped <= state.rank_cap, "risk counter exceeded its proven cap"
-        state.classrank[pair] = bumped
-
-    # w leaves the clique, hanging from the kept edge's other endpoint
-    (anchor,) = set(kept) - {w}
-    for x in state.current:
-        old = state.classrank.pop(frozenset((w, x)), 0)
-        if x != anchor and old:
-            key = frozenset((anchor, x))
-            if old > state.classrank.get(key, 0):
-                state.classrank[key] = old
-
-    for _, e in ranked:
-        if e != kept:
-            state.edges.discard(e)
-    for x in state.current:
-        if not state.g.has_edge(v_new, x):
-            raise MissingLength(f"composed edge ({v_new!r}, {x!r}) absent from the metric")
-        state.edges.add(edge_key(v_new, x))
-    state.tree_parent[w] = anchor
-    state.clique = state.current | {v_new}
-    state.current = window_new
-    return state
+    The kept edge has the largest rank among the eligible ones, ties going
+    to the first.  Every eligible edge's rank goes up by one, and the ranks
+    of `w`'s edges move to the kept edge's other endpoint (the anchor),
+    where `w` now hangs.  Mutates `ranks` and returns the kept edge.
+    """
+    eligible = ranked[:j]
+    kept, anchor = max(eligible, key=lambda cand: ranks.get(cand[0], 0))
+    for e, _ in eligible:
+        bumped = ranks.get(e, 0) + 1
+        if bumped > cap:
+            raise InvariantViolated(f"rank of {e!r} would pass its cap {cap}")
+        ranks[e] = bumped
+    for e, x in ranked:
+        old = ranks.pop(e, 0)
+        if x != anchor and old > ranks.get(edge_key(anchor, x), 0):
+            ranks[edge_key(anchor, x)] = old
+    return kept
 
 
-def _bump_tracked_pairs(state, eligible_set):
-    for u, v in combinations(sorted(state.vertices()), 2):
-        path = canonical_path(state, u, v)
-        if any(e in eligible_set for e in path):
-            key = edge_key(u, v)
-            state.pair_rank[key] = state.pair_rank.get(key, 0) + 1
-
-
-def _finish(state_edges, clique, g):
-    mst = set(minimum_spanning_tree(g, clique))
-    clique_pairs = {edge_key(a, b) for a, b in combinations(sorted(clique), 2)}
-    tree_edges = (state_edges - clique_pairs) | mst
-    return g.with_edges({e: g.length(*e) for e in tree_edges})
+def _tree(g, edges):
+    return g.with_edges({e: g.length(*e) for e in edges})
 
 
 def embed_pathwidthk(seq: LinearCompositionSequence, g: MetricGraph, rng,
-                     tau=None, track_pairs=False) -> MetricGraph:
+                     tau=None) -> MetricGraph:
     """Sample a random tree on the composed vertex set, lengths inherited.
 
     `g` must be the reduced metric graph on the composed edge set."""
-    if not seq.steps:
-        return _finish(set(), frozenset(seq.initial), g)
-    state = initial_state(seq, g, tau, track_pairs)
-    for v_new, window_new in seq.steps[1:]:
-        step_transition(state, v_new, window_new, rng)
-    tree = _finish(state.edges, state.clique, g)
-    assert tree.m == tree.n - 1
+    departures, mst, cap = _plan(seq, g, tau)
+    ranks = {}
+    kept = [_keep(ranks, w, ranked, sample_prefix_length(probs, rng), cap)
+            for w, ranked, probs in departures]
+    tree = _tree(g, kept + list(mst))
+    if tree.m != tree.n - 1:
+        raise InvariantViolated(f"{tree.m} edges on {tree.n} vertices is not a tree")
     return tree
 
 
@@ -279,71 +136,26 @@ def enumerate_pwk_distribution(seq: LinearCompositionSequence, g: MetricGraph,
     Branches on the eligible-prefix length only: the kept edge is a
     deterministic function of the prefix, so each step has at most k
     outcomes."""
-    if not seq.steps:
-        return [(_finish(set(), frozenset(seq.initial), g), Fraction(1))]
     if seq.k ** max(0, len(seq.steps) - 1) > limit:
         raise TooManyOutcomes("outcome bound exceeds the enumeration limit")
-    frontier = [(initial_state(seq, g, tau), Fraction(1))]
-    for v_new, window_new in seq.steps[1:]:
+    departures, mst, cap = _plan(seq, g, tau)
+    frontier = [({}, (), Fraction(1))]
+    for w, ranked, probs in departures:
         nxt = []
-        for state, prob in frontier:
-            _, ranked = attachment_edges(state)
-            probs = eligible_probs([l for l, _ in ranked], state.tau)
-            running = Fraction(1)
-            for j in range(1, state.k + 1):
-                if j < state.k:
-                    p_j = running * (1 - probs[j - 1])
-                    running *= probs[j - 1]
-                else:
-                    p_j = running
-                if p_j == 0:
-                    continue
-                nxt.append((
-                    apply_transition(state.copy(), v_new, window_new, j),
-                    prob * p_j,
-                ))
+        for ranks, kept, reach in frontier:
+            # P[prefix length j] = P[reach j] * P[stop at j]; the last never extends
+            for j, p in enumerate(probs + [0], 1):
+                p_j, reach = reach * (1 - p), reach * p
+                if p_j:
+                    branch = dict(ranks)
+                    nxt.append((branch, kept + (_keep(branch, w, ranked, j, cap),), p_j))
         frontier = nxt
     merged = {}
-    for state, prob in frontier:
-        tree = _finish(state.edges, state.clique, g)
-        key = frozenset(tree.edge_keys())
-        if key in merged:
-            merged[key] = (merged[key][0], merged[key][1] + prob)
-        else:
-            merged[key] = (tree, prob)
-    result = sorted(merged.values(), key=lambda pair: sorted(pair[0].edge_keys()))
-    assert sum(p for _, p in result) == 1
+    for _, kept, prob in frontier:
+        key = frozenset(kept + mst)
+        merged[key] = merged.get(key, 0) + prob
+    result = [(_tree(g, key), prob) for key, prob in sorted(
+        merged.items(), key=lambda item: sorted(item[0]))]
+    if sum(p for _, p in result) != 1:
+        raise InvariantViolated("enumerated probabilities do not sum to 1")
     return result
-
-
-def check_state_invariant(state: EmbeddingState):
-    """Assert the clique-plus-pendant-forest structure (test helper)."""
-    for a, b in combinations(sorted(state.clique), 2):
-        assert edge_key(a, b) in state.edges, "window clique is incomplete"
-    clique_pairs = {
-        edge_key(a, b) for a, b in combinations(sorted(state.clique), 2)
-    }
-    pendant = state.edges - clique_pairs
-    # pendant part must be a forest whose components each touch one clique vertex
-    adj = {}
-    for a, b in pendant:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    seen = set()
-    for start in adj:
-        if start in seen:
-            continue
-        comp, stack = {start}, [start]
-        nedges = 0
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, []):
-                nedges += 1
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        assert nedges // 2 == len(comp) - 1, "pendant part contains a cycle"
-        assert len(comp & state.clique) == 1, "pendant component must touch one clique vertex"
-    for value in state.classrank.values():
-        assert 0 <= value <= state.rank_cap

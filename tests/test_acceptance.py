@@ -42,19 +42,17 @@ from pwtree.pathwidth import (
 )
 from pwtree.pw2 import embed_pathwidth2, enumerate_pw2_distribution
 from pwtree.pwk import (
+    _keep,
+    _plan,
     embed_pathwidthk,
     enumerate_pwk_distribution,
-    initial_state,
-    step_transition,
+    proven_bound,
+    sample_prefix_length,
 )
 from pwtree.pathwidth import exact_pathwidth
 
 SEED = 20260823
 NUM_SAMPLES = 10_000
-
-
-def proven_bound(k):
-    return Fraction((4 * k) ** k) ** (k * (k + 1) // 2 + 1) * (k + 1)
 
 
 def build_corpus():
@@ -156,18 +154,20 @@ def test_criterion_04_outputs_are_low_pathwidth_trees():
 
 
 def test_criterion_05_rank_cap_never_exceeded():
-    # the cap is asserted inside every transition; this sweep watches the
-    # counters directly across widths
+    # the step rule raises InvariantViolated on a breach; this sweep also
+    # watches the counters directly after every step, across widths
     rng = random.Random(501)
     for k in (2, 3, 4):
         cap = (k + 1) * k // 2
         for _ in range(25):
             g, seq = random_pathwidth_graph(k, 3 * k + 6, small_rational_lengths, rng)
             metric = composed_metric_graph(g, seq)
-            state = initial_state(seq, metric)
-            for v, w in seq.steps[1:]:
-                step_transition(state, v, w, rng)
-                assert all(r <= cap for r in state.classrank.values())
+            departures, _, plan_cap = _plan(seq, metric, None)
+            assert plan_cap == cap
+            ranks = {}
+            for w, ranked, probs in departures:
+                _keep(ranks, w, ranked, sample_prefix_length(probs, rng), cap)
+                assert all(r <= cap for r in ranks.values())
 
 
 def test_criterion_06_no_size_growth():

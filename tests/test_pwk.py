@@ -1,33 +1,33 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 from conftest import tree_metric_and_sequence
+from pwk_reference import ReferenceState, reference_embed
+import pwtree
 from pwtree.graphs import build_metric_graph, is_tree, shortest_path_metric
+from pwtree.harness import sample_rng
 from pwtree.instances import cycle, phi, random_pathwidth_graph, small_rational_lengths
 from pwtree.pathwidth import (
+    BadSequence,
     LinearCompositionSequence,
     composed_metric_graph,
     tree_pathwidth,
 )
 from pwtree.pwk import (
-    EmbeddingState,
-    IllegalWindow,
+    InvariantViolated,
     MissingLength,
-    NotACliqueEdge,
-    VertexAbsent,
-    apply_transition,
-    attachment_edges,
-    canonical_path,
-    check_state_invariant,
-    edge_rank,
-    edge_rank_bruteforce,
+    _keep,
+    _plan,
     eligible_probs,
     embed_pathwidthk,
     enumerate_pwk_distribution,
-    initial_state,
-    step_transition,
+    sample_prefix_length,
 )
 
 
@@ -36,12 +36,17 @@ def random_instance(k, n, rng):
     return g, seq, composed_metric_graph(g, seq)
 
 
-def run_state(seq, metric, rng, steps=None, track=False):
-    state = initial_state(seq, metric, track_pairs=track)
+def run_reference(seq, metric, rng, steps=None):
+    state = ReferenceState(seq, metric)
     todo = seq.steps[1:] if steps is None else seq.steps[1:steps]
     for v, w in todo:
-        step_transition(state, v, w, rng)
+        state.random_step(v, w, rng)
     return state
+
+
+def clique_ranks(ranks, state):
+    """The step rule's counters on the reference's clique edges, 0 if unset."""
+    return {e: ranks.get(e, 0) for e in state.clique_edges()}
 
 
 class TestEligibleProbs:
@@ -62,38 +67,35 @@ class TestCanonicalPath:
     def make_state(self, rng=None):
         g, seq = cycle(6)
         metric = composed_metric_graph(g, seq)
-        return run_state(seq, metric, rng or random.Random(0))
+        return run_reference(seq, metric, rng or random.Random(0))
 
     def test_identical_endpoints(self):
         state = self.make_state()
         v = next(iter(state.clique))
-        assert canonical_path(state, v, v) == []
+        assert state.canonical_path(v, v) == []
 
     def test_clique_pair_single_edge(self):
         state = self.make_state()
         a, b = sorted(state.clique)[:2]
-        assert canonical_path(state, a, b) == [(a, b)]
+        assert state.canonical_path(a, b) == [(a, b)]
 
     def test_absent_vertex(self):
         state = self.make_state()
-        with pytest.raises(VertexAbsent):
-            canonical_path(state, 0, 99)
+        with pytest.raises(KeyError):
+            state.canonical_path(0, 99)
 
     def test_pendant_paths_cross_one_clique_edge(self):
         rng = random.Random(1)
         for _ in range(20):
             g, seq, metric = random_instance(2, 12, rng)
-            state = run_state(seq, metric, rng)
+            state = run_reference(seq, metric, rng)
             verts = sorted(state.vertices())
-            clique_pairs = {
-                frozenset((a, b))
-                for a in state.clique for b in state.clique if a != b
-            }
+            clique_pairs = set(state.clique_edges())
             for i, u in enumerate(verts):
                 for v in verts[i + 1:]:
-                    path = canonical_path(state, u, v)
+                    path = state.canonical_path(u, v)
                     assert path, (u, v)
-                    crossings = [e for e in path if frozenset(e) in clique_pairs]
+                    crossings = [e for e in path if e in clique_pairs]
                     assert len(crossings) <= 1
                     # path edges exist in H and chain from u to v
                     assert all(e in state.edges for e in path)
@@ -107,40 +109,42 @@ class TestEdgeRank:
     def test_fresh_state_all_zero(self):
         g, seq = cycle(5)
         metric = composed_metric_graph(g, seq)
-        state = initial_state(seq, metric)
-        clique = sorted(state.clique)
-        for i, a in enumerate(clique):
-            for b in clique[i + 1:]:
-                assert edge_rank(state, (a, b)) == 0
+        state = ReferenceState(seq, metric)
+        for e in state.clique_edges():
+            assert state.edge_rank(e) == 0
 
     def test_not_a_clique_edge(self):
         g, seq = cycle(5)
         metric = composed_metric_graph(g, seq)
-        state = initial_state(seq, metric)
-        with pytest.raises(NotACliqueEdge):
-            edge_rank(state, (99, 100))
+        state = ReferenceState(seq, metric)
+        with pytest.raises(KeyError):
+            state.edge_rank((99, 100))
 
     def test_bump_after_transition(self):
         g, seq = cycle(5)
         metric = composed_metric_graph(g, seq)
-        state = run_state(seq, metric, random.Random(0), steps=2, track=True)
-        assert any(r >= 1 for r in state.classrank.values())
+        departures, _, cap = _plan(seq, metric, None)
+        ranks = {}
+        w, ranked, probs = departures[0]
+        _keep(ranks, w, ranked, sample_prefix_length(probs, random.Random(0)), cap)
+        assert any(r >= 1 for r in ranks.values())
 
     def test_classrank_matches_bruteforce(self):
+        # the step rule's per-edge counters equal the reference's per-pair
+        # ranks maximized over canonical paths, after every step
         rng = random.Random(9)
         checked = 0
         for _ in range(25):
             g, seq, metric = random_instance(2, 10, rng)
-            state = initial_state(seq, metric, track_pairs=True)
-            for v, w in seq.steps[1:]:
-                step_transition(state, v, w, rng)
-                clique = sorted(state.clique)
-                for i, a in enumerate(clique):
-                    for b in clique[i + 1:]:
-                        assert edge_rank(state, (a, b)) == edge_rank_bruteforce(
-                            state, (a, b)
-                        )
-                        checked += 1
+            departures, _, cap = _plan(seq, metric, None)
+            state = ReferenceState(seq, metric)
+            ranks = {}
+            for (w, ranked, probs), (v, window) in zip(departures, seq.steps[1:]):
+                j = state.random_step(v, window, rng)
+                _keep(ranks, w, ranked, j, cap)
+                assert clique_ranks(ranks, state) == state.clique_edge_ranks()
+                assert set(ranks) <= set(state.clique_edges())
+                checked += len(ranks)
         assert checked > 100
 
     def test_rank_cap_holds(self):
@@ -149,64 +153,115 @@ class TestEdgeRank:
             cap = (k + 1) * k // 2
             for _ in range(10):
                 g, seq, metric = random_instance(k, n, rng)
-                state = initial_state(seq, metric)
-                for v, w in seq.steps[1:]:
-                    step_transition(state, v, w, rng)
-                    assert all(r <= cap for r in state.classrank.values())
+                departures, _, plan_cap = _plan(seq, metric, None)
+                assert plan_cap == cap
+                ranks = {}
+                for w, ranked, probs in departures:
+                    _keep(ranks, w, ranked, sample_prefix_length(probs, rng), cap)
+                    assert all(r <= cap for r in ranks.values())
+
+    def test_cap_breach_raises(self):
+        g, seq = cycle(5)
+        metric = composed_metric_graph(g, seq)
+        departures, _, cap = _plan(seq, metric, None)
+        w, ranked, _ = departures[0]
+        with pytest.raises(InvariantViolated):
+            _keep({ranked[0][0]: cap}, w, ranked, 1, cap)
+
+    def test_cap_breach_raises_under_optimize(self):
+        # the cap is a proof invariant, so its check must survive `python -O`
+        code = textwrap.dedent("""
+            import sys
+            from pwtree.instances import cycle
+            from pwtree.pathwidth import composed_metric_graph
+            from pwtree.pwk import InvariantViolated, _keep, _plan
+            if __debug__:
+                sys.exit("asserts are live")
+            g, seq = cycle(5)
+            departures, _, cap = _plan(seq, composed_metric_graph(g, seq), None)
+            w, ranked, _ = departures[0]
+            try:
+                _keep({ranked[0][0]: cap}, w, ranked, 1, cap)
+            except InvariantViolated:
+                print("raised")
+        """)
+        src = os.path.dirname(os.path.dirname(pwtree.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "raised"
 
 
 class TestStepTransition:
     def test_k1_grows_pendant_path(self):
         seq = LinearCompositionSequence(1, [0], [(1, {1}), (2, {2}), (3, {3})])
         metric = build_metric_graph(range(4), [(i, i + 1, 1) for i in range(3)])
-        state = initial_state(seq, metric)
+        state = ReferenceState(seq, metric)
         rng = random.Random(0)
         for v, w in seq.steps[1:]:
-            step_transition(state, v, w, rng)
-            check_state_invariant(state)
+            state.random_step(v, w, rng)
+            state.check_invariant()
         assert state.edges == {(0, 1), (1, 2), (2, 3)}
+        assert embed_pathwidthk(seq, metric, random.Random(0)).edge_keys() == state.edges
 
     def test_structural_invariant(self):
         rng = random.Random(4)
         for k in (2, 3):
             for _ in range(10):
                 g, seq, metric = random_instance(k, 12, rng)
-                state = initial_state(seq, metric)
+                state = ReferenceState(seq, metric)
                 for v, w in seq.steps[1:]:
-                    step_transition(state, v, w, rng)
-                    check_state_invariant(state)
+                    state.random_step(v, w, rng)
+                    state.check_invariant()
 
     def test_illegal_window(self):
-        g, seq = cycle(5)
-        metric = composed_metric_graph(g, seq)
-        state = initial_state(seq, metric)
-        with pytest.raises(IllegalWindow):
-            apply_transition(state, 3, {7, 8}, 1)
+        # a window outside the clique is rejected when the sequence is built
+        with pytest.raises(BadSequence):
+            LinearCompositionSequence(2, [0, 1], [(2, {1, 2}), (3, {7, 8})])
 
     def test_reintroduced_vertex(self):
-        g, seq = cycle(5)
-        metric = composed_metric_graph(g, seq)
-        state = initial_state(seq, metric)
-        with pytest.raises(IllegalWindow):
-            apply_transition(state, 0, {0, 2}, 1)
+        with pytest.raises(BadSequence):
+            LinearCompositionSequence(2, [0, 1], [(2, {1, 2}), (0, {0, 2})])
 
     def test_missing_length(self):
         g, seq = cycle(5)
         sparse = g  # original cycle lacks the chord edges the clique needs
         with pytest.raises(MissingLength):
-            initial_state(seq, sparse)
+            embed_pathwidthk(seq, sparse, random.Random(0))
+        with pytest.raises(MissingLength):
+            enumerate_pwk_distribution(seq, sparse)
+        with pytest.raises(MissingLength):
+            ReferenceState(seq, sparse)
 
     def test_fresh_ranks_keep_shortest(self):
         # all-unit instance, fresh ranks: kept edge is the lexicographically
         # least shortest edge from the departing vertex
         g, seq = cycle(5)
         metric = composed_metric_graph(g, seq)
-        state = initial_state(seq, metric)
-        w, ranked = attachment_edges(state)
+        departures, _, cap = _plan(seq, metric, None)
+        w, ranked, _ = departures[0]
+        assert _keep({}, w, ranked, 2, cap) == ranked[0][0]
+        state = ReferenceState(seq, metric)
         v, win = seq.steps[1]
-        apply_transition(state, v, win, prefix_len=2)
-        kept = [e for _, e in ranked if e in state.edges]
-        assert kept == [ranked[0][1]]
+        assert state.step(v, win, 2) == ranked[0][0]
+
+
+class TestReference:
+    def test_trees_match_embed(self):
+        # per-pair ranks over canonical paths pick the same kept edges as the
+        # step rule's per-edge maxima: identical trees from identical streams
+        rng = random.Random(31)
+        samples = 0
+        for k in (2, 3, 4):
+            for _ in range(10):
+                g, seq, metric = random_instance(k, 10, rng)
+                for i in range(35):
+                    ref = reference_embed(seq, metric, sample_rng(3100, i))
+                    assert ref == embed_pathwidthk(seq, metric, sample_rng(3100, i))
+                    samples += 1
+        assert samples >= 1000
 
 
 class TestEmbed:
