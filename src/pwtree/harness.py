@@ -60,10 +60,7 @@ def identity_sample(source: MetricGraph, target: MetricGraph) -> EmbeddingSample
 def _as_sample(source, result) -> EmbeddingSample:
     if isinstance(result, EmbeddingSample):
         return result
-    if isinstance(result, MetricGraph):
-        return identity_sample(source, result)
-    target, fmap = result
-    return EmbeddingSample(source, target, dict(fmap))
+    return identity_sample(source, result)
 
 
 @dataclass
@@ -162,7 +159,9 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     `embedder(rng)` must return a target tree on the vertex set of `g`
     (identity map assumed) or an EmbeddingSample.  `pairs` selects which
     pairs are measured: "all" finite-distance pairs, or just the original
-    "edges".  Means are exact rationals; only stderr is floating point.
+    "edges", each against d_G of its endpoints (not its raw length, which
+    may exceed d_G on a non-reduced graph).  Means are exact rationals;
+    only stderr is floating point.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -172,7 +171,7 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     if pairs == "all":
         measured = [(u, v, d) for u, v, d in dm.pairs() if d is not None]
     else:
-        measured = sorted((u, v, length) for (u, v), length in g.edges())
+        measured = [(u, v, dm.dist(u, v)) for (u, v), _ in g.edges()]
     scale = integer_scale([g])
 
     index = {v: i for i, v in enumerate(g.vertices)}
@@ -371,12 +370,12 @@ def lower_bound_threshold(k: int, m) -> Fraction:
     m = Fraction(m)
     if m.denominator != 1 or m < 1:
         raise BadDomain(f"{m} is not a positive integer")
-    power = 2 ** k
-    r = round(int(m) ** (1.0 / power))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 2 and cand % 2 == 0 and cand ** power == m:
-            return Fraction(cand, (2 ** (8 + 2 * k)) * k)
-    raise BadDomain(f"{m} is not an even integer raised to 2^{k}")
+    r = int(m)
+    for _ in range(k):
+        r = math.isqrt(r)  # k nested floors give floor(m^(1/2^k)) exactly
+    if r < 2 or r % 2 or r ** (2 ** k) != m:
+        raise BadDomain(f"{m} is not an even integer raised to 2^{k}")
+    return Fraction(r, (2 ** (8 + 2 * k)) * k)
 
 
 @dataclass

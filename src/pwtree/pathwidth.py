@@ -161,8 +161,8 @@ def composition_to_decomposition(seq: LinearCompositionSequence) -> PathDecompos
     return PathDecomposition(bags)
 
 
-def composed_graph(seq: LinearCompositionSequence, unit=True) -> MetricGraph:
-    """The composed graph of a sequence, unit lengths by default."""
+def composed_graph(seq: LinearCompositionSequence) -> MetricGraph:
+    """The composed graph of a sequence, with unit lengths."""
     return build_metric_graph(
         seq.vertices, [(u, v, 1) for u, v in seq.composed_edges()]
     )

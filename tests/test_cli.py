@@ -100,6 +100,20 @@ class TestEmbed:
         assert data["noncontraction_ok"] and data["bound_ok"]
         assert data["samples"] == 500
 
+    def test_edges_mode_on_non_reduced_graph(self, capsys, tmp_path):
+        # edge (0, 2) is longer than the path through 1; a correct run exits 0
+        gpath = tmp_path / "triangle.json"
+        gpath.write_text(json.dumps(
+            {"vertices": [0, 1, 2], "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 5]]}
+        ))
+        code, out, _ = run(
+            capsys, "embed", str(gpath), "--pairs", "edges", "--samples", "200",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["noncontraction_ok"] and data["violations"] == 0
+        assert {p["source_distance"] for p in data["pairs"]} == {"1/1", "2/1"}
+
     def test_warmup_mode(self, capsys, tmp_path):
         gpath, cpath = self.generate(
             capsys, tmp_path, "cycle", "--n", "6", composition=True

@@ -22,7 +22,7 @@ from pwtree.harness import (
     verify_lower_bound_witness,
 )
 from pwtree.instances import cycle, phi, psi_truncated
-from pwtree.pathwidth import composed_metric_graph
+from pwtree.pathwidth import LinearCompositionSequence, composed_metric_graph
 from pwtree.pw2 import embed_pathwidth2, enumerate_pw2_distribution
 from pwtree.pwk import embed_pathwidthk
 
@@ -95,17 +95,23 @@ class TestEstimateDistortion:
             assert abs(float(s.mean_distance) - float(exact[s.pair])) <= tol
 
     def test_edges_mode_matches_all_mode(self):
-        g, seq = cycle(6)
-        metric = composed_metric_graph(g, seq)
+        # the triangle is not reduced: edge (0, 2) has length 5 but d_G = 2,
+        # and both modes must measure it against d_G
+        triangle = build_metric_graph(range(3), [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
+        for g, seq in (cycle(6), (triangle, LinearCompositionSequence(2, [0, 1], [(2, {0, 1})]))):
+            metric = composed_metric_graph(g, seq)
 
-        def embedder(rng):
-            return embed_pathwidthk(seq, metric, rng)
+            def embedder(rng):
+                return embed_pathwidthk(seq, metric, rng)
 
-        full = estimate_distortion(g, embedder, 150, seed=2, pairs="all")
-        edges = estimate_distortion(g, embedder, 150, seed=2, pairs="edges")
-        full_means = {s.pair: s.mean_distance for s in full.pair_stats}
-        for s in edges.pair_stats:
-            assert full_means[s.pair] == s.mean_distance
+            full = estimate_distortion(g, embedder, 200, seed=2, pairs="all")
+            edges = estimate_distortion(g, embedder, 200, seed=2, pairs="edges")
+            assert full.noncontraction_ok and edges.noncontraction_ok
+            assert full.violation_count == edges.violation_count == 0
+            full_stats = {s.pair: s for s in full.pair_stats}
+            assert len(edges.pair_stats) == g.m
+            for s in edges.pair_stats:
+                assert full_stats[s.pair] == s
 
     def test_zero_distance_pairs_reported(self):
         g = build_metric_graph([0, 1, 2], [(0, 1, 0), (1, 2, 1)])
@@ -153,6 +159,12 @@ class TestLowerBoundThreshold:
     def test_hand_values(self):
         assert lower_bound_threshold(1, 16) == Fraction(1, 256)
         assert lower_bound_threshold(2, 256) == Fraction(1, 2048)
+
+    def test_huge_root_is_exact(self):
+        assert lower_bound_threshold(1, (2 * 10**200) ** 2) == Fraction(2 * 10**200, 2**10)
+        assert lower_bound_threshold(2, (2 * 10**100) ** 4) == Fraction(2 * 10**100, 2**12 * 2)
+        with pytest.raises(BadDomain):
+            lower_bound_threshold(1, (2 * 10**200) ** 2 + 1)
 
     def test_bad_domain(self):
         with pytest.raises(BadDomain):
