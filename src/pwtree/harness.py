@@ -202,10 +202,11 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
             zero_pairs.append(((u, v), mean_d))
             continue
         mean_stretch = mean_d / d_src
-        ex2 = sumsq[j] / n
-        ex = sums[j] / n
-        var = max(0.0, ex2 - ex * ex)
-        stderr = math.sqrt(var / n) / float(d_src) / scale
+        # Var/n of the scaled distance over the squared scaled source distance:
+        # integers until one correctly rounded division, so nothing cancels
+        # or overflows
+        spread = n * sumsq[j] - sums[j] * sums[j]
+        stderr = math.sqrt(spread / (n ** 3 * src_scaled[j] ** 2))
         stats.append(PairStat((u, v), d_src, mean_d, mean_stretch, stderr))
         if best is None or mean_stretch > best:
             best, best_pair = mean_stretch, (u, v)

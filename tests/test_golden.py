@@ -131,13 +131,13 @@ REPORT_DIGESTS = {
     "cycle-12:pw2:edges":
         "4480dc387ac75a664780e9c028e742257504581770fcd2202e40c970d680631b",
     "random-k2-n32:pwk:all":
-        "eccd2dd71317ee3a5e61d4d3dddbef1b13c5545e27c0e437e64fb11e67f41c61",
+        "405c6a118b179f3c6cf50ef6b58f1a1f36f44fcb17bba543cbd029b489bf25df",
     "random-k2-n32:pwk:edges":
-        "86cf1c22119c371a814f7b871484972e441b7f04245939f3760cf704e2c51e9e",
+        "d5a9fca613b5a27adf844da260d8ff4ecd92e331c44d2e7266680b8ea7e5d991",
     "random-k2-n32:pw2:all":
-        "9d5d0388879c547bfaa53d6e01b399e20e407d2f7b6e483d376ffec820acf714",
+        "78cd60aec347eec8e60961d82f5622258ffb6280758448b5434b99341fe37e07",
     "random-k2-n32:pw2:edges":
-        "52909b1a69e103c12fd4dd60b29542479dea08a055e6db65fb6e3e53356d7cc3",
+        "0e0a34967f42b1f3a039b307c3f39180c1bd4045b3f056e26be3e9b6b6fb524a",
     "random-k3-n24:pwk:all":
         "448b60db04b86324da4dbd6c50c47ced43045ce6bf629bf3a4054720b337f227",
     "random-k3-n24:pwk:edges":
@@ -151,17 +151,17 @@ REPORT_DIGESTS = {
     "psi-1-9:pwk:edges":
         "45b66aec9ff3abd8fb70bf95b98e6af3e19682636117b86178d79dda3b1852b8",
     "psi-1-9:pw2:all":
-        "645c240327ed8cf745de8e95ca8b2df9f9d2518fa15316f3e9ea17727323ccc1",
+        "5dad9f3f7bd40b6604a8a8cee6833493ef07601d9edff1e545c5b61c76141255",
     "psi-1-9:pw2:edges":
-        "da4ac38d99f7f82d94d25b28b500e855c8e601981b8ff55eb4a6bdc608cf6fa2",
+        "5149000f53744f986942b6c687e6a1ae9f21bc7b20b041dcdacbd3d1e05cbb16",
     "psi-2-81-trunc2:pwk:all":
         "91f266d7110e63a33d086f8860f367964dc984665c8b1d56566889e5182a6d1a",
     "psi-2-81-trunc2:pwk:edges":
         "dd00114606e5fbade4f2a2d15216fed425bd5150400c712a78baa0b258735beb",
     "psi-2-81-trunc2:pw2:all":
-        "03571adea3b7d80c83469446784f957aaa5e3feeb082b6a4b3fcc608dee2b572",
+        "a4d00537b598794db327ce09625ac0a6c0d6ccb19312f01855a5b521efbde696",
     "psi-2-81-trunc2:pw2:edges":
-        "77ec7ab3e294877167abee32515afcb8bcd66cb45150ebb555d8b9c90531f12d",
+        "8ba6bd7c9bdcb8dfff6583487a93a6e37ef04f58d39f6c4104b615405f5ae5b5",
 }
 
 DISTRIBUTION_DIGESTS = {

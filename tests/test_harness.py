@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -112,6 +114,21 @@ class TestEstimateDistortion:
             assert len(edges.pair_stats) == g.m
             for s in edges.pair_stats:
                 assert full_stats[s.pair] == s
+
+    def test_stderr_from_exact_sums(self):
+        # a huge length used to overflow the float second moment
+        g = build_metric_graph([0, 1], [(0, 1, 10**160)])
+        report = estimate_distortion(g, lambda rng: g, 3, seed=0)
+        assert report.pair_stats[0].stderr == 0
+        # a spread far below the mean used to cancel to 0.0
+        g = build_metric_graph([0, 1], [(0, 1, 10**9)])
+        lengths = itertools.cycle([10**9, 10**9 + 1])
+        report = estimate_distortion(
+            g, lambda rng: g.with_edges({(0, 1): Fraction(next(lengths))}), 1000, seed=0
+        )
+        assert report.pair_stats[0].stderr == pytest.approx(
+            math.sqrt(0.25 / 1000) / 10**9, rel=1e-12
+        )
 
     def test_zero_distance_pairs_reported(self):
         g = build_metric_graph([0, 1, 2], [(0, 1, 0), (1, 2, 1)])
