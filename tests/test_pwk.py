@@ -20,7 +20,6 @@ from pwtree.pathwidth import (
     tree_pathwidth,
 )
 from pwtree.pwk import (
-    InvariantViolated,
     MissingLength,
     _keep,
     _plan,
@@ -36,17 +35,11 @@ def random_instance(k, n, rng):
     return g, seq, composed_metric_graph(g, seq)
 
 
-def run_reference(seq, metric, rng, steps=None):
+def run_reference(seq, metric, rng):
     state = ReferenceState(seq, metric)
-    todo = seq.steps[1:] if steps is None else seq.steps[1:steps]
-    for v, w in todo:
+    for v, w in seq.steps[1:]:
         state.random_step(v, w, rng)
     return state
-
-
-def clique_ranks(ranks, state):
-    """The step rule's counters on the reference's clique edges, 0 if unset."""
-    return {e: ranks.get(e, 0) for e in state.clique_edges()}
 
 
 class TestEligibleProbs:
@@ -142,7 +135,8 @@ class TestEdgeRank:
             for (w, ranked, probs), (v, window) in zip(departures, seq.steps[1:]):
                 j = state.random_step(v, window, rng)
                 _keep(ranks, w, ranked, j, cap)
-                assert clique_ranks(ranks, state) == state.clique_edge_ranks()
+                unset_is_zero = {e: ranks.get(e, 0) for e in state.clique_edges()}
+                assert unset_is_zero == state.clique_edge_ranks()
                 assert set(ranks) <= set(state.clique_edges())
                 checked += len(ranks)
         assert checked > 100
@@ -159,14 +153,6 @@ class TestEdgeRank:
                 for w, ranked, probs in departures:
                     _keep(ranks, w, ranked, sample_prefix_length(probs, rng), cap)
                     assert all(r <= cap for r in ranks.values())
-
-    def test_cap_breach_raises(self):
-        g, seq = cycle(5)
-        metric = composed_metric_graph(g, seq)
-        departures, _, cap = _plan(seq, metric, None)
-        w, ranked, _ = departures[0]
-        with pytest.raises(InvariantViolated):
-            _keep({ranked[0][0]: cap}, w, ranked, 1, cap)
 
     def test_cap_breach_raises_under_optimize(self):
         # the cap is a proof invariant, so its check must survive `python -O`
