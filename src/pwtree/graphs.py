@@ -62,7 +62,7 @@ class MetricGraph:
     threads.  Use :func:`build_metric_graph` to construct with validation.
     """
 
-    __slots__ = ("_vertices", "_edges", "_adj")
+    __slots__ = ("_vertices", "_edges", "_adj", "_hash")
 
     def __init__(self, vertices, edges):
         self._vertices = tuple(sorted(vertices))
@@ -74,6 +74,7 @@ class MetricGraph:
         for v in adj:
             adj[v].sort()
         self._adj = adj
+        self._hash = None
 
     @property
     def vertices(self):
@@ -115,7 +116,10 @@ class MetricGraph:
         return self._vertices == other._vertices and self._edges == other._edges
 
     def __hash__(self):
-        return hash((self._vertices, frozenset(self._edges.items())))
+        # cached: the embeddings' plan caches look the graph up once per sample
+        if self._hash is None:
+            self._hash = hash((self._vertices, frozenset(self._edges.items())))
+        return self._hash
 
     def __repr__(self):
         return f"MetricGraph(n={self.n}, m={self.m})"

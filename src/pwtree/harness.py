@@ -161,7 +161,8 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     pairs are measured: "all" finite-distance pairs, or just the original
     "edges", each against d_G of its endpoints (not its raw length, which
     may exceed d_G on a non-reduced graph).  Means are exact rationals;
-    only stderr is floating point.
+    only stderr is floating point.  A sample equal to the one before it
+    (same target, same map) reuses its distances.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -182,14 +183,18 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
 
     want_all = pairs == "all"
     src_scaled = [d.numerator * (scale // d.denominator) for _, _, d in measured]
+    # a sample equal to the one before it has the same distances: count the
+    # run of equal samples and add its distances once, weighted by the run
+    last, dists, run = None, [], 0
     for i in range(num_samples):
         sample = _as_sample(g, embedder(sample_rng(seed, i)))
+        if last is not None and sample.target == last.target and sample.fmap == last.fmap:
+            run += 1
+            continue
+        violations += _accumulate(sums, sumsq, src_scaled, dists, run)
         dists = _tree_pair_distances(sample, index, pair_idx, scale, all_sources=want_all)
-        for j, d in enumerate(dists):
-            if d < src_scaled[j]:
-                violations += 1
-            sums[j] += d
-            sumsq[j] += d * d
+        last, run = sample, 1
+    violations += _accumulate(sums, sumsq, src_scaled, dists, run)
 
     stats = []
     zero_pairs = []
@@ -222,6 +227,17 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
         violation_count=violations,
         zero_distance_pairs=zero_pairs,
     )
+
+
+def _accumulate(sums, sumsq, src_scaled, dists, run):
+    """Add `run` samples with distances `dists`; returns their violations."""
+    violations = 0
+    for j, d in enumerate(dists):
+        if d < src_scaled[j]:
+            violations += run
+        sums[j] += run * d
+        sumsq[j] += run * d * d
+    return violations
 
 
 def _tree_pair_distances(sample: EmbeddingSample, index, pair_idx, scale,

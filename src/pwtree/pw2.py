@@ -4,11 +4,18 @@ Each step attaches the new vertex to both ends of the current window edge
 and deletes one edge of the resulting triangle, biased toward keeping
 short edges.  The output is a spanning subtree carrying original lengths,
 so it never contracts any distance.
+
+Nothing but the coin flips depends on the sample, so `_plan` lists the
+steps once per (sequence, metric, tau) and keeps the last plan: every
+sample of a run reuses it, and the exact enumerator takes its product
+over the same steps.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .graphs import MetricGraph, edge_key
 from .pathwidth import LinearCompositionSequence
@@ -26,6 +33,22 @@ class DegenerateZero(ZeroDivisionError):
 
 class TooManyOutcomes(ValueError):
     pass
+
+
+class NegativeTau(ValueError):
+    pass
+
+
+class InvariantViolated(RuntimeError):
+    """A property the analysis proves was found broken."""
+
+
+def check_tau(tau) -> Fraction:
+    """`tau` as an exact rational; a negative one makes no probability."""
+    tau = Fraction(tau)
+    if tau < 0:
+        raise NegativeTau(f"tau must be non-negative, got {tau}")
+    return tau
 
 
 def pw2_deletion_probability(case: str, len_uw, len_vw, len_uv=None, tau=DEFAULT_TAU):
@@ -52,7 +75,7 @@ def pw2_deletion_probability(case: str, len_uw, len_vw, len_uv=None, tau=DEFAULT
 
 
 def _step_choices(g: MetricGraph, window, x, retained, tau):
-    """The two possible deletions for one step: [(edge_to_delete, prob), ...].
+    """The two possible deletions for one step: ((edge_to_delete, prob), ...).
 
     `window` is the current edge {u, v}, `x` the new vertex, `retained`
     the next window.  Exactly one listed edge is deleted.
@@ -65,7 +88,7 @@ def _step_choices(g: MetricGraph, window, x, retained, tau):
             )
         except DegenerateZero:
             p = Fraction(1, 2)
-        return [(edge_key(u, x), p), (edge_key(v, x), 1 - p)]
+        return (edge_key(u, x), p), (edge_key(v, x), 1 - p)
     if retained == frozenset((v, x)):
         keep_u, other = u, v
     elif retained == frozenset((u, x)):
@@ -80,7 +103,42 @@ def _step_choices(g: MetricGraph, window, x, retained, tau):
         )
     except DegenerateZero:
         p = Fraction(1, 2)
-    return [(edge_key(keep_u, x), p), (edge_key(u, v), 1 - p)]
+    return (edge_key(keep_u, x), p), (edge_key(u, v), 1 - p)
+
+
+def float_threshold(p) -> float:
+    """The smallest float >= p: for every float x, x < it exactly when x < p."""
+    thr = float(p)
+    return math.nextafter(thr, math.inf) if thr < p else thr
+
+
+@lru_cache(maxsize=1)
+def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
+    """Everything that does not depend on the sample: (first edge, steps).
+
+    Each step is (added, (victim, p), (other, 1 - p), thr, window): the two
+    new edges, the edge deleted with probability p and the one deleted
+    otherwise, p's float threshold, and the next window's edge, which the
+    step must keep.
+    """
+    tau = check_tau(tau)
+    window = frozenset(seq.initial)
+    steps = []
+    for x, retained in seq.steps:
+        u, v = sorted(window)
+        choices = _step_choices(g, window, x, retained, tau)
+        steps.append((
+            (edge_key(u, x), edge_key(v, x)),
+            *choices,
+            float_threshold(choices[0][1]),
+            edge_key(*retained),
+        ))
+        window = retained
+    return edge_key(*seq.initial), tuple(steps)
+
+
+def _tree(g, edges):
+    return g.with_edges({e: g.length(*e) for e in edges})
 
 
 def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
@@ -92,19 +150,15 @@ def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
     """
     if seq.k != 2:
         raise WrongWidth(f"this construction needs k=2, got k={seq.k}")
-    u0, v0 = sorted(seq.initial)
-    tree = {edge_key(u0, v0)}
-    window = frozenset((u0, v0))
-    for x, retained in seq.steps:
-        u, v = sorted(window)
-        tree.add(edge_key(u, x))
-        tree.add(edge_key(v, x))
-        choices = _step_choices(g, window, x, retained, tau)
-        (victim, p), (other, _) = choices
-        tree.discard(victim if rng.random() < p else other)
-        window = retained
-        assert edge_key(*sorted(window)) in tree
-    return g.with_edges({e: g.length(*e) for e in tree})
+    first, steps = _plan(seq, g, tau)
+    tree = {first}
+    for added, (victim, _), (other, _), thr, window in steps:
+        tree.update(added)
+        # a float draw is below thr exactly when it is below p
+        tree.discard(victim if rng.random() < thr else other)
+        if window not in tree:
+            raise InvariantViolated(f"window edge {window!r} was deleted")
+    return _tree(g, tree)
 
 
 def enumerate_pw2_distribution(seq: LinearCompositionSequence, g: MetricGraph,
@@ -114,24 +168,20 @@ def enumerate_pw2_distribution(seq: LinearCompositionSequence, g: MetricGraph,
         raise WrongWidth(f"this construction needs k=2, got k={seq.k}")
     if 2 ** len(seq.steps) > limit:
         raise TooManyOutcomes(f"{len(seq.steps)} binary steps exceed the limit")
-    u0, v0 = sorted(seq.initial)
-    outcomes = {frozenset({edge_key(u0, v0)}): Fraction(1)}
-    window = frozenset((u0, v0))
-    for x, retained in seq.steps:
+    first, steps = _plan(seq, g, tau)
+    outcomes = {frozenset({first}): Fraction(1)}
+    for added, *choices, _, _ in steps:
         nxt = {}
         for tree, prob in outcomes.items():
-            grown = tree | {edge_key(sorted(window)[0], x), edge_key(sorted(window)[1], x)}
-            for victim, p in _step_choices(g, window, x, retained, tau):
+            grown = tree.union(added)
+            for victim, p in choices:
                 if p == 0:
                     continue
-                key = frozenset(grown - {victim})
+                key = grown - {victim}
                 nxt[key] = nxt.get(key, Fraction(0)) + prob * p
         outcomes = nxt
-        window = retained
-    result = [
-        (g.with_edges({e: g.length(*e) for e in tree}), prob)
-        for tree, prob in outcomes.items()
-    ]
+    result = [(_tree(g, tree), prob) for tree, prob in outcomes.items()]
     result.sort(key=lambda pair: sorted(pair[0].edge_keys()))
-    assert sum(p for _, p in result) == 1
+    if sum(p for _, p in result) != 1:
+        raise InvariantViolated("enumerated probabilities do not sum to 1")
     return result

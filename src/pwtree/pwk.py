@@ -8,29 +8,28 @@ maximum risk counter ("rank").  The final clique is replaced by its
 minimum spanning tree, yielding a tree that inherits original lengths and
 therefore never contracts.
 
-Only the ranks depend on the sample, so each call first builds a plan of
-the departures (`_plan`) and then applies the one step rule (`_keep`) per
-departure: once with a random prefix length in the sampler, once per
-possible prefix length in the exact enumerator.  The rank cap C(k+1, 2)
-is checked at every step and a breach raises `InvariantViolated`.
+Only the ranks depend on the sample, so a plan of the departures
+(`_plan`) is built once per (sequence, metric, tau) and kept: every sample
+of a run reuses it and applies the one step rule (`_keep`) per departure,
+with a random prefix length, and the exact enumerator applies it once per
+possible prefix length.  The rank cap C(k+1, 2) is checked at every step
+and a breach raises `InvariantViolated`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .graphs import MetricGraph, edge_key, minimum_spanning_tree
 from .pathwidth import LinearCompositionSequence
-from .pw2 import TooManyOutcomes
+# InvariantViolated and NegativeTau are shared with pw2 and re-exported here
+from .pw2 import InvariantViolated, NegativeTau, TooManyOutcomes, _tree, check_tau  # noqa: F401
 
 
 class MissingLength(ValueError):
     pass
-
-
-class InvariantViolated(RuntimeError):
-    """A property the width-k analysis proves was found broken."""
 
 
 def proven_bound(k) -> Fraction:
@@ -60,15 +59,17 @@ def sample_prefix_length(probs, rng) -> int:
     return j
 
 
+@lru_cache(maxsize=1)
 def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
     """Everything that does not depend on the sample: (departures, mst, cap).
 
     Each departure is (w, ranked, probs): the vertex leaving the clique,
-    its edges to the retained window as [(edge, other_endpoint)] sorted by
-    (length, edge), and the eligible-prefix probabilities of those edges.
-    `mst` lists the edges of the final clique's minimum spanning tree.
+    its edges to the retained window as ((edge, other_endpoint), ...)
+    sorted by (length, edge), and the eligible-prefix probabilities of
+    those edges.  `mst` lists the edges of the final clique's minimum
+    spanning tree.  The plan is cached and shared, so it is all tuples.
     """
-    tau = Fraction(4 * seq.k) if tau is None else Fraction(tau)
+    tau = check_tau(4 * seq.k if tau is None else tau)
     for a, b in sorted(seq.composed_edges()):
         if not g.has_edge(a, b):
             raise MissingLength(f"composed edge ({a!r}, {b!r}) absent from the metric")
@@ -80,12 +81,12 @@ def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
         ranked = sorted((g.length(w, x), edge_key(w, x), x) for x in retained)
         departures.append((
             w,
-            [(e, x) for _, e, x in ranked],
-            eligible_probs([length for length, _, _ in ranked], tau),
+            tuple((e, x) for _, e, x in ranked),
+            tuple(eligible_probs([length for length, _, _ in ranked], tau)),
         ))
         window = retained
     # the last step's clique is final: its departure never happens
-    return departures[:-1], minimum_spanning_tree(g, clique), comb(seq.k + 1, 2)
+    return tuple(departures[:-1]), minimum_spanning_tree(g, clique), comb(seq.k + 1, 2)
 
 
 def _keep(ranks, w, ranked, j, cap):
@@ -108,10 +109,6 @@ def _keep(ranks, w, ranked, j, cap):
         if x != anchor and old > ranks.get(edge_key(anchor, x), 0):
             ranks[edge_key(anchor, x)] = old
     return kept
-
-
-def _tree(g, edges):
-    return g.with_edges({e: g.length(*e) for e in edges})
 
 
 def embed_pathwidthk(seq: LinearCompositionSequence, g: MetricGraph, rng,
@@ -144,7 +141,7 @@ def enumerate_pwk_distribution(seq: LinearCompositionSequence, g: MetricGraph,
         nxt = []
         for ranks, kept, reach in frontier:
             # P[prefix length j] = P[reach j] * P[stop at j]; the last never extends
-            for j, p in enumerate(probs + [0], 1):
+            for j, p in enumerate(probs + (0,), 1):
                 p_j, reach = reach * (1 - p), reach * p
                 if p_j:
                     branch = dict(ranks)

@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
+from pwtree import pw2, pwk
 from pwtree.cli import main
 from pwtree.graphs import graph_from_json
-from pwtree.instances import psi
+from pwtree.instances import psi, random_pathwidth_graph, small_rational_lengths
+from pwtree.pathwidth import composed_metric_graph
 
 
 def run(capsys, *argv):
@@ -156,6 +159,50 @@ class TestEmbed:
             capsys, "embed", str(gpath), "--composition", str(cpath), "--k", "3"
         )
         assert code == 1
+
+
+class TestTau:
+    def generate(self, capsys, tmp_path):
+        gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+        code, *_ = run(capsys, "generate", "random-pw", "--k", "2", "--n", "10",
+                       "--seed", "5", "--out", str(gpath), "--composition-out", str(cpath))
+        assert code == 0
+        return ["embed", str(gpath), "--composition", str(cpath), "--samples", "200"]
+
+    @pytest.mark.parametrize("warmup", [[], ["--warmup"]])
+    def test_negative_tau_is_an_input_error(self, capsys, tmp_path, warmup):
+        code, out, err = run(capsys, *self.generate(capsys, tmp_path), "--tau=-1", *warmup)
+        assert code == 1 and out == ""
+        assert "tau must be non-negative" in err
+
+    def test_warmup_tau_zero_is_not_the_default(self, capsys, tmp_path):
+        argv = [*self.generate(capsys, tmp_path), "--warmup"]
+        code, zero, _ = run(capsys, *argv, "--tau", "0")
+        assert code == 0
+        assert zero != run(capsys, *argv, "--tau", "12")[1]
+        assert zero == run(capsys, *argv, "--tau", "0/7")[1]
+
+    def test_plan_built_once_per_run(self, capsys, tmp_path, monkeypatch):
+        argv = self.generate(capsys, tmp_path)
+        calls = []
+        real = pwk.minimum_spanning_tree
+        monkeypatch.setattr(pwk, "minimum_spanning_tree",
+                            lambda *args: calls.append(args) or real(*args))
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1
+        misses = pw2._plan.cache_info().misses
+        assert run(capsys, *argv, "--warmup")[0] == 0
+        assert pw2._plan.cache_info().misses == misses + 1
+        # the cache key is (sequence, metric, tau): a change of either rebuilds
+        g, seq = random_pathwidth_graph(2, 10, small_rational_lengths, random.Random(5))
+        metric = composed_metric_graph(g, seq)
+        for tau in (None, None, 3, 3):
+            pwk.embed_pathwidthk(seq, metric, random.Random(0), tau)
+        pwk.embed_pathwidthk(seq, metric.with_edges(dict(metric.edges())), random.Random(0), 3)
+        assert len(calls) == 3
+        longer = metric.with_edges({e: 2 * length for e, length in metric.edges()})
+        pwk.embed_pathwidthk(seq, longer, random.Random(0), 3)
+        assert len(calls) == 4
 
 
 def test_usage_error_exit_code(capsys):

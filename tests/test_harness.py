@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import flatten_to_path, tree_metric_and_sequence
+from harness_reference import reference_estimate
 from pwtree.graphs import build_metric_graph, shortest_path_metric
 from pwtree.harness import (
     BadDomain,
@@ -23,7 +24,13 @@ from pwtree.harness import (
     lower_bound_threshold,
     verify_lower_bound_witness,
 )
-from pwtree.instances import cycle, phi, psi_truncated
+from pwtree.instances import (
+    cycle,
+    phi,
+    psi_truncated,
+    random_pathwidth_graph,
+    small_rational_lengths,
+)
 from pwtree.pathwidth import LinearCompositionSequence, composed_metric_graph
 from pwtree.pw2 import embed_pathwidth2, enumerate_pw2_distribution
 from pwtree.pwk import embed_pathwidthk
@@ -141,6 +148,48 @@ class TestEstimateDistortion:
         g, _ = cycle(4)
         assert instance_hash(g) == instance_hash(g)
         assert instance_hash(g) != instance_hash(unit_path(4))
+
+
+def scripted(samples):
+    """An embedder that ignores its rng and returns `samples` in order."""
+    it = iter(samples)
+    return lambda rng: next(it)
+
+
+class TestSampleReuse:
+    def test_scripted_runs_match_reference(self):
+        g, seq = random_pathwidth_graph(2, 8, small_rational_lengths, random.Random(4))
+        metric = composed_metric_graph(g, seq)
+        trees = {}
+        for i in range(50):
+            t = embed_pathwidth2(seq, metric, random.Random(i))
+            trees.setdefault(frozenset(t.edge_keys()), t)
+        a, b = list(trees.values())[:2]
+        # a tree equals its identity sample; `moved` has a's target but not its map
+        same_a = identity_sample(g, a)
+        moved = EmbeddingSample(g, a, {**same_a.fmap, 0: 1, 1: 0})
+        script = [a, same_a, b, a, moved]
+        for pairs in ("all", "edges"):
+            got = estimate_distortion(g, scripted(script), len(script), 5, pairs=pairs)
+            want = reference_estimate(g, scripted(script), len(script), 5, pairs=pairs)
+            assert got.to_json() == want.to_json()
+            merged = reference_estimate(g, scripted(script[:-1] + [a]), len(script), 5,
+                                        pairs=pairs)
+            assert got.to_json() != merged.to_json()
+
+    def test_sampled_runs_match_reference(self):
+        rng = random.Random(41)
+        for k in (2, 3):
+            g, seq = random_pathwidth_graph(k, 12, small_rational_lengths, rng)
+            metric = composed_metric_graph(g, seq)
+            algos = [lambda r: embed_pathwidthk(seq, metric, r)]
+            if k == 2:
+                algos.append(lambda r: embed_pathwidth2(seq, metric, r))
+            for embedder in algos:
+                for pairs in ("all", "edges"):
+                    got = estimate_distortion(g, embedder, 300, 9, pairs=pairs)
+                    want = reference_estimate(g, embedder, 300, 9, pairs=pairs)
+                    assert got.to_json() == want.to_json()
 
 
 class TestAverageEdgeStretch:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,11 +10,21 @@ from pwtree.instances import cycle, random_pathwidth_graph, small_rational_lengt
 from pwtree.pathwidth import LinearCompositionSequence, composed_metric_graph
 from pwtree.pw2 import (
     DegenerateZero,
+    NegativeTau,
     TooManyOutcomes,
     WrongWidth,
+    _plan,
     embed_pathwidth2,
     enumerate_pw2_distribution,
+    float_threshold,
     pw2_deletion_probability,
+)
+
+unit_floats = st.floats(min_value=0, max_value=1)
+probabilities = st.one_of(
+    st.fractions(min_value=0, max_value=1),
+    unit_floats.map(Fraction),  # exactly representable as a float
+    st.sampled_from([Fraction(0), Fraction(1)]),
 )
 
 
@@ -126,6 +137,44 @@ class TestEnumeration:
         for t, p in enumerate_pw2_distribution(seq, metric):
             freq = counts.get(frozenset(t.edge_keys()), 0) / n
             assert abs(freq - float(p)) < 0.05
+
+
+class TestFloatThreshold:
+    @settings(max_examples=500, deadline=None)
+    @given(probabilities, st.lists(unit_floats, max_size=5))
+    def test_decides_float_draws_exactly(self, p, draws):
+        thr = float_threshold(p)
+        assert thr >= p and math.nextafter(thr, -math.inf) < p
+        near = float(p)
+        xs = [near, math.nextafter(near, -math.inf), math.nextafter(near, math.inf)]
+        for x in xs + draws + [random.Random(str(p)).random()]:
+            assert (x < thr) == (x < p), (p, x)
+
+    def test_exact_floats_are_their_own_threshold(self):
+        for p in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 1024)):
+            assert float_threshold(p) == p
+
+
+class TestPlan:
+    def test_sampler_and_enumerator_share_one_plan(self):
+        g, seq = cycle(6)
+        metric = composed_metric_graph(g, seq)
+        _plan.cache_clear()
+        for i in range(20):
+            embed_pathwidth2(seq, metric, random.Random(i))
+        enumerate_pw2_distribution(seq, metric)
+        assert _plan.cache_info().misses == 1
+        embed_pathwidth2(seq, metric, random.Random(0), tau=Fraction(3))
+        assert _plan.cache_info().misses == 2
+
+    def test_negative_tau_rejected(self):
+        g, seq = cycle(6)
+        metric = composed_metric_graph(g, seq)
+        with pytest.raises(NegativeTau):
+            enumerate_pw2_distribution(seq, metric, tau=-1)
+        with pytest.raises(NegativeTau):
+            embed_pathwidth2(seq, metric, random.Random(0), tau=Fraction(-1, 3))
+        assert sum(p for _, p in enumerate_pw2_distribution(seq, metric, tau=0)) == 1
 
 
 def expected_edge_stretches(g, seq, metric):

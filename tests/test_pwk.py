@@ -21,6 +21,7 @@ from pwtree.pathwidth import (
 )
 from pwtree.pwk import (
     MissingLength,
+    NegativeTau,
     _keep,
     _plan,
     eligible_probs,
@@ -155,19 +156,38 @@ class TestEdgeRank:
                     assert all(r <= cap for r in ranks.values())
 
     def test_cap_breach_raises_under_optimize(self):
-        # the cap is a proof invariant, so its check must survive `python -O`
+        # the cap and pw2's invariants are proof invariants, so their checks
+        # must survive `python -O`; pw2 is fed plans that break them
         code = textwrap.dedent("""
+            import random
             import sys
+            from fractions import Fraction
+            from pwtree import pw2
             from pwtree.instances import cycle
             from pwtree.pathwidth import composed_metric_graph
             from pwtree.pwk import InvariantViolated, _keep, _plan
             if __debug__:
                 sys.exit("asserts are live")
             g, seq = cycle(5)
-            departures, _, cap = _plan(seq, composed_metric_graph(g, seq), None)
+            metric = composed_metric_graph(g, seq)
+            departures, _, cap = _plan(seq, metric, None)
             w, ranked, _ = departures[0]
             try:
                 _keep({ranked[0][0]: cap}, w, ranked, 1, cap)
+            except InvariantViolated:
+                print("raised")
+            first, steps = pw2._plan(seq, metric, pw2.DEFAULT_TAU)
+            added, (victim, p), other, thr, window = steps[0]
+            # deleting the next window edge, then probabilities summing to 4/3
+            pw2._plan = lambda *args: (first, ((added, (window, p), other, 1.0, window),))
+            try:
+                pw2.embed_pathwidth2(seq, metric, random.Random(0))
+            except InvariantViolated:
+                print("raised")
+            pw2._plan = lambda *args: (first, ((added, (victim, Fraction(2, 3)),
+                                                 (other[0], Fraction(2, 3)), thr, window),))
+            try:
+                pw2.enumerate_pw2_distribution(seq, metric)
             except InvariantViolated:
                 print("raised")
         """)
@@ -177,7 +197,7 @@ class TestEdgeRank:
         run = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True, env=env, timeout=60)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "raised"
+        assert run.stdout.split() == ["raised"] * 3
 
 
 class TestStepTransition:
@@ -220,6 +240,15 @@ class TestStepTransition:
             enumerate_pwk_distribution(seq, sparse)
         with pytest.raises(MissingLength):
             ReferenceState(seq, sparse)
+
+    def test_negative_tau(self):
+        g, seq = cycle(6)
+        metric = composed_metric_graph(g, seq)
+        with pytest.raises(NegativeTau):
+            enumerate_pwk_distribution(seq, metric, tau=-1)
+        with pytest.raises(NegativeTau):
+            embed_pathwidthk(seq, metric, random.Random(0), tau=Fraction(-1, 2))
+        assert sum(p for _, p in enumerate_pwk_distribution(seq, metric, tau=0)) == 1
 
     def test_fresh_ranks_keep_shortest(self):
         # all-unit instance, fresh ranks: kept edge is the lexicographically
