@@ -150,10 +150,6 @@ class TestFloatThreshold:
         for x in xs + draws + [random.Random(str(p)).random()]:
             assert (x < thr) == (x < p), (p, x)
 
-    def test_exact_floats_are_their_own_threshold(self):
-        for p in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 1024)):
-            assert float_threshold(p) == p
-
 
 class TestPlan:
     def test_sampler_and_enumerator_share_one_plan(self):
