@@ -165,15 +165,17 @@ class TestSampleReuse:
             t = embed_pathwidth2(seq, metric, random.Random(i))
             trees.setdefault(frozenset(t.edge_keys()), t)
         a, b = list(trees.values())[:2]
-        # a tree equals its identity sample; `moved` has a's target but not its map
+        # a tree equals its identity sample; `moved` has a's target but maps
+        # 1 onto 0, so it contracts the pair (0, 1)
         same_a = identity_sample(g, a)
-        moved = EmbeddingSample(g, a, {**same_a.fmap, 0: 1, 1: 0})
-        script = [a, same_a, b, a, moved]
+        moved = EmbeddingSample(g, a, {**same_a.fmap, 1: 0})
+        script = [a, same_a, b, a, moved, moved]
         for pairs in ("all", "edges"):
             got = estimate_distortion(g, scripted(script), len(script), 5, pairs=pairs)
             want = reference_estimate(g, scripted(script), len(script), 5, pairs=pairs)
             assert got.to_json() == want.to_json()
-            merged = reference_estimate(g, scripted(script[:-1] + [a]), len(script), 5,
+            assert got.violation_count > 0
+            merged = reference_estimate(g, scripted(script[:3] + [a] * 3), len(script), 5,
                                         pairs=pairs)
             assert got.to_json() != merged.to_json()
 
