@@ -193,7 +193,8 @@ class TestTau:
         misses = pw2._plan.cache_info().misses
         assert run(capsys, *argv, "--warmup")[0] == 0
         assert pw2._plan.cache_info().misses == misses + 1
-        # the cache key is (sequence, metric, tau): a change of either rebuilds
+        # the cache key is (sequence, metric, tau): an equal metric reuses the
+        # plan, a change of any of them rebuilds it
         g, seq = random_pathwidth_graph(2, 10, small_rational_lengths, random.Random(5))
         metric = composed_metric_graph(g, seq)
         for tau in (None, None, 3, 3):
