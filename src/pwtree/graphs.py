@@ -1,8 +1,12 @@
 """Exact-arithmetic metric graphs and their shortest-path pseudometrics.
 
-All lengths and distances are `fractions.Fraction`, so every distance
-comparison is exact.  Infinite distances (disconnected pairs) are
-represented by ``None``, never by a large sentinel number.
+Edge lengths are `fractions.Fraction`.  Shortest paths are computed over
+integers: every length is scaled once by `integer_scale` (the lcm of the
+denominators), Dijkstra runs on the scaled integers, and a
+`DistanceMatrix` keeps the integer rows with their scale.  A `Fraction`
+is built only when a distance leaves the matrix (`dist`, `pairs`), so
+every distance comparison is exact.  Infinite distances (disconnected
+pairs) are represented by ``None``, never by a large sentinel number.
 """
 
 from __future__ import annotations
@@ -155,60 +159,80 @@ def build_metric_graph(vertices, weighted_edges) -> MetricGraph:
 
 
 class DistanceMatrix:
-    """Exact all-pairs shortest-path distances; ``None`` marks infinity."""
+    """Exact all-pairs shortest-path distances, kept as integers over one scale.
 
-    __slots__ = ("_vertices", "_dist")
+    Row i lists the distances from the i-th vertex (sorted order) to every
+    vertex, times `scale`; ``None`` marks infinity.
+    """
 
-    def __init__(self, vertices, dist):
-        self._vertices = tuple(sorted(vertices))
-        self._dist = dist
+    __slots__ = ("_vertices", "_index", "_rows", "scale")
+
+    def __init__(self, vertices, rows, scale):
+        self._vertices = tuple(vertices)
+        self._index = {v: i for i, v in enumerate(self._vertices)}
+        self._rows = rows
+        self.scale = scale
 
     @property
     def vertices(self):
         return self._vertices
 
+    def scaled(self, u, v):
+        """Distance between u and v times `scale`, an int, or None if disconnected."""
+        return self._rows[self._index[u]][self._index[v]]
+
     def dist(self, u, v):
         """Distance between u and v, or None if they are disconnected."""
-        if u == v:
-            return Fraction(0)
-        return self._dist[u].get(v)
+        d = self.scaled(u, v)
+        return None if d is None else Fraction(d, self.scale)
 
     def is_finite(self, u, v) -> bool:
-        return self.dist(u, v) is not None
+        return self.scaled(u, v) is not None
+
+    def scaled_pairs(self):
+        """All unordered pairs (u, v, d) with u < v and d scaled; d may be None."""
+        verts = self._vertices
+        for i, row in enumerate(self._rows):
+            u = verts[i]
+            for j in range(i + 1, len(verts)):
+                yield u, verts[j], row[j]
 
     def pairs(self):
         """All unordered pairs (u, v, d) with u < v; d may be None."""
-        verts = self._vertices
-        for i, u in enumerate(verts):
-            for v in verts[i + 1:]:
-                yield u, v, self.dist(u, v)
+        scale = self.scale
+        for u, v, d in self.scaled_pairs():
+            yield u, v, None if d is None else Fraction(d, scale)
 
 
 def shortest_path_metric(g: MetricGraph) -> DistanceMatrix:
-    """Exact APSP via Dijkstra per source (Fraction priorities)."""
-    dist = {}
-    for source in g.vertices:
-        row = _dijkstra(g, source)
-        del row[source]
-        dist[source] = row
-    return DistanceMatrix(g.vertices, dist)
+    """Exact APSP: Dijkstra per source over lengths scaled to integers."""
+    scale = integer_scale([g])
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj = [[] for _ in g.vertices]
+    for (u, v), length in g._edges.items():
+        ln = length.numerator * (scale // length.denominator)
+        adj[index[u]].append((index[v], ln))
+        adj[index[v]].append((index[u], ln))
+    return DistanceMatrix(g.vertices, [_dijkstra(adj, s) for s in range(len(adj))], scale)
 
 
-def _dijkstra(g: MetricGraph, source):
-    row = {source: Fraction(0)}
-    heap = [(Fraction(0), source)]
-    done = set()
+def _dijkstra(adj, source):
+    """Integer distances from `source` over adjacency lists; None if unreached."""
+    dist = [None] * len(adj)
+    dist[source] = 0
+    heap = [(0, source)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
+        d, x = pop(heap)
+        if d > dist[x]:
             continue
-        done.add(v)
-        for u, length in g.adjacency(v):
-            nd = d + length
-            if u not in row or nd < row[u]:
-                row[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return row
+        for y, ln in adj[x]:
+            nd = d + ln
+            dy = dist[y]
+            if dy is None or nd < dy:
+                dist[y] = nd
+                push(heap, (nd, y))
+    return dist
 
 
 def reduce_lengths(g: MetricGraph) -> MetricGraph:

@@ -19,7 +19,6 @@ from typing import Optional
 from .graphs import (
     MetricGraph,
     graph_to_json,
-    integer_scale,
     is_tree,
     shortest_path_metric,
 )
@@ -76,14 +75,16 @@ def check_noncontraction(sample: EmbeddingSample) -> NonContractionVerdict:
     """Exact check that no pairwise distance shrank; lists every violation."""
     dm_s = shortest_path_metric(sample.source)
     dm_t = shortest_path_metric(sample.target)
+    s_scale, t_scale = dm_s.scale, dm_t.scale
     violations = []
-    for u, v, d_s in dm_s.pairs():
-        d_t = dm_t.dist(sample.image(u), sample.image(v))
+    # scaled integers compared across the two scales; Fractions only for output
+    for u, v, d_s in dm_s.scaled_pairs():
+        d_t = dm_t.scaled(sample.image(u), sample.image(v))
         if d_s is None:
             if d_t is not None:
-                violations.append((u, v, None, d_t))
-        elif d_t is not None and d_t < d_s:
-            violations.append((u, v, d_s, d_t))
+                violations.append((u, v, None, Fraction(d_t, t_scale)))
+        elif d_t is not None and d_t * s_scale < d_s * t_scale:
+            violations.append((u, v, Fraction(d_s, s_scale), Fraction(d_t, t_scale)))
     return NonContractionVerdict(not violations, violations)
 
 
@@ -168,12 +169,13 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
         raise ValueError("need at least one sample")
     if pairs not in ("all", "edges"):
         raise ValueError(f"unknown pairs mode {pairs!r}")
+    # source distances stay integers in the metric's scale until the report
     dm = shortest_path_metric(g)
+    scale = dm.scale
     if pairs == "all":
-        measured = [(u, v, d) for u, v, d in dm.pairs() if d is not None]
+        measured = [(u, v, d) for u, v, d in dm.scaled_pairs() if d is not None]
     else:
-        measured = [(u, v, dm.dist(u, v)) for (u, v), _ in g.edges()]
-    scale = integer_scale([g])
+        measured = [(u, v, dm.scaled(u, v)) for (u, v), _ in g.edges()]
 
     index = {v: i for i, v in enumerate(g.vertices)}
     pair_idx = [(index[u], index[v]) for u, v, _ in measured]
@@ -182,7 +184,7 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     violations = 0
 
     want_all = pairs == "all"
-    src_scaled = [d.numerator * (scale // d.denominator) for _, _, d in measured]
+    src_scaled = [d for _, _, d in measured]
     # a sample equal to the one before it has the same distances: count the
     # run of equal samples and add its distances once, weighted by the run
     last, dists, run = None, [], 0
@@ -206,13 +208,13 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
         if d_src == 0:
             zero_pairs.append(((u, v), mean_d))
             continue
-        mean_stretch = mean_d / d_src
+        mean_stretch = Fraction(sums[j], n * d_src)
         # Var/n of the scaled distance over the squared scaled source distance:
         # integers until one correctly rounded division, so nothing cancels
         # or overflows
         spread = n * sumsq[j] - sums[j] * sums[j]
         stderr = math.sqrt(spread / (n ** 3 * src_scaled[j] ** 2))
-        stats.append(PairStat((u, v), d_src, mean_d, mean_stretch, stderr))
+        stats.append(PairStat((u, v), Fraction(d_src, scale), mean_d, mean_stretch, stderr))
         if best is None or mean_stretch > best:
             best, best_pair = mean_stretch, (u, v)
     return StretchReport(

@@ -174,13 +174,19 @@ def composed_metric_graph(g: MetricGraph, seq: LinearCompositionSequence) -> Met
     Every composed edge gets length d_g of its endpoints, so the result is
     reduced and realizes exactly the same pseudometric as `g`.  This is
     the canonical input for the embedding algorithms when `g` is a proper
-    subgraph of the composed graph.
+    subgraph of the composed graph.  An edge of `g` that lies in no bag of
+    `seq` (no composed edge) raises BadSequence: `seq` then witnesses no
+    width for `g`.
     """
     if set(seq.vertices) != set(g.vertices):
         raise BadSequence("sequence and graph disagree on the vertex set")
+    composed = seq.composed_edges()
+    for (u, v), _ in g.edges():
+        if (u, v) not in composed:
+            raise BadSequence(f"edge ({u!r}, {v!r}) of the graph lies in no bag of the sequence")
     dm = shortest_path_metric(g)
     edges = []
-    for u, v in seq.composed_edges():
+    for u, v in composed:
         d = dm.dist(u, v)
         if d is None:
             raise InfiniteDistance(f"{u!r} and {v!r} are disconnected in the input")

@@ -11,8 +11,9 @@ therefore never contracts.
 Only the ranks depend on the sample, so a plan of the departures
 (`_plan`) is built once per (sequence, metric, tau) and kept: every sample
 of a run reuses it and applies the one step rule (`_keep`) per departure,
-with a random prefix length, and the exact enumerator applies it once per
-possible prefix length.  The rank cap C(k+1, 2) is checked at every step
+with a prefix length drawn against the plan's float thresholds, and the
+exact enumerator applies it once per possible prefix length, weighted by
+the exact probabilities.  The rank cap C(k+1, 2) is checked at every step
 and a breach raises `InvariantViolated`.
 """
 
@@ -25,7 +26,8 @@ from math import comb
 from .graphs import MetricGraph, edge_key, minimum_spanning_tree
 from .pathwidth import LinearCompositionSequence
 # InvariantViolated and NegativeTau are shared with pw2 and re-exported here
-from .pw2 import InvariantViolated, NegativeTau, TooManyOutcomes, _tree, check_tau  # noqa: F401
+from .pw2 import (  # noqa: F401
+    InvariantViolated, NegativeTau, TooManyOutcomes, _tree, check_tau, float_threshold)
 
 
 class MissingLength(ValueError):
@@ -50,10 +52,17 @@ def eligible_probs(lengths, tau):
     return probs
 
 
-def sample_prefix_length(probs, rng) -> int:
+def prefix_thresholds(probs):
+    """Each probability's float threshold (`float_threshold`), None where p = 1."""
+    return tuple(None if p == 1 else float_threshold(p) for p in probs)
+
+
+def sample_prefix_length(thresholds, rng) -> int:
+    """Draw an eligible-prefix length; a saturated step (None) extends without a draw."""
     j = 1
-    for p in probs:
-        if p < 1 and not (rng.random() < p):
+    for thr in thresholds:
+        # a float draw is below thr exactly when it is below p
+        if thr is not None and not (rng.random() < thr):
             break
         j += 1
     return j
@@ -63,10 +72,12 @@ def sample_prefix_length(probs, rng) -> int:
 def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
     """Everything that does not depend on the sample: (departures, mst, cap).
 
-    Each departure is (w, ranked, probs): the vertex leaving the clique,
-    its edges to the retained window as ((edge, other_endpoint), ...)
-    sorted by (length, edge), and the eligible-prefix probabilities of
-    those edges.  `mst` lists the edges of the final clique's minimum
+    Each departure is (w, ranked, probs, thresholds): the vertex leaving
+    the clique, its edges to the retained window as ((edge,
+    other_endpoint), ...) sorted by (length, edge), the eligible-prefix
+    probabilities of those edges, exact for the enumerator, and their
+    float thresholds for the sampler, None where the probability is
+    saturated at 1.  `mst` lists the edges of the final clique's minimum
     spanning tree.  The plan is cached and shared, so it is all tuples.
     """
     tau = check_tau(4 * seq.k if tau is None else tau)
@@ -79,11 +90,9 @@ def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
         clique = window | {v}
         (w,) = clique - retained
         ranked = sorted((g.length(w, x), edge_key(w, x), x) for x in retained)
+        probs = tuple(eligible_probs([length for length, _, _ in ranked], tau))
         departures.append((
-            w,
-            tuple((e, x) for _, e, x in ranked),
-            tuple(eligible_probs([length for length, _, _ in ranked], tau)),
-        ))
+            w, tuple((e, x) for _, e, x in ranked), probs, prefix_thresholds(probs)))
         window = retained
     # the last step's clique is final: its departure never happens
     return tuple(departures[:-1]), minimum_spanning_tree(g, clique), comb(seq.k + 1, 2)
@@ -118,8 +127,8 @@ def embed_pathwidthk(seq: LinearCompositionSequence, g: MetricGraph, rng,
     `g` must be the reduced metric graph on the composed edge set."""
     departures, mst, cap = _plan(seq, g, tau)
     ranks = {}
-    kept = [_keep(ranks, w, ranked, sample_prefix_length(probs, rng), cap)
-            for w, ranked, probs in departures]
+    kept = [_keep(ranks, w, ranked, sample_prefix_length(thresholds, rng), cap)
+            for w, ranked, _, thresholds in departures]
     tree = _tree(g, kept + list(mst))
     if tree.m != tree.n - 1:
         raise InvariantViolated(f"{tree.m} edges on {tree.n} vertices is not a tree")
@@ -137,7 +146,7 @@ def enumerate_pwk_distribution(seq: LinearCompositionSequence, g: MetricGraph,
         raise TooManyOutcomes("outcome bound exceeds the enumeration limit")
     departures, mst, cap = _plan(seq, g, tau)
     frontier = [({}, (), Fraction(1))]
-    for w, ranked, probs in departures:
+    for w, ranked, probs, _ in departures:
         nxt = []
         for ranks, kept, reach in frontier:
             # P[prefix length j] = P[reach j] * P[stop at j]; the last never extends

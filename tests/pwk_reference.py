@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from pwtree.graphs import edge_key, minimum_spanning_tree
-from pwtree.pwk import MissingLength, eligible_probs, sample_prefix_length
+from pwtree.pwk import MissingLength, eligible_probs, prefix_thresholds, sample_prefix_length
 
 
 class ReferenceState:
@@ -118,7 +118,8 @@ class ReferenceState:
     def random_step(self, v_new, window_new, rng):
         """One step with the prefix length drawn from `rng`; returns it."""
         _, ranked = self.departing()
-        j = sample_prefix_length(eligible_probs([l for l, _ in ranked], self.tau), rng)
+        probs = eligible_probs([l for l, _ in ranked], self.tau)
+        j = sample_prefix_length(prefix_thresholds(probs), rng)
         self.step(v_new, window_new, j)
         return j
 

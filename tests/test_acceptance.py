@@ -165,8 +165,8 @@ def test_criterion_05_rank_cap_never_exceeded():
             departures, _, plan_cap = _plan(seq, metric, None)
             assert plan_cap == cap
             ranks = {}
-            for w, ranked, probs in departures:
-                _keep(ranks, w, ranked, sample_prefix_length(probs, rng), cap)
+            for w, ranked, _, thresholds in departures:
+                _keep(ranks, w, ranked, sample_prefix_length(thresholds, rng), cap)
                 assert all(r <= cap for r in ranks.values())
 
 

@@ -7,7 +7,7 @@ from pwtree import pw2, pwk
 from pwtree.cli import main
 from pwtree.graphs import graph_from_json
 from pwtree.instances import psi, random_pathwidth_graph, small_rational_lengths
-from pwtree.pathwidth import composed_metric_graph
+from pwtree.pathwidth import LinearCompositionSequence, composed_metric_graph, dump_composition
 
 
 def run(capsys, *argv):
@@ -150,6 +150,19 @@ class TestEmbed:
         code, _, err = run(capsys, "embed", str(gpath), "--samples", "10")
         assert code == 1
         assert "composition" in err
+
+    def test_composition_missing_an_edge(self, capsys, tmp_path):
+        # K4 has pathwidth 3; a width-2 composition leaves edge (0, 3) in no
+        # bag, so it witnesses nothing and the run is an input error
+        gpath, cpath = tmp_path / "k4.json", tmp_path / "c.json"
+        gpath.write_text(json.dumps({"vertices": [0, 1, 2, 3], "edges": [
+            [u, v, 1] for u in range(4) for v in range(u + 1, 4)]}))
+        dump_composition(
+            LinearCompositionSequence(2, (0, 1), [(2, {1, 2}), (3, {2, 3})]), cpath)
+        code, out, err = run(capsys, "embed", str(gpath), "--composition", str(cpath),
+                             "--samples", "20")
+        assert code == 1 and out == ""
+        assert "edge (0, 3)" in err
 
     def test_width_mismatch(self, capsys, tmp_path):
         gpath, cpath = self.generate(

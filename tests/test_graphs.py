@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distance_reference import reference_distances
 from pwtree.graphs import (
     DisconnectedSubset,
     DuplicateEdge,
@@ -128,6 +129,59 @@ def test_reduce_lengths_properties(g):
         assert reduced.length(u, v) == dm_after.dist(u, v)
         assert reduced.length(u, v) <= g.length(u, v)
     assert reduce_lengths(reduced) == reduced  # idempotent
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1)
+
+
+@st.composite
+def kernel_graphs(draw):
+    """Graphs with zero lengths, several components and coprime or huge
+    denominators; vertices are ints or strings (whose order is not the
+    order they were made in)."""
+    n = draw(st.integers(1, 9))
+    names = draw(st.sampled_from([list(range(n)), [f"v{i}" for i in range(n)]]))
+    # edges only join vertices of one label, so labels split components
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    possible = [(names[a], names[b]) for a, b in itertools.combinations(range(n), 2)
+                if labels[a] == labels[b]]
+    chosen = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    length = st.one_of(
+        st.just(0),
+        st.builds(Fraction, st.integers(0, 40), st.sampled_from(PRIMES)),
+        st.builds(Fraction, st.integers(0, 10 ** 40), st.integers(1, 10 ** 30)),
+    )
+    lengths = draw(st.lists(length, min_size=len(chosen), max_size=len(chosen)))
+    return build_metric_graph(names, [(u, v, l) for (u, v), l in zip(chosen, lengths)])
+
+
+class TestIntegerKernel:
+    @given(kernel_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_oracle(self, g):
+        dm = shortest_path_metric(g)
+        ref = reference_distances(g)
+        for u in g.vertices:
+            assert dm.dist(u, u) == 0
+            for v in g.vertices:
+                assert dm.dist(u, v) == ref[(u, v)]
+                assert dm.is_finite(u, v) == (ref[(u, v)] is not None)
+        assert list(dm.pairs()) == [
+            (u, v, ref[(u, v)]) for u, v in itertools.combinations(g.vertices, 2)]
+
+    def test_huge_coprime_denominators(self):
+        # a 1/p + 1/q path beats a direct edge by 1/(p*q*r); no float can tell
+        p, q, r = 2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1
+        via = Fraction(1, p) + Fraction(1, q)
+        g = build_metric_graph([0, 1, 2, 3, 4], [
+            (0, 1, Fraction(1, p)), (1, 2, Fraction(1, q)),
+            (0, 2, via + Fraction(1, p * q * r)), (3, 4, 0)])
+        dm = shortest_path_metric(g)
+        assert dm.dist(0, 2) == via
+        assert dm.scale == p * q * r
+        assert dm.dist(3, 4) == 0 and dm.dist(4, 4) == 0
+        assert dm.dist(0, 3) is None and dm.dist(4, 2) is None
+        assert reference_distances(g)[(0, 2)] == via
 
 
 def test_reduce_triangle():

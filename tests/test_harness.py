@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import flatten_to_path, tree_metric_and_sequence
+from distance_reference import reference_distances
 from harness_reference import reference_estimate
+from pwtree import harness
 from pwtree.graphs import build_metric_graph, shortest_path_metric
 from pwtree.harness import (
     BadDomain,
@@ -59,6 +61,49 @@ class TestNonContraction:
         sample = EmbeddingSample(g, target, {0: 0, 1: 1})
         # a disconnected pair mapped to a finite distance is a contraction
         assert not check_noncontraction(sample).ok
+
+    def test_violations_match_oracle_across_scales(self):
+        # source and target lengths have unrelated denominators, so the two
+        # distance matrices have different scales
+        rng = random.Random(41)
+        found = 0
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            g = build_metric_graph(range(n), [
+                (u, v, Fraction(rng.randint(0, 9), rng.choice((1, 3, 7, 2 ** 61 - 1))))
+                for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+            fmap = {v: rng.randrange(n) for v in range(n)}
+            target = build_metric_graph(range(n), [
+                (v, rng.randrange(v), Fraction(rng.randint(0, 9), rng.choice((1, 2, 5, 11))))
+                for v in range(1, n)])
+            d_s, d_t = reference_distances(g), reference_distances(target)
+            expected = []
+            for u, v in itertools.combinations(range(n), 2):
+                s_uv, t_uv = d_s[(u, v)], d_t[(fmap[u], fmap[v])]
+                if s_uv is None or t_uv < s_uv:
+                    expected.append((u, v, s_uv, t_uv))
+            verdict = check_noncontraction(EmbeddingSample(g, target, fmap))
+            assert verdict.violations == expected
+            assert verdict.ok == (not expected)
+            found += len(expected)
+        assert found > 50
+
+
+class TestOneDistanceRun:
+    @pytest.mark.parametrize("pairs", ["all", "edges"])
+    def test_estimate_runs_shortest_paths_once(self, monkeypatch, pairs):
+        # the source distances come from one all-pairs run; the samples'
+        # distances come from the harness's own tree traversals
+        calls = []
+        real = harness.shortest_path_metric
+        monkeypatch.setattr(harness, "shortest_path_metric",
+                            lambda g: calls.append(g) or real(g))
+        g, seq = random_pathwidth_graph(2, 12, small_rational_lengths, random.Random(3))
+        metric = composed_metric_graph(g, seq)
+        report = estimate_distortion(
+            g, lambda rng: embed_pathwidthk(seq, metric, rng), 50, seed=1, pairs=pairs)
+        assert calls == [g]
+        assert report.noncontraction_ok
 
 
 class TestEstimateDistortion:

@@ -17,6 +17,7 @@ from pwtree.pathwidth import (
     UncoveredEdge,
     UncoveredVertex,
     composed_graph,
+    composed_metric_graph,
     composition_from_json,
     composition_to_decomposition,
     composition_to_json,
@@ -104,6 +105,23 @@ class TestCompositionSequences:
         back = composition_from_json(data)
         assert back.k == seq.k and back.initial == seq.initial
         assert back.steps == seq.steps
+
+
+class TestComposedMetric:
+    # a width-2 sequence on 4 vertices: bags {0,1,2} and {1,2,3} miss (0, 3)
+    WIDTH_TWO = LinearCompositionSequence(2, (0, 1), [(2, {1, 2}), (3, {2, 3})])
+
+    def test_edge_in_no_bag_rejected(self):
+        # K4 has pathwidth 3, so no width-2 sequence can witness it
+        with pytest.raises(BadSequence, match=r"edge \(0, 3\)"):
+            composed_metric_graph(complete(4), self.WIDTH_TWO)
+
+    def test_first_missing_edge_named(self):
+        # bags {0,1,2}, {1,2,3}, {2,3,4}: (0, 4) and (1, 4) lie in none
+        seq = LinearCompositionSequence(2, (0, 1), [(2, {1, 2}), (3, {2, 3}), (4, {3, 4})])
+        g = build_metric_graph(range(5), [(1, 4, 1), (0, 4, 1), (0, 1, 1), (2, 3, 1)])
+        with pytest.raises(BadSequence, match=r"edge \(0, 4\)"):
+            composed_metric_graph(g, seq)
 
 
 class TestNormalize:

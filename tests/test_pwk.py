@@ -6,6 +6,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import tree_metric_and_sequence
 from pwk_reference import ReferenceState, reference_embed
@@ -27,6 +28,7 @@ from pwtree.pwk import (
     eligible_probs,
     embed_pathwidthk,
     enumerate_pwk_distribution,
+    prefix_thresholds,
     sample_prefix_length,
 )
 
@@ -55,6 +57,60 @@ class TestEligibleProbs:
 
     def test_zero_over_zero_saturates(self):
         assert eligible_probs([0, 0], 8) == [1]
+
+
+def exact_prefix_length(probs, rng):
+    """The prefix draw made with exact comparisons: draw only where p < 1."""
+    j = 1
+    for p in probs:
+        if p < 1 and not (rng.random() < p):
+            break
+        j += 1
+    return j
+
+
+class TestPrefixThresholds:
+    def test_saturated_steps_draw_nothing(self):
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert prefix_thresholds([Fraction(1), Fraction(1)]) == (None, None)
+        assert sample_prefix_length((None, None), rng) == 3
+        assert rng.getstate() == state
+
+    @given(st.lists(st.one_of(st.just(Fraction(0)), st.just(Fraction(1)),
+                              st.fractions(min_value=0, max_value=1)), max_size=5),
+           st.integers(0, 2 ** 32))
+    @settings(max_examples=200, deadline=None)
+    def test_draws_match_exact_comparison(self, probs, seed):
+        ours, exact = random.Random(seed), random.Random(seed)
+        thresholds = prefix_thresholds(probs)
+        for _ in range(20):
+            assert sample_prefix_length(thresholds, ours) == exact_prefix_length(probs, exact)
+        assert ours.getstate() == exact.getstate()
+
+    def test_plan_marks_saturation_once(self):
+        rng = random.Random(8)
+        saturated = drawn = 0
+        for k in (2, 3, 4):
+            for tau in (None, 1):
+                g, seq, metric = random_instance(k, 12, rng)
+                departures, _, _ = _plan(seq, metric, tau)
+                for _, _, probs, thresholds in departures:
+                    assert thresholds == prefix_thresholds(probs)
+                    saturated += thresholds.count(None)
+                    drawn += len(thresholds) - thresholds.count(None)
+        assert saturated > 10 and drawn > 10
+
+    def test_sampling_compares_no_fractions(self, monkeypatch):
+        g, seq, metric = random_instance(3, 12, random.Random(4))
+        embed_pathwidthk(seq, metric, random.Random(0))  # builds the plan
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was compared while sampling")
+
+        monkeypatch.setattr(Fraction, "_richcmp", refuse)
+        for i in range(50):
+            embed_pathwidthk(seq, metric, random.Random(i))
 
 
 class TestCanonicalPath:
@@ -119,8 +175,8 @@ class TestEdgeRank:
         metric = composed_metric_graph(g, seq)
         departures, _, cap = _plan(seq, metric, None)
         ranks = {}
-        w, ranked, probs = departures[0]
-        _keep(ranks, w, ranked, sample_prefix_length(probs, random.Random(0)), cap)
+        w, ranked, _, thresholds = departures[0]
+        _keep(ranks, w, ranked, sample_prefix_length(thresholds, random.Random(0)), cap)
         assert any(r >= 1 for r in ranks.values())
 
     def test_classrank_matches_bruteforce(self):
@@ -133,7 +189,7 @@ class TestEdgeRank:
             departures, _, cap = _plan(seq, metric, None)
             state = ReferenceState(seq, metric)
             ranks = {}
-            for (w, ranked, probs), (v, window) in zip(departures, seq.steps[1:]):
+            for (w, ranked, _, _), (v, window) in zip(departures, seq.steps[1:]):
                 j = state.random_step(v, window, rng)
                 _keep(ranks, w, ranked, j, cap)
                 unset_is_zero = {e: ranks.get(e, 0) for e in state.clique_edges()}
@@ -151,8 +207,8 @@ class TestEdgeRank:
                 departures, _, plan_cap = _plan(seq, metric, None)
                 assert plan_cap == cap
                 ranks = {}
-                for w, ranked, probs in departures:
-                    _keep(ranks, w, ranked, sample_prefix_length(probs, rng), cap)
+                for w, ranked, _, thresholds in departures:
+                    _keep(ranks, w, ranked, sample_prefix_length(thresholds, rng), cap)
                     assert all(r <= cap for r in ranks.values())
 
     def test_cap_breach_raises_under_optimize(self):
@@ -171,7 +227,7 @@ class TestEdgeRank:
             g, seq = cycle(5)
             metric = composed_metric_graph(g, seq)
             departures, _, cap = _plan(seq, metric, None)
-            w, ranked, _ = departures[0]
+            w, ranked, _, _ = departures[0]
             try:
                 _keep({ranked[0][0]: cap}, w, ranked, 1, cap)
             except InvariantViolated:
@@ -256,7 +312,7 @@ class TestStepTransition:
         g, seq = cycle(5)
         metric = composed_metric_graph(g, seq)
         departures, _, cap = _plan(seq, metric, None)
-        w, ranked, _ = departures[0]
+        w, ranked, _, _ = departures[0]
         assert _keep({}, w, ranked, 2, cap) == ranked[0][0]
         state = ReferenceState(seq, metric)
         v, win = seq.steps[1]
