@@ -73,8 +73,11 @@ class NonContractionVerdict:
 
 def check_noncontraction(sample: EmbeddingSample) -> NonContractionVerdict:
     """Exact check that no pairwise distance shrank; lists every violation."""
-    dm_s = shortest_path_metric(sample.source)
-    dm_t = shortest_path_metric(sample.target)
+    return _noncontraction(sample, shortest_path_metric(sample.source),
+                           shortest_path_metric(sample.target))
+
+
+def _noncontraction(sample, dm_s, dm_t) -> NonContractionVerdict:
     s_scale, t_scale = dm_s.scale, dm_t.scale
     violations = []
     # scaled integers compared across the two scales; Fractions only for output
@@ -356,11 +359,20 @@ class AverageStretch:
 def average_edge_stretch(g: MetricGraph, sample: EmbeddingSample,
                          require_noncontraction: bool = True) -> AverageStretch:
     """Exact per-edge average of target distances, both normalizations."""
+    _require_edges(g)
+    dm_t = shortest_path_metric(sample.target)
+    if require_noncontraction and not _noncontraction(
+            sample, shortest_path_metric(sample.source), dm_t):
+        raise PreconditionFailed("sample contracts some distance")
+    return _edge_averages(g, sample, dm_t)
+
+
+def _require_edges(g):
     if g.m == 0:
         raise EmptyEdgeSet("the source graph has no edges")
-    if require_noncontraction and not check_noncontraction(sample):
-        raise PreconditionFailed("sample contracts some distance")
-    dm_t = shortest_path_metric(sample.target)
+
+
+def _edge_averages(g, sample, dm_t) -> AverageStretch:
     total = Fraction(0)
     ratio = Fraction(0)
     counted = 0
@@ -423,9 +435,12 @@ def verify_lower_bound_witness(k: int, m, sample: EmbeddingSample) -> WitnessVer
     pw = tree_pathwidth(sample.target)
     if pw > k:
         raise PreconditionFailed(f"target pathwidth {pw} exceeds {k}")
-    if not check_noncontraction(sample):
+    # one all-pairs run on the target serves both checks
+    dm_t = shortest_path_metric(sample.target)
+    if not _noncontraction(sample, shortest_path_metric(sample.source), dm_t):
         raise PreconditionFailed("sample contracts some distance")
-    avg = average_edge_stretch(sample.source, sample, require_noncontraction=False)
+    _require_edges(sample.source)
+    avg = _edge_averages(sample.source, sample, dm_t)
     return WitnessVerdict(
         passed=avg.mean_distance >= threshold,
         threshold=threshold,

@@ -1,9 +1,15 @@
 """Path decompositions, linear composition sequences, and pathwidth oracles.
 
 The exact oracle works on any small graph via a reachability search over
-vertex-separation prefixes.  Trees get a dedicated recursive algorithm
-(three-branch splitting) plus the constructive path peeling that removes
-a simple path and drops every remaining component's pathwidth by one.
+vertex-separation prefixes.  Trees get rooted critical labels (Ellis,
+Sudborough & Turner): one iterative bottom-up pass gives the pathwidth,
+and a top-down rerooting pass gives the pathwidth of every branch at every
+vertex, in O(n log n) time without recursion.  The path peeling reads its
+heavy branches from that branch table; it removes a simple path and drops
+every remaining component's pathwidth by one, and the recursive peeling
+builds an optimal-width decomposition.  Checks that a constructed
+decomposition is valid at the width the proof promises raise
+BrokenInvariant, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ class UncoveredEdge(DecompositionError):
 
 class BrokenInterval(DecompositionError):
     pass
+
+
+class BrokenInvariant(DecompositionError):
+    """A decomposition built by this module fails the width its proof promises."""
 
 
 class TooLarge(ValueError):
@@ -133,18 +143,37 @@ def validate_path_decomposition(g: MetricGraph, pd: PathDecomposition) -> int:
     """Check the three conditions; returns the width, or raises naming the offender.
 
     Conditions: bags cover every vertex, every edge lies inside some bag,
-    and each vertex occupies a contiguous interval of bag indices.
+    and each vertex occupies a contiguous interval of bag indices.  One
+    pass over the bags records each vertex's first and last bag and its
+    number of bags; an edge whose endpoints both have contiguous intervals
+    lies in a bag exactly when the intervals meet.  O(sum of bag sizes + m).
     """
-    covered = set().union(*pd.bags)
+    first, last, count = {}, {}, {}
+    for i, bag in enumerate(pd.bags):
+        for v in bag:
+            if v in first:
+                count[v] += 1
+            else:
+                first[v] = i
+                count[v] = 1
+            last[v] = i
+
+    def contiguous(v):
+        return last[v] - first[v] + 1 == count[v]
+
     for v in g.vertices:
-        if v not in covered:
+        if v not in first:
             raise UncoveredVertex(f"vertex {v!r} appears in no bag")
     for (u, v) in g.edge_keys():
-        if not any(u in b and v in b for b in pd.bags):
+        if contiguous(u) and contiguous(v):
+            inside = max(first[u], first[v]) <= min(last[u], last[v])
+        else:
+            inside = any(v in b for b in pd.bags[first[u]:last[u] + 1] if u in b)
+        if not inside:
             raise UncoveredEdge(f"edge ({u!r}, {v!r}) is inside no bag")
-    for v in covered:
-        indices = [i for i, b in enumerate(pd.bags) if v in b]
-        if indices[-1] - indices[0] + 1 != len(indices):
+    for v in set().union(*pd.bags):
+        if not contiguous(v):
+            indices = [i for i, b in enumerate(pd.bags) if v in b]
             raise BrokenInterval(f"bag indices of {v!r} are not contiguous: {indices}")
     return pd.width
 
@@ -233,9 +262,7 @@ def normalize_decomposition(pd: PathDecomposition, g: MetricGraph) -> PathDecomp
         for r, a in zip(removed, added):
             cur = (cur - {r}) | {a}
             out.append(frozenset(cur))
-    norm = PathDecomposition(out)
-    assert validate_path_decomposition(g, norm) == k
-    return norm
+    return _check_width(g, PathDecomposition(out), k, "normalized decomposition")
 
 
 def _drop_redundant(bags):
@@ -306,9 +333,7 @@ def exact_path_decomposition(g: MetricGraph, limit: int = PATHWIDTH_ORACLE_LIMIT
                 bag.add(verts[i])
         bags.append(bag)
         prefix |= 1 << pos
-    pd = PathDecomposition(bags)
-    assert validate_path_decomposition(g, pd) == k
-    return pd
+    return _check_width(g, PathDecomposition(bags), k, "layout decomposition")
 
 
 def _vs_search(g: MetricGraph, limit):
@@ -373,144 +398,209 @@ def _bits(mask):
 
 
 # --- trees ------------------------------------------------------------------
+#
+# Rooted critical labels (Ellis, Sudborough & Turner, "The vertex separation
+# and search number of a graph", Inf. Comput. 1994).  Pathwidth equals
+# vertex separation, and a tree has pathwidth >= p + 1 (p >= 1) exactly when
+# some vertex has three branches of pathwidth >= p; any edge gives 1.
+#
+# The label of a rooted subtree S is a strictly decreasing tuple of entries
+# 2*w + c.  The first entry has w = pw(S) and c = 1 when it is critical:
+# some vertex x of S has two child branches of pathwidth w.  That x is
+# unique, and a critical entry is followed by the label of S without x's
+# subtree (nothing follows when x is the root).  A label depends only on
+# the labels of the root's children, so one bottom-up pass labels every
+# rooted subtree and one top-down pass labels every branch.
+
+
+def _combine(children):
+    """Label of a rooted tree from its children's (label, multiplicity) pairs."""
+    rest = [(label, m) for label, m in children if label and m]
+    out = []
+    while True:
+        if not rest:
+            out.append(0)  # the root alone
+            break
+        top = max(label[0] for label, _ in rest) >> 1
+        if top == 0:
+            out.append(2)  # a star
+            break
+        heavy = [(label, m) for label, m in rest if label[0] >> 1 == top]
+        count = sum(m for _, m in heavy)
+        critical = any(label[0] & 1 for label, _ in heavy)
+        if count >= 3 or (count == 2 and critical):
+            out.append(2 * top + 2)  # three branches of width top meet
+            break
+        if count == 2:
+            out.append(2 * top + 1)  # the root is the critical vertex
+            break
+        ((label, _),) = heavy
+        if not critical:
+            out.append(2 * top)
+            break
+        # the child's critical vertex x has two branches of width top; the
+        # next round labels its third, the tree without x's subtree
+        out.append(label[0])
+        rest = [pair for pair in rest if pair[0][0] >> 1 < top]
+        if len(label) > 1:
+            rest.append((label[1:], 1))
+    while len(out) > 1 and out[-1] >> 1 >= out[-2] >> 1:
+        # the third branch at a critical vertex reached its width
+        top = out[-2] >> 1
+        del out[-2:]
+        out.append(2 * top + 2)
+    return tuple(out)
+
+
+def _rooted(t: MetricGraph):
+    """Index adjacency, breadth-first order from vertex index 0, and parents."""
+    index = {v: i for i, v in enumerate(t.vertices)}
+    adj = [[index[u] for u in t.neighbors(v)] for v in t.vertices]
+    parent = [None] * len(adj)
+    parent[0] = -1
+    order = [0]
+    for v in order:
+        for u in adj[v]:
+            if parent[u] is None:
+                parent[u] = v
+                order.append(u)
+    return adj, order, parent
+
+
+def _down_labels(adj, order, parent):
+    """Bottom-up pass: the label of every vertex's rooted subtree."""
+    down = [None] * len(adj)
+    for v in reversed(order):
+        counts = {}
+        for u in adj[v]:
+            if u != parent[v]:
+                counts[down[u]] = counts.get(down[u], 0) + 1
+        down[v] = _combine(counts.items())
+    return down
+
+
+def _branch_widths(t: MetricGraph):
+    """Pathwidth of tree t and the branch table: for every vertex v, the
+    pair (u, pw of the component of t - v holding u) for each neighbour u.
+
+    The top-down pass labels the branch above every vertex from its
+    parent's other branches.  Those combines are cached per parent by the
+    label left out, so a vertex runs one combine per distinct child label,
+    not one per child: a spider with 10^4 equal legs costs one.
+    """
+    adj, order, parent = _rooted(t)
+    down = _down_labels(adj, order, parent)
+    up = [None] * len(adj)  # label of the branch at v holding its parent
+    for v in order:
+        counts = {}
+        for u in adj[v]:
+            label = up[v] if u == parent[v] else down[u]
+            counts[label] = counts.get(label, 0) + 1
+        without = {}
+        for u in adj[v]:
+            if u == parent[v]:
+                continue
+            label = down[u]
+            if label not in without:
+                counts[label] -= 1
+                without[label] = _combine(counts.items())
+                counts[label] += 1
+            up[u] = without[label]
+    verts = t.vertices
+    table = {
+        verts[v]: [
+            (verts[u], (down[u] if parent[u] == v else up[v])[0] >> 1) for u in nbrs
+        ]
+        for v, nbrs in enumerate(adj)
+    }
+    return down[0][0] >> 1, table
+
 
 def tree_pathwidth(t: MetricGraph) -> int:
-    """Exact pathwidth of a tree via recursive three-branch analysis.
+    """Exact pathwidth of a tree from its rooted critical labels.
 
-    A tree needs pathwidth p+1 exactly when some vertex has three branches
-    of pathwidth at least p; caterpillars (pathwidth <= 1) are detected
-    directly so long paths never recurse.
+    One iterative bottom-up pass over the tree rooted at its lowest vertex
+    combines the children's labels at every vertex: O(n log n) time, no
+    recursion, so deep trees never reach the recursion limit.
     """
     if not is_tree(t):
         raise NotATree("tree_pathwidth requires a tree")
-    adj = {v: set(t.neighbors(v)) for v in t.vertices}
-    return _tree_pw(adj, frozenset(t.vertices), {})
-
-
-def _tree_pw(adj, comp, memo):
-    got = memo.get(comp)
-    if got is not None:
-        return got
-    if len(comp) == 1:
-        memo[comp] = 0
-        return 0
-    if _is_caterpillar(adj, comp):
-        memo[comp] = 1
-        return 1
-    best = 2
-    for v in comp:
-        if len(adj[v] & comp) < 3:
-            continue
-        branch_pws = sorted(
-            (_tree_pw(adj, c, memo) for c in _split_components(adj, comp, v)),
-            reverse=True,
-        )
-        if len(branch_pws) >= 3:
-            best = max(best, branch_pws[2] + 1)
-    memo[comp] = best
-    return best
-
-
-def _split_components(adj, comp, v):
-    remaining = set(comp)
-    remaining.discard(v)
-    out = []
-    while remaining:
-        start = remaining.pop()
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in remaining:
-                    remaining.discard(y)
-                    seen.add(y)
-                    stack.append(y)
-        out.append(frozenset(seen))
-    return out
-
-
-def _is_caterpillar(adj, comp):
-    if len(comp) <= 3:
-        return True
-    degree = {v: len(adj[v] & comp) for v in comp}
-    spine = {v for v in comp if degree[v] >= 2}
-    spine = {v for v in spine if any(u in spine for u in adj[v] & comp)} or spine
-    # spine must induce a path (it is a subtree, so just check degrees)
-    inner_edges = 0
-    for v in spine:
-        d = len(adj[v] & spine)
-        if d > 2:
-            return False
-        inner_edges += d
-    return inner_edges // 2 == len(spine) - 1 if spine else True
+    adj, order, parent = _rooted(t)
+    return _down_labels(adj, order, parent)[0][0] >> 1
 
 
 def peel_path(t: MetricGraph):
     """A simple path whose removal drops every component's pathwidth by one.
 
-    Follows the three structural cases (a vertex with no heavy branch, the
-    all-one walk, and the two-heavy-branch path extended one vertex on each
-    side); ties are broken by lowest vertex id.  Returns (path vertices,
-    leftover components as MetricGraphs).
+    A branch at v is heavy when it has the tree's full pathwidth; the heavy
+    branches come from the branch table of `_branch_widths` (one bottom-up
+    and one top-down label pass).  Follows the three structural cases (a
+    vertex with no heavy branch, the all-one walk, and the two-heavy-branch
+    path extended one vertex on each side); ties are broken by lowest
+    vertex id.  Returns (path vertices, leftover components as
+    MetricGraphs).
     """
     if not is_tree(t):
         raise NotATree("peel_path requires a tree")
-    level = tree_pathwidth(t)
+    level, branches = _branch_widths(t)
     if level < 2:
         raise PathwidthTooLow(f"pathwidth {level} tree has no peel path")
-    adj = {v: set(t.neighbors(v)) for v in t.vertices}
-    memo = {}
-    whole = frozenset(t.vertices)
 
-    heavy = {}
-    for v in sorted(t.vertices):
-        heavy[v] = [
-            c for c in _split_components(adj, whole, v)
-            if _tree_pw(adj, c, memo) == level
-        ]
+    heavy = {}  # v -> the neighbours leading into its heavy branches
+    for v in t.vertices:
+        heavy[v] = [u for u, width in branches[v] if width == level]
         if not heavy[v]:
             # no branch at v carries the full pathwidth: v alone peels
             return [v], _forest_components(t, {v})
-    alpha = {v: len(cs) for v, cs in heavy.items()}
 
-    if all(a == 1 for a in alpha.values()):
-        path = _greedy_walk(t, adj, heavy)
+    if all(len(us) == 1 for us in heavy.values()):
+        path = _greedy_walk(t, heavy)
     else:
-        path = _two_sided_path(adj, heavy, alpha)
+        path = _two_sided_path(t, heavy)
 
     return path, _forest_components(t, set(path))
 
 
 def _forest_components(t: MetricGraph, removed):
-    adj = {v: set(t.neighbors(v)) for v in t.vertices}
     remaining = set(t.vertices) - removed
     comps = []
-    while remaining:
-        start = min(remaining)
+    for start in t.vertices:  # sorted, so each component starts at its lowest vertex
+        if start not in remaining:
+            continue
         seen = {start}
         stack = [start]
+        edges = {}
         while stack:
             x = stack.pop()
-            for y in adj[x]:
+            for y, length in t.adjacency(x):
                 if y in remaining and y not in seen:
                     seen.add(y)
                     stack.append(y)
+                    edges[edge_key(x, y)] = length
         remaining -= seen
-        comps.append(t.induced(seen))
-    comps.sort(key=lambda c: min(c.vertices))
+        comps.append(MetricGraph(seen, edges))
     return comps
 
 
-def _greedy_walk(t, adj, heavy):
-    leaves = sorted(v for v in t.vertices if len(adj[v]) == 1)
-    x = leaves[0]
+def _branch(t: MetricGraph, v, u):
+    """Vertex set of the component of t - v that holds its neighbour u."""
+    seen = {v, u}
+    stack = [u]
+    while stack:
+        for y in t.neighbors(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    seen.discard(v)
+    return seen
+
+
+def _greedy_walk(t, heavy):
+    x = min(v for v in t.vertices if len(t.neighbors(v)) == 1)
     path = [x]
     seen = {x}
     while True:
-        (branch,) = heavy[x]
-        candidates = sorted(adj[x] & branch)
-        y = candidates[0]
+        (y,) = heavy[x]
         if y in seen:
             return path
         path.append(y)
@@ -518,41 +608,48 @@ def _greedy_walk(t, adj, heavy):
         x = y
 
 
-def _two_sided_path(adj, heavy, alpha):
-    core = sorted(v for v, a in alpha.items() if a == 2)
-    core_set = set(core)
+def _two_sided_path(t, heavy):
+    core = [v for v in t.vertices if len(heavy[v]) == 2]
     if len(core) == 1:
         (v,) = core
-        first, second = heavy[v]
-        if min(first) > min(second):
-            first, second = second, first
-        w1 = min(adj[v] & first)
-        w2 = min(adj[v] & second)
+        w1, w2 = sorted(heavy[v], key=lambda u: min(_branch(t, v, u)))
         return [w1, v, w2]
-    # the heavy-core vertices induce a path; order it end to end
-    ends = sorted(v for v in core if len(adj[v] & core_set) == 1)
-    assert len(ends) == 2, "heavy core must induce a path"
+    # the heavy-core vertices induce a path; order it end to end, then
+    # extend each end by its one heavy branch off the core
+    core_set = set(core)
+    ends = [v for v in core if len(core_set.intersection(t.neighbors(v))) == 1]
+    if len(ends) != 2:
+        raise BrokenInvariant(f"heavy core {core!r} does not induce a path")
     order = [ends[0]]
     prev = None
     while order[-1] != ends[1]:
-        nxt = (adj[order[-1]] & core_set) - {prev}
+        nxt = core_set.intersection(t.neighbors(order[-1])) - {prev}
         prev = order[-1]
         order.append(min(nxt))
-    w1, w2 = order[0], order[-1]
-    ext1 = _outer_neighbor(adj, heavy, w1, core_set)
-    ext2 = _outer_neighbor(adj, heavy, w2, core_set)
-    return [ext1] + order + [ext2]
+    if len(order) != len(core):
+        raise BrokenInvariant(f"heavy core {core!r} does not induce a path")
+    outer = [[u for u in heavy[end] if u not in core_set] for end in (order[0], order[-1])]
+    if any(len(us) != 1 for us in outer):
+        raise BrokenInvariant("a core end needs exactly one heavy branch off the core")
+    return outer[0] + order + outer[1]
 
 
-def _outer_neighbor(adj, heavy, endpoint, core_set):
-    for comp in sorted(heavy[endpoint], key=min):
-        if not comp & core_set:
-            return min(adj[endpoint] & comp)
-    raise AssertionError("path endpoint must touch a heavy component off the core")
+def _check_width(g: MetricGraph, pd: PathDecomposition, width: int, what: str):
+    """Raise BrokenInvariant unless pd is a valid decomposition of g of `width`."""
+    try:
+        got = validate_path_decomposition(g, pd)
+    except DecompositionError as exc:
+        raise BrokenInvariant(f"{what} is invalid: {exc}") from exc
+    if got != width:
+        raise BrokenInvariant(f"{what} has width {got}, expected {width}")
+    return pd
 
 
 def tree_path_decomposition(t: MetricGraph) -> PathDecomposition:
-    """Optimal-width path decomposition of a tree, built by recursive peeling."""
+    """Optimal-width path decomposition of a tree, built by recursive peeling.
+
+    The recursion depth is the tree's pathwidth, O(log n).
+    """
     if not is_tree(t):
         raise NotATree("tree_path_decomposition requires a tree")
     level = tree_pathwidth(t)
@@ -575,9 +672,7 @@ def tree_path_decomposition(t: MetricGraph) -> PathDecomposition:
                 bags.append(bag | {v})
         if i + 1 < len(path):
             bags.append(frozenset({v, path[i + 1]}))
-    pd = PathDecomposition(bags)
-    assert validate_path_decomposition(t, pd) == level
-    return pd
+    return _check_width(t, PathDecomposition(bags), level, "tree decomposition")
 
 
 def _caterpillar_decomposition(t: MetricGraph) -> PathDecomposition:

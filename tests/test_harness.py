@@ -268,6 +268,21 @@ class TestAverageEdgeStretch:
             average_edge_stretch(g, sample)
 
 
+    def test_one_distance_run_per_graph(self, monkeypatch):
+        calls = []
+        real = harness.shortest_path_metric
+        monkeypatch.setattr(harness, "shortest_path_metric",
+                            lambda g: calls.append(g) or real(g))
+        star = build_metric_graph([0, 1, 2, 3], [(0, i, 1) for i in (1, 2, 3)])
+        sample = flatten_to_path(star)
+        out = average_edge_stretch(star, sample)
+        assert out.mean_distance == average_edge_stretch(
+            star, sample, require_noncontraction=False).mean_distance
+        # the checked call reads the source once and the target once
+        assert [g is sample.target for g in calls[:2]] in ([True, False], [False, True])
+        assert calls[2:] == [sample.target]
+
+
 class TestLowerBoundThreshold:
     def test_hand_values(self):
         assert lower_bound_threshold(1, 16) == Fraction(1, 256)
@@ -300,6 +315,18 @@ class TestWitnessVerifier:
         g = psi_truncated(2, 256, 8)
         verdict = verify_lower_bound_witness(2, 256, flatten_to_path(g))
         assert verdict.passed
+
+    def test_target_distances_computed_once(self, monkeypatch):
+        # the non-contraction check and the edge average share one target run
+        calls = []
+        real = harness.shortest_path_metric
+        monkeypatch.setattr(harness, "shortest_path_metric",
+                            lambda g: calls.append(g) or real(g))
+        sample = flatten_to_path(psi_truncated(1, 16, 2))
+        assert verify_lower_bound_witness(1, 16, sample).passed
+        assert len(calls) == 2
+        assert sum(g is sample.target for g in calls) == 1
+        assert sum(g is sample.source for g in calls) == 1
 
     def test_identity_rejected_high_pathwidth(self):
         g = psi_truncated(1, 16, 3)

@@ -1,14 +1,21 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pwtree
+import tree_pathwidth_reference as reference
 from conftest import all_trees_up_to, random_unit_tree, tree_sequence
 from pwtree.graphs import build_metric_graph, is_tree
 from pwtree.instances import phi, psi
 from pwtree.pathwidth import (
     BadSequence,
     BrokenInterval,
+    DecompositionError,
     LinearCompositionSequence,
     NotATree,
     PathDecomposition,
@@ -16,6 +23,7 @@ from pwtree.pathwidth import (
     TooLarge,
     UncoveredEdge,
     UncoveredVertex,
+    _branch_widths,
     composed_graph,
     composed_metric_graph,
     composition_from_json,
@@ -49,6 +57,45 @@ FOUR_CYCLE = build_metric_graph(
 )
 
 
+@st.composite
+def trees(draw, max_n=40):
+    """Trees from paths (span 1) to random recursive trees, randomly labelled."""
+    n = draw(st.integers(1, max_n))
+    span = draw(st.integers(1, n))
+    picks = draw(st.lists(st.integers(0, n), min_size=n - 1, max_size=n - 1))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[v], label[v - 1 - picks[v - 1] % min(v, span)], 1) for v in range(1, n)]
+    return build_metric_graph(range(n), edges)
+
+
+def spider(legs):
+    """A centre 0 with `legs` legs of 1, 2 and 3 edges in turn."""
+    edges = []
+    nxt = 1
+    for i in range(legs):
+        prev = 0
+        for _ in range(1 + i % 3):
+            edges.append((prev, nxt, 1))
+            prev, nxt = nxt, nxt + 1
+    return build_metric_graph(range(nxt), edges)
+
+
+def validate_reference(g, pd):
+    """The scan-every-bag validator that the one-pass check replaced."""
+    covered = set().union(*pd.bags)
+    for v in g.vertices:
+        if v not in covered:
+            raise UncoveredVertex(f"vertex {v!r} appears in no bag")
+    for (u, v) in g.edge_keys():
+        if not any(u in b and v in b for b in pd.bags):
+            raise UncoveredEdge(f"edge ({u!r}, {v!r}) is inside no bag")
+    for v in covered:
+        indices = [i for i, b in enumerate(pd.bags) if v in b]
+        if indices[-1] - indices[0] + 1 != len(indices):
+            raise BrokenInterval(f"bag indices of {v!r} are not contiguous: {indices}")
+    return pd.width
+
+
 class TestValidate:
     def test_path_bags(self):
         pd = PathDecomposition([{0, 1}, {1, 2}])
@@ -69,6 +116,30 @@ class TestValidate:
             validate_path_decomposition(
                 unit_path(3), PathDecomposition([{0, 1}, {1, 2}, {0, 2}])
             )
+
+    def test_overlapping_span_without_common_bag(self):
+        # 0's bags 0 and 2 straddle 1's bag 1: the spans meet but no bag
+        # holds the edge, and the edge check comes before the interval check
+        with pytest.raises(UncoveredEdge, match=r"edge \(0, 1\)"):
+            validate_path_decomposition(
+                unit_path(2), PathDecomposition([{0}, {1}, {0}])
+            )
+
+    @given(st.integers(2, 9), st.lists(st.sets(st.integers(0, 10), max_size=5),
+                                       min_size=1, max_size=8), st.integers(0, 2**30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, n, bags, seed):
+        # the same verdict, error class and offender as scanning every bag
+        g = random_unit_tree(n, random.Random(seed))
+        pd = PathDecomposition(bags)
+
+        def outcome(check):
+            try:
+                return check(g, pd)
+            except DecompositionError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(validate_path_decomposition) == outcome(validate_reference)
 
 
 class TestCompositionSequences:
@@ -220,6 +291,13 @@ class TestTreePathwidth:
         assert tree_pathwidth(psi(1, 9)) == 2
         assert tree_pathwidth(psi(2, 81)) == 3
 
+    @pytest.mark.parametrize("depth, width", [(2, 3), (3, 4)])
+    def test_large_nested_spiders(self, depth, width):
+        # psi(3, 256) has 769 vertices; the component recursion never finished it
+        t = psi(depth, 256)
+        assert tree_pathwidth(t) == width
+        assert validate_path_decomposition(t, tree_path_decomposition(t)) == width
+
     def test_exhaustive_small_trees(self):
         for t in all_trees_up_to(9):
             assert tree_pathwidth(t) == exact_pathwidth(t), sorted(t.edge_keys())
@@ -229,6 +307,67 @@ class TestTreePathwidth:
         for _ in range(1000):
             t = random_unit_tree(rng.randint(2, 15), rng)
             assert tree_pathwidth(t) == exact_pathwidth(t), sorted(t.edge_keys())
+
+
+class TestAgainstReference:
+    """The labels reproduce the memoised component recursion exactly."""
+
+    @given(trees())
+    @settings(max_examples=60, deadline=None)
+    def test_same_outputs(self, t):
+        level = reference.tree_pathwidth(t)
+        assert tree_pathwidth(t) == level
+        if level >= 2:
+            path, comps = peel_path(t)
+            want_path, want_comps = reference.peel_path(t)
+            assert path == want_path
+            assert comps == want_comps
+        else:
+            with pytest.raises(PathwidthTooLow):
+                peel_path(t)
+        assert tree_path_decomposition(t).bags == reference.tree_path_decomposition(t).bags
+
+    @given(trees(max_n=24))
+    @settings(max_examples=100, deadline=None)
+    def test_branch_table(self, t):
+        # every branch's width is the reference width of that component
+        level, table = _branch_widths(t)
+        assert level == reference.tree_pathwidth(t)
+        for v in t.vertices:
+            comps = reference._split_components(
+                {x: set(t.neighbors(x)) for x in t.vertices}, t.vertices, v)
+            want = {u: reference.tree_pathwidth(t.induced(c))
+                    for c in comps for u in t.neighbors(v) if u in c}
+            assert dict(table[v]) == want
+
+
+class TestLargeTrees:
+    """Iterative passes: no RecursionError and seconds, not minutes."""
+
+    @staticmethod
+    def check_table(t):
+        # the branch table obeys the three-branch rule at every vertex
+        level, table = _branch_widths(t)
+        assert level == tree_pathwidth(t)
+        thirds = [sorted((w for _, w in table[v]), reverse=True)[2]
+                  for v in t.vertices if len(table[v]) >= 3]
+        assert level == max([1] + [w + 1 for w in thirds])
+        return level, table
+
+    def test_long_path(self):
+        t = unit_path(10**5)
+        level, table = self.check_table(t)
+        assert level == 1
+        assert table[0] == [(1, 1)]
+
+    def test_random_tree(self):
+        self.check_table(random_unit_tree(10**5, random.Random(5)))
+
+    def test_spider_with_many_legs(self):
+        t = spider(10**4)
+        level, table = self.check_table(t)
+        assert level == 2
+        assert {w for _, w in table[0]} == {0, 1}
 
 
 class TestPeelPath:
@@ -273,6 +412,9 @@ class TestPeelPath:
         with pytest.raises(PathwidthTooLow):
             peel_path(unit_path(5))
 
+    def test_large_nested_spider(self):
+        self.assert_peels(psi(3, 256))
+
 
 class TestTreeDecomposition:
     def test_optimal_width(self):
@@ -286,6 +428,45 @@ class TestTreeDecomposition:
             t = random_unit_tree(rng.randint(2, 14), rng)
             pd = tree_path_decomposition(t)
             assert validate_path_decomposition(t, pd) == tree_pathwidth(t)
+
+    def test_invariants_raise_under_optimize(self):
+        # the width checks on built decompositions are proof invariants, so
+        # they must survive `python -O`; each is fed a broken construction
+        code = textwrap.dedent("""
+            import sys
+            from pwtree import pathwidth as pw
+            from pwtree.graphs import build_metric_graph
+            from pwtree.instances import psi
+            if __debug__:
+                sys.exit("asserts are live")
+            path3 = build_metric_graph(range(3), [(0, 1, 1), (1, 2, 1)])
+
+            def attempt(f, *args):
+                try:
+                    f(*args)
+                except pw.BrokenInvariant:
+                    print("raised")
+
+            real_drop = pw._drop_redundant
+            pw._drop_redundant = lambda bags: [{0, 1}, {0, 2}]  # loses edge (1, 2)
+            attempt(pw.normalize_decomposition, pw.PathDecomposition([{0, 1}, {1, 2}]), path3)
+            pw._drop_redundant = real_drop
+            pw._vs_search = lambda g, limit: ([0, 1, 2], 0)  # claims width 0
+            attempt(pw.exact_path_decomposition, path3)
+            # the three leaves of a star as the heavy core: not a path
+            star = build_metric_graph(range(4), [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+            attempt(pw._two_sided_path, star, {0: [1], 1: [0, 0], 2: [0, 0], 3: [0, 0]})
+            real_peel = pw.peel_path
+            pw.peel_path = lambda t: (lambda path, comps: (path, comps[1:]))(*real_peel(t))
+            attempt(pw.tree_path_decomposition, psi(1, 9))  # a component dropped
+        """)
+        src = os.path.dirname(os.path.dirname(pwtree.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["raised"] * 4
 
     def test_tree_sequences_compose(self):
         rng = random.Random(13)
