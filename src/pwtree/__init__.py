@@ -17,6 +17,7 @@ from .pathwidth import (
     composition_to_decomposition,
     decomposition_to_composition,
     normalize_decomposition,
+    bag_distances,
     composed_metric_graph,
     exact_pathwidth,
     exact_path_decomposition,

@@ -117,7 +117,7 @@ def cmd_embed(args) -> int:
             return pwk.embed_pathwidthk(seq, metric, rng, tau)
 
     report = harness.estimate_distortion(
-        g, embedder, args.samples, args.seed, pairs=args.pairs
+        g, embedder, args.samples, args.seed, pairs=args.pairs, source_metric=metric
     )
     bound = pwk.proven_bound(k)
     payload = report.to_json()

@@ -7,6 +7,13 @@ denominators), Dijkstra runs on the scaled integers, and a
 is built only when a distance leaves the matrix (`dist`, `pairs`), so
 every distance comparison is exact.  Infinite distances (disconnected
 pairs) are represented by ``None``, never by a large sentinel number.
+
+`shortest_path_metric` is the all-pairs kernel, O(n^2 log n).  Where only
+pairs that share a bag of a composition are needed, `pathwidth.bag_distances`
+gives the same integers in O(n k^3): it feeds `composed_metric_graph` and the
+random generator's length reduction, and edges-mode `estimate_distortion`
+reads each edge's d_G from the composed metric's lengths.  The kernel stays
+for all-pairs reports, the checkers, and as the oracle of the bag sweep.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from typing import Optional
 from .graphs import (
     MetricGraph,
     graph_to_json,
+    integer_scale,
     is_tree,
     shortest_path_metric,
 )
@@ -39,6 +40,10 @@ class PreconditionFailed(ValueError):
 
 class HypothesisViolation(ValueError):
     pass
+
+
+class BadSourceMetric(ValueError):
+    """A source metric that cannot give d_G on the edges of its graph."""
 
 
 @dataclass(frozen=True)
@@ -157,28 +162,40 @@ def sample_rng(seed, index) -> random.Random:
 
 
 def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
-                        pairs: str = "all") -> StretchReport:
+                        pairs: str = "all",
+                        source_metric: Optional[MetricGraph] = None) -> StretchReport:
     """Empirical expected stretch per pair, with an exact non-contraction sweep.
 
     `embedder(rng)` must return a target tree on the vertex set of `g`
     (identity map assumed) or an EmbeddingSample.  `pairs` selects which
     pairs are measured: "all" finite-distance pairs, or just the original
     "edges", each against d_G of its endpoints (not its raw length, which
-    may exceed d_G on a non-reduced graph).  Means are exact rationals;
-    only stderr is floating point.  A sample equal to the one before it
-    (same target, same map) reuses its distances.
+    may exceed d_G on a non-reduced graph).  The source distances come from
+    one all-pairs run on `g`, except in edges mode with `source_metric`:
+    a graph on the vertex set of `g` whose length on every edge of `g` is
+    d_G, such as `composed_metric_graph(g, seq)`.  Each edge's d_G is then
+    its length there, and no all-pairs run is made; a metric that lacks an
+    edge of `g`, or gives one a length above its length in `g` or off the
+    scale of `g`, raises BadSourceMetric.  "all" ignores `source_metric`.
+    Means are exact rationals; only stderr is floating point.  A sample
+    equal to the one before it (same target, same map) reuses its
+    distances.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
     if pairs not in ("all", "edges"):
         raise ValueError(f"unknown pairs mode {pairs!r}")
-    # source distances stay integers in the metric's scale until the report
-    dm = shortest_path_metric(g)
-    scale = dm.scale
-    if pairs == "all":
-        measured = [(u, v, d) for u, v, d in dm.scaled_pairs() if d is not None]
+    # source distances stay integers in the scale of g until the report
+    if pairs == "edges" and source_metric is not None:
+        scale = integer_scale([g])
+        measured = _edge_distances(g, source_metric, scale)
     else:
-        measured = [(u, v, dm.scaled(u, v)) for (u, v), _ in g.edges()]
+        dm = shortest_path_metric(g)
+        scale = dm.scale
+        if pairs == "all":
+            measured = [(u, v, d) for u, v, d in dm.scaled_pairs() if d is not None]
+        else:
+            measured = [(u, v, dm.scaled(u, v)) for (u, v), _ in g.edges()]
 
     index = {v: i for i, v in enumerate(g.vertices)}
     pair_idx = [(index[u], index[v]) for u, v, _ in measured]
@@ -232,6 +249,24 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
         violation_count=violations,
         zero_distance_pairs=zero_pairs,
     )
+
+
+def _edge_distances(g, metric, scale):
+    """(u, v, d_G times `scale`) for every edge of `g`, read from `metric`'s lengths."""
+    if metric.vertices != g.vertices:
+        raise BadSourceMetric("source metric and graph disagree on the vertex set")
+    measured = []
+    for (u, v), length in g.edges():
+        if not metric.has_edge(u, v):
+            raise BadSourceMetric(f"source metric lacks edge ({u!r}, {v!r})")
+        d = metric.length(u, v)
+        if d > length:
+            raise BadSourceMetric(
+                f"source metric lengthens edge ({u!r}, {v!r}) from {length} to {d}")
+        if scale % d.denominator:
+            raise BadSourceMetric(f"length {d} of edge ({u!r}, {v!r}) is off the graph's scale")
+        measured.append((u, v, d.numerator * (scale // d.denominator)))
+    return measured
 
 
 def _accumulate(sums, sumsq, src_scaled, dists, run):
@@ -472,8 +507,11 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
     is a vertex list forming a simple path in the target tree.
     """
     L = Fraction(min_leg)
+    # one all-pairs run per graph: s's serves the source when they are equal
     dm_s = shortest_path_metric(s)
-    if not check_noncontraction(sample):
+    dm_t = shortest_path_metric(sample.target)
+    dm_src = dm_s if sample.source == s else shortest_path_metric(sample.source)
+    if not _noncontraction(sample, dm_src, dm_t):
         raise HypothesisViolation("sample contracts some distance")
     subtrees = [set(t) for t in subtrees]
     seen = set()
@@ -502,7 +540,6 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
         if not sample.target.has_edge(a, b):
             raise HypothesisViolation(f"({a!r}, {b!r}) is not a target edge")
 
-    dm_t = shortest_path_metric(sample.target)
     near = []
     for i, sub in enumerate(subtrees):
         d = min(dm_t.dist(sample.image(v), p) for v in sub for p in path)

@@ -8,8 +8,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphs import MetricGraph, build_metric_graph, shortest_path_metric
-from .pathwidth import LinearCompositionSequence
+from .graphs import (
+    MetricGraph,
+    build_metric_graph,
+    shortest_path_metric,  # not called here; bench/tracer.py wraps it in every importer
+)
+from .pathwidth import LinearCompositionSequence, bag_distances
 
 
 class BadTruncation(ValueError):
@@ -116,7 +120,12 @@ def random_pathwidth_graph(k: int, n: int, length_sampler, rng):
     Draws a random composition sequence, keeps a random connected subset
     of its composed edges with lengths from `length_sampler(rng)`, and
     returns (graph, sequence).  The graph has pathwidth <= k by
-    construction.
+    construction.  Its lengths are reduced: each kept edge gets the graph
+    distance of its endpoints, read from the sequence's bag sweep
+    (`bag_distances`, no all-pairs run), since every kept edge is a
+    composed edge.  So a length is d_G, as is the length of the same edge
+    in `composed_metric_graph(g, seq)`, where edges-mode source distances
+    are read.
     """
     if n < k + 1:
         raise ValueError("need at least k+1 vertices")
@@ -151,8 +160,8 @@ def random_pathwidth_graph(k: int, n: int, length_sampler, rng):
     weighted = [(u, v, length_sampler(rng)) for u, v in sorted(kept)]
     g = build_metric_graph(range(n), weighted)
     # reduce in place: every kept edge length becomes the graph distance
-    dm = shortest_path_metric(g)
-    g = g.with_edges({(u, v): dm.dist(u, v) for (u, v) in g.edge_keys()})
+    dists, scale = bag_distances(g, seq)
+    g = g.with_edges({e: Fraction(dists[e], scale) for e in g.edge_keys()})
     return g, seq
 
 

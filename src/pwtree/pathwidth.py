@@ -9,20 +9,24 @@ heavy branches from that branch table; it removes a simple path and drops
 every remaining component's pathwidth by one, and the recursive peeling
 builds an optimal-width decomposition.  Checks that a constructed
 decomposition is valid at the width the proof promises raise
-BrokenInvariant, also under ``python -O``.
+BrokenInvariant, also under ``python -O``.  Graph distances between
+vertices that share a bag of a composition come from a forward and a
+backward sweep over its bags (`bag_distances`), in O(n k^3) time.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from itertools import combinations
 
 from .graphs import (
     MetricGraph,
     build_metric_graph,
     edge_key,
+    integer_scale,
     is_tree,
-    shortest_path_metric,
+    shortest_path_metric,  # not called here; bench/tracer.py wraps it in every importer
     InfiniteDistance,
 )
 
@@ -197,29 +201,102 @@ def composed_graph(seq: LinearCompositionSequence) -> MetricGraph:
     )
 
 
-def composed_metric_graph(g: MetricGraph, seq: LinearCompositionSequence) -> MetricGraph:
-    """Composed graph of `seq` carrying the reduced metric of `g`.
+def bag_distances(g: MetricGraph, seq: LinearCompositionSequence):
+    """d_g between every two vertices that share a bag of `seq`, as scaled integers.
 
-    Every composed edge gets length d_g of its endpoints, so the result is
-    reduced and realizes exactly the same pseudometric as `g`.  This is
-    the canonical input for the embedding algorithms when `g` is a proper
-    subgraph of the composed graph.  An edge of `g` that lies in no bag of
-    `seq` (no composed edge) raises BadSequence: `seq` then witnesses no
-    width for `g`.
+    Returns ``(dists, scale)`` with ``scale = integer_scale([g])``.  `dists`
+    maps every such pair, keyed by `edge_key` (these pairs are exactly the
+    composed edges), to d_g times `scale`, or to None when the two are
+    disconnected in `g`.
+
+    The bags are those of `composition_to_decomposition(seq)`.  A forward
+    sweep closes each bag (Floyd-Warshall on at most k+1 vertices) over the
+    edges of `g` inside it and the previous bag's distances on their
+    shared window, so each bag holds the distances within the graph induced
+    by its prefix of bags; a backward sweep then closes each bag again over
+    the next bag's final distances.  The window two adjacent bags share
+    separates prefix from suffix, so the result is exact (Chaudhuri &
+    Zaroliagis, Shortest paths in digraphs of small treewidth, Algorithmica
+    2000), in O(n k^3) time.  An edge of `g` that lies in no bag raises
+    BadSequence naming the first such edge: `seq` then witnesses no width
+    for `g`.
     """
     if set(seq.vertices) != set(g.vertices):
         raise BadSequence("sequence and graph disagree on the vertex set")
     composed = seq.composed_edges()
-    for (u, v), _ in g.edges():
+    scale = integer_scale([g])
+    scaled = {}
+    for (u, v), length in g.edges():
         if (u, v) not in composed:
             raise BadSequence(f"edge ({u!r}, {v!r}) of the graph lies in no bag of the sequence")
-    dm = shortest_path_metric(g)
+        scaled[u, v] = length.numerator * (scale // length.denominator)
+    bags = [sorted(b) for b in composition_to_decomposition(seq).bags]
+    mats = [[[0 if x == y else scaled.get((x, y) if x < y else (y, x)) for y in bag]
+             for x in bag] for bag in bags]
+    _close(mats[0])
+    for i in range(1, len(bags)):
+        _carry(bags[i - 1], mats[i - 1], bags[i], mats[i])
+    for i in range(len(bags) - 2, -1, -1):
+        _carry(bags[i + 1], mats[i + 1], bags[i], mats[i])
+    dists = {}
+    # bags are sorted, so (bag[a], bag[b]) with a < b is an edge key
+    for bag, mat in zip(bags, mats):
+        for a, x in enumerate(bag):
+            row = mat[a]
+            for b in range(a + 1, len(bag)):
+                dists[x, bag[b]] = row[b]
+    return dists, scale
+
+
+def _carry(src_bag, src, bag, mat):
+    """Lower `mat` to `src`'s distances on the vertices both bags hold, then close it."""
+    pos = {v: i for i, v in enumerate(src_bag)}
+    shared = [(a, pos[v]) for a, v in enumerate(bag) if v in pos]
+    for a, sa in shared:
+        row, src_row = mat[a], src[sa]
+        for b, sb in shared:
+            d = src_row[sb]
+            if d is not None and (row[b] is None or d < row[b]):
+                row[b] = d
+    _close(mat)
+
+
+def _close(mat):
+    """Floyd-Warshall on a small symmetric matrix; None is infinity."""
+    size = len(mat)
+    for t in range(size):
+        via = mat[t]
+        for a in range(size):
+            row = mat[a]
+            d_at = row[t]
+            if d_at is None:
+                continue
+            for b in range(size):
+                d_tb = via[b]
+                if d_tb is not None:
+                    d = d_at + d_tb
+                    if row[b] is None or d < row[b]:
+                        row[b] = d
+
+
+def composed_metric_graph(g: MetricGraph, seq: LinearCompositionSequence) -> MetricGraph:
+    """Composed graph of `seq` carrying the reduced metric of `g`.
+
+    Every composed edge gets length d_g of its endpoints, read from
+    `bag_distances` (no all-pairs run), so the result is reduced and
+    realizes exactly the same pseudometric as `g`.  This is the canonical
+    input for the embedding algorithms when `g` is a proper subgraph of the
+    composed graph; its lengths on the edges of `g` are also the source
+    distances of an edges-mode `estimate_distortion`.  An edge of `g` that
+    lies in no bag of `seq` raises BadSequence, and a composed edge whose
+    endpoints are disconnected in `g` raises InfiniteDistance.
+    """
+    dists, scale = bag_distances(g, seq)
     edges = []
-    for u, v in composed:
-        d = dm.dist(u, v)
+    for (u, v), d in dists.items():
         if d is None:
             raise InfiniteDistance(f"{u!r} and {v!r} are disconnected in the input")
-        edges.append((u, v, d))
+        edges.append((u, v, Fraction(d, scale)))
     return build_metric_graph(g.vertices, edges)
 
 

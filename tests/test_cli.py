@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pwtree import pw2, pwk
+from pwtree import graphs, harness, instances, pathwidth, pw2, pwk
 from pwtree.cli import main
 from pwtree.graphs import graph_from_json
 from pwtree.instances import psi, random_pathwidth_graph, small_rational_lengths
@@ -163,6 +163,22 @@ class TestEmbed:
                              "--samples", "20")
         assert code == 1 and out == ""
         assert "edge (0, 3)" in err
+
+    @pytest.mark.parametrize("pairs, runs", [("edges", 0), ("all", 1)])
+    def test_all_pairs_runs(self, capsys, tmp_path, monkeypatch, pairs, runs):
+        # edges mode reads every distance from the bag sweep; all mode needs
+        # one all-pairs run, for the measured pairs
+        gpath, cpath = self.generate(capsys, tmp_path, "random-pw", "--k", "2",
+                                     "--n", "40", "--seed", "5", composition=True)
+        calls = []
+        real = graphs.shortest_path_metric
+        for module in (graphs, harness, instances, pathwidth):
+            monkeypatch.setattr(module, "shortest_path_metric",
+                                lambda g: calls.append(g) or real(g))
+        code, _, _ = run(capsys, "embed", str(gpath), "--composition", str(cpath),
+                         "--pairs", pairs, "--samples", "20")
+        assert code == 0
+        assert len(calls) == runs
 
     def test_width_mismatch(self, capsys, tmp_path):
         gpath, cpath = self.generate(

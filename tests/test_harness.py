@@ -13,6 +13,7 @@ from pwtree import harness
 from pwtree.graphs import build_metric_graph, shortest_path_metric
 from pwtree.harness import (
     BadDomain,
+    BadSourceMetric,
     EmbeddingSample,
     EmptyEdgeSet,
     HypothesisViolation,
@@ -104,6 +105,63 @@ class TestOneDistanceRun:
             g, lambda rng: embed_pathwidthk(seq, metric, rng), 50, seed=1, pairs=pairs)
         assert calls == [g]
         assert report.noncontraction_ok
+
+    @pytest.mark.parametrize("pairs, runs", [("all", 1), ("edges", 0)])
+    def test_source_metric_replaces_the_edges_run(self, monkeypatch, pairs, runs):
+        calls = []
+        real = harness.shortest_path_metric
+        monkeypatch.setattr(harness, "shortest_path_metric",
+                            lambda g: calls.append(g) or real(g))
+        g, seq = random_pathwidth_graph(2, 12, small_rational_lengths, random.Random(3))
+        metric = composed_metric_graph(g, seq)
+        estimate_distortion(g, lambda rng: embed_pathwidthk(seq, metric, rng), 20,
+                            seed=1, pairs=pairs, source_metric=metric)
+        assert len(calls) == runs
+
+
+class TestSourceMetric:
+    """Edges mode reads d_G from the composed metric instead of an all-pairs run."""
+
+    @staticmethod
+    def reports(g, seq):
+        metric = composed_metric_graph(g, seq)
+
+        def embedder(rng):
+            return embed_pathwidthk(seq, metric, rng)
+
+        return [json.dumps(estimate_distortion(g, embedder, 200, seed=4, pairs="edges",
+                                               **extra).to_json(), sort_keys=True)
+                for extra in ({}, {"source_metric": metric})]
+
+    def test_non_reduced_triangle(self):
+        # edge (0, 2) is longer than the path through 1: its d_G is 2
+        g = build_metric_graph(range(3), [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
+        seq = LinearCompositionSequence(2, (0, 1), [(2, {1, 2})])
+        plain, read = self.reports(g, seq)
+        assert plain == read
+        assert '"source_distance": "2/1"' in read
+
+    def test_random_width_three(self):
+        rng = random.Random(8)
+        g, seq = random_pathwidth_graph(3, 30, small_rational_lengths, rng)
+        # lengthen some edges so that the graph is not reduced
+        g = g.with_edges({e: l * rng.choice([1, 3]) for e, l in g.edges()})
+        plain, read = self.reports(g, seq)
+        assert plain == read
+
+    def test_bad_metrics_rejected(self):
+        g, seq = cycle(5)
+        metric = composed_metric_graph(g, seq)
+        edges = dict(metric.edges())
+        missing = metric.with_edges({e: l for e, l in edges.items() if e != (0, 1)})
+        longer = metric.with_edges({**edges, (0, 1): Fraction(2)})
+        off_scale = metric.with_edges({**edges, (0, 1): Fraction(1, 2)})
+        fewer_vertices = composed_metric_graph(*cycle(4))
+        for bad in (missing, longer, off_scale, fewer_vertices):
+            with pytest.raises(BadSourceMetric):
+                estimate_distortion(g, lambda rng: g, 1, seed=0, pairs="edges",
+                                    source_metric=bad)
+        assert issubclass(BadSourceMetric, ValueError)
 
 
 class TestEstimateDistortion:
@@ -381,6 +439,24 @@ class TestCloseToPath:
         g, arms = self.spider_setup()
         sample = identity_sample(g, g)
         with pytest.raises(HypothesisViolation):
+            check_close_to_P(g, 0, arms, [0], sample, min_leg=10)
+
+    def test_one_distance_run_per_graph(self, monkeypatch):
+        # s's matrix serves the non-contraction check; the target is read once
+        calls = []
+        real = harness.shortest_path_metric
+        monkeypatch.setattr(harness, "shortest_path_metric",
+                            lambda g: calls.append(g) or real(g))
+        g, arms = self.spider_setup()
+        sample = flatten_to_path(g)
+        check_close_to_P(g, 0, arms, sorted(g.vertices)[:8], sample, min_leg=2)
+        assert calls == [g, sample.target]
+
+    def test_contraction_reported_before_hypotheses(self):
+        # a contracting sample with a too-short leg fails on the contraction
+        g, arms = self.spider_setup()
+        sample = EmbeddingSample(g, g, {v: 0 if v else 1 for v in g.vertices})
+        with pytest.raises(HypothesisViolation, match="contracts"):
             check_close_to_P(g, 0, arms, [0], sample, min_leg=10)
 
     def test_overlapping_subtrees_rejected(self):

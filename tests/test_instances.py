@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pwtree import graphs, harness, instances, pathwidth
 from pwtree.graphs import is_tree, shortest_path_metric
 from pwtree.instances import (
     BadTruncation,
@@ -156,6 +157,14 @@ class TestRandomPathwidthGraph:
             for (u, v) in g.edge_keys():
                 assert g.length(u, v) == dm.dist(u, v)
             assert all(d is not None for _, _, d in dm.pairs())
+
+    def test_no_all_pairs_run(self, monkeypatch):
+        # the length reduction reads the bag sweep
+        calls = []
+        for module in (graphs, harness, instances, pathwidth):
+            monkeypatch.setattr(module, "shortest_path_metric", calls.append)
+        random_pathwidth_graph(3, 40, small_rational_lengths, random.Random(35))
+        assert calls == []
 
     def test_subgraph_of_composed(self):
         rng = random.Random(34)

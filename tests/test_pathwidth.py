@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import pwtree
 import tree_pathwidth_reference as reference
 from conftest import all_trees_up_to, random_unit_tree, tree_sequence
-from pwtree.graphs import build_metric_graph, is_tree
+from pwtree.graphs import InfiniteDistance, build_metric_graph, is_tree, shortest_path_metric
 from pwtree.instances import phi, psi
 from pwtree.pathwidth import (
     BadSequence,
@@ -24,6 +25,7 @@ from pwtree.pathwidth import (
     UncoveredEdge,
     UncoveredVertex,
     _branch_widths,
+    bag_distances,
     composed_graph,
     composed_metric_graph,
     composition_from_json,
@@ -193,6 +195,112 @@ class TestComposedMetric:
         g = build_metric_graph(range(5), [(1, 4, 1), (0, 4, 1), (0, 1, 1), (2, 3, 1)])
         with pytest.raises(BadSequence, match=r"edge \(0, 4\)"):
             composed_metric_graph(g, seq)
+
+
+def random_composition(k, n, rng):
+    """A width-k sequence on range(n), drawn like the random generator's."""
+    window = list(range(k))
+    steps = []
+    for v in range(k, n):
+        pool = window + [v]
+        rng.shuffle(pool)
+        window = sorted(pool[:k])
+        steps.append((v, window))
+    return LinearCompositionSequence(k, range(k), steps)
+
+
+# zero, integers, and large or prime denominators
+LENGTHS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(0, 20).map(Fraction),
+    st.fractions(min_value=0, max_value=50, max_denominator=10**6),
+    st.sampled_from([Fraction(1, 1_000_003), Fraction(7, 999_983),
+                     Fraction(2**61 - 1, 2**31 - 1), Fraction(10**30 + 7, 2**89 - 1)]),
+)
+
+
+class TestBagDistances:
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 4), extra=st.integers(0, 14), parts=st.integers(1, 3),
+           seed=st.integers(0, 2**32), data=st.data())
+    def test_matches_all_pairs_on_every_bag_pair(self, k, extra, parts, seed, data):
+        # extra = 0 is a sequence with no steps: one bag; parts > 1 keeps only
+        # edges inside parts of a random vertex partition, so the graph
+        # falls apart into several components
+        rng = random.Random(seed)
+        seq = random_composition(k, k + extra, rng)
+        part = [rng.randrange(parts) for _ in range(k + extra)]
+        kept = [e for e in sorted(seq.composed_edges())
+                if part[e[0]] == part[e[1]] and rng.random() < 0.7]
+        g = build_metric_graph(range(k + extra),
+                               [(u, v, data.draw(LENGTHS)) for u, v in kept])
+        dists, scale = bag_distances(g, seq)
+        dm = shortest_path_metric(g)
+        assert scale == dm.scale
+        assert set(dists) == seq.composed_edges()
+        for (u, v), d in dists.items():
+            assert d == dm.scaled(u, v)
+
+    def test_shortcut_through_a_later_bag(self):
+        # bags {0,1,2} and {1,2,3}: d(1, 2) = 2 runs through 3, which only
+        # the backward sweep brings into the first bag
+        seq = LinearCompositionSequence(2, (0, 1), [(2, {1, 2}), (3, {2, 3})])
+        g = build_metric_graph(range(4), [(0, 1, 1), (1, 2, 10), (1, 3, 1), (2, 3, 1)])
+        dists, scale = bag_distances(g, seq)
+        assert scale == 1
+        assert dists == {(0, 1): 1, (0, 2): 3, (1, 2): 2, (1, 3): 1, (2, 3): 1}
+
+    @pytest.mark.parametrize("edges, expected", [
+        ([(0, 1, 1), (2, 3, 1)], {(0, 1): 1, (1, 2): None, (2, 3): 1}),
+        ([(0, 1, 1)], {(0, 1): 1, (1, 2): None, (2, 3): None}),
+    ])
+    def test_disconnected_pairs_are_none(self, edges, expected):
+        # a width-1 path sequence with two, then three components
+        seq = LinearCompositionSequence(1, (0,), [(1, {1}), (2, {2}), (3, {3})])
+        dists, _ = bag_distances(build_metric_graph(range(4), edges), seq)
+        assert dists == expected
+
+    def test_one_bag(self):
+        seq = LinearCompositionSequence(3, (0, 1, 2), [])
+        g = build_metric_graph(range(3), [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
+        assert bag_distances(g, seq) == ({(0, 1): 1, (0, 2): 2, (1, 2): 1}, 1)
+
+    def test_errors_raised_without_asserts(self):
+        # disconnected input and an uncovered edge are named errors, also
+        # under python -O
+        code = textwrap.dedent("""
+            import sys
+            from pwtree.graphs import InfiniteDistance, build_metric_graph
+            from pwtree.pathwidth import (
+                BadSequence, LinearCompositionSequence, composed_metric_graph)
+            if __debug__:
+                sys.exit("asserts are live")
+            seq = LinearCompositionSequence(2, (0, 1), [(2, {1, 2}), (3, {2, 3})])
+            try:
+                composed_metric_graph(build_metric_graph(range(4), [(0, 1, 1), (2, 3, 1)]), seq)
+            except InfiniteDistance:
+                print("infinite")
+            # bags {0,1,2}, {1,2,3}, {2,3,4}: (0, 4) and (1, 4) lie in none
+            seq = LinearCompositionSequence(
+                2, (0, 1), [(2, {1, 2}), (3, {2, 3}), (4, {3, 4})])
+            g = build_metric_graph(range(5), [(1, 4, 1), (0, 4, 1), (0, 1, 1), (2, 3, 1)])
+            try:
+                composed_metric_graph(g, seq)
+            except BadSequence as exc:
+                print(str(exc).split(" of ")[0].replace(" ", ""))
+        """)
+        src = os.path.dirname(os.path.dirname(pwtree.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["infinite", "edge(0,4)"]
+
+    def test_composed_metric_rejects_disconnected_input(self):
+        seq = LinearCompositionSequence(2, (0, 1), [(2, {1, 2}), (3, {2, 3})])
+        with pytest.raises(InfiniteDistance):
+            composed_metric_graph(build_metric_graph(range(4), [(0, 1, 1), (2, 3, 1)]), seq)
 
 
 class TestNormalize:
