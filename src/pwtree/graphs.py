@@ -13,7 +13,10 @@ pairs that share a bag of a composition are needed, `pathwidth.bag_distances`
 gives the same integers in O(n k^3): it feeds `composed_metric_graph` and the
 random generator's length reduction, and edges-mode `estimate_distortion`
 reads each edge's d_G from the composed metric's lengths.  The kernel stays
-for all-pairs reports, the checkers, and as the oracle of the bag sweep.
+for the source distances of all-pairs reports and of the checkers, since a
+source need not be a tree, and as the oracle of the bag sweep.  Distances in
+a target tree come from the harness's rooted-tree layer instead, which makes
+one traversal of the tree.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Distances are exact rationals throughout; the only floating point is in
 standard errors and sampling.  Per-sample random streams are derived from
 (seed, sample index), so reports are bit-for-bit reproducible regardless
-of how samples are scheduled.
+of how samples are scheduled.  Source distances come from
+`shortest_path_metric`, since a source need not be a tree; every target
+distance comes from one traversal of the target tree (`_RootedTree`).
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .graphs import (
+    DistanceMatrix,
     MetricGraph,
     graph_to_json,
     integer_scale,
-    is_tree,
     shortest_path_metric,
 )
 from .pathwidth import tree_pathwidth
@@ -48,7 +50,8 @@ class BadSourceMetric(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingSample:
-    """One realized embedding: source graph, target tree, vertex map."""
+    """One realized embedding: source graph, target tree, vertex map; the
+    harness raises PreconditionFailed for a target that is not a tree."""
     source: MetricGraph
     target: MetricGraph
     fmap: dict
@@ -79,19 +82,19 @@ class NonContractionVerdict:
 def check_noncontraction(sample: EmbeddingSample) -> NonContractionVerdict:
     """Exact check that no pairwise distance shrank; lists every violation."""
     return _noncontraction(sample, shortest_path_metric(sample.source),
-                           shortest_path_metric(sample.target))
+                           _tree_metric(sample.target))
 
 
 def _noncontraction(sample, dm_s, dm_t) -> NonContractionVerdict:
     s_scale, t_scale = dm_s.scale, dm_t.scale
     violations = []
-    # scaled integers compared across the two scales; Fractions only for output
+    # scaled integers compared across the two scales; Fractions only for
+    # output.  The target is a tree, so every d_t is finite
     for u, v, d_s in dm_s.scaled_pairs():
         d_t = dm_t.scaled(sample.image(u), sample.image(v))
         if d_s is None:
-            if d_t is not None:
-                violations.append((u, v, None, Fraction(d_t, t_scale)))
-        elif d_t is not None and d_t * s_scale < d_s * t_scale:
+            violations.append((u, v, None, Fraction(d_t, t_scale)))
+        elif d_t * s_scale < d_s * t_scale:
             violations.append((u, v, Fraction(d_s, s_scale), Fraction(d_t, t_scale)))
     return NonContractionVerdict(not violations, violations)
 
@@ -167,10 +170,11 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     """Empirical expected stretch per pair, with an exact non-contraction sweep.
 
     `embedder(rng)` must return a target tree on the vertex set of `g`
-    (identity map assumed) or an EmbeddingSample.  `pairs` selects which
-    pairs are measured: "all" finite-distance pairs, or just the original
-    "edges", each against d_G of its endpoints (not its raw length, which
-    may exceed d_G on a non-reduced graph).  The source distances come from
+    (identity map assumed) or an EmbeddingSample; a target that is not a
+    tree raises PreconditionFailed.  `pairs` selects which pairs are
+    measured: "all" finite-distance pairs, or just the original "edges",
+    each against d_G of its endpoints (not its raw length, which may exceed
+    d_G on a non-reduced graph).  The source distances come from
     one all-pairs run on `g`, except in edges mode with `source_metric`:
     a graph on the vertex set of `g` whose length on every edge of `g` is
     d_G, such as `composed_metric_graph(g, seq)`.  Each edge's d_G is then
@@ -203,7 +207,6 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     sumsq = [0] * len(measured)
     violations = 0
 
-    want_all = pairs == "all"
     src_scaled = [d for _, _, d in measured]
     # a sample equal to the one before it has the same distances: count the
     # run of equal samples and add its distances once, weighted by the run
@@ -214,7 +217,13 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
             run += 1
             continue
         violations += _accumulate(sums, sumsq, src_scaled, dists, run)
-        dists = _tree_pair_distances(sample, index, pair_idx, scale, all_sources=want_all)
+        tree = _RootedTree(sample.target, scale)
+        img = [tree.index[sample.fmap[v]] for v in g.vertices]
+        if pairs == "all":
+            rows, pos = tree.rows()
+            dists = [rows[img[a]][pos[img[b]]] for a, b in pair_idx]
+        else:
+            dists = tree.pair_distances([(img[a], img[b]) for a, b in pair_idx])
         last, run = sample, 1
     violations += _accumulate(sums, sumsq, src_scaled, dists, run)
 
@@ -280,105 +289,123 @@ def _accumulate(sums, sumsq, src_scaled, dists, run):
     return violations
 
 
-def _tree_pair_distances(sample: EmbeddingSample, index, pair_idx, scale,
-                         all_sources: bool):
-    """Scaled-integer target distances for the measured pairs, in order."""
-    t = sample.target
-    n_src = len(index)
-    fmap = sample.fmap
-    identity = all(fmap[v] == v for v in fmap)
+class _RootedTree:
+    """A tree rooted at its first vertex, measured by one iterative traversal.
 
-    tidx = {v: i for i, v in enumerate(t.vertices)}
-    tadj = [[] for _ in t.vertices]
-    for (a, b), length in t.edges():
-        num, den = length.numerator, length.denominator
-        if scale % den:
-            raise ValueError("target tree length does not fit the instance scale")
-        ln = num * (scale // den)
-        ia, ib = tidx[a], tidx[b]
-        tadj[ia].append((ib, ln))
-        tadj[ib].append((ia, ln))
+    Vertices are numbered in sorted order; the root is vertex 0 and its own
+    parent.  The traversal marks a child when it pushes it, so `order` is a
+    preorder in which every subtree is a contiguous run; it also gives each
+    vertex its `parent`, `depth` and root distance `dist`, times `scale`.
+    A graph that is not a tree raises PreconditionFailed.
+    """
 
-    # image index of every source vertex, in source-index order
-    img = [0] * n_src
-    for v, i in index.items():
-        img[i] = tidx[v if identity else fmap[v]]
+    __slots__ = ("vertices", "index", "order", "parent", "depth", "dist")
 
-    if all_sources:
-        # one traversal per source vertex; trees make this exact and linear
-        rows = {}
-        for i in range(n_src):
-            root = img[i]
-            if root in rows:
-                continue
-            dist = [None] * len(tadj)
-            dist[root] = 0
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                dx = dist[x]
-                for y, ln in tadj[x]:
-                    if dist[y] is None:
-                        dist[y] = dx + ln
-                        stack.append(y)
-            rows[root] = dist
-        return [rows[img[a]][img[b]] for a, b in pair_idx]
-    return _lca_distances(tadj, [(img[a], img[b]) for a, b in pair_idx])
-
-
-def _lca_distances(tadj, pairs):
-    n = len(tadj)
-    parent = [-1] * n
-    depth = [0] * n
-    dist = [0] * n
-    order = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
+    def __init__(self, t: MetricGraph, scale: int):
+        verts = t.vertices
+        n = len(verts)
+        if t.m != n - 1:
+            raise PreconditionFailed(f"{t!r} is not a tree")
+        index = {v: i for i, v in enumerate(verts)}
+        adj = [[] for _ in verts]
+        for (a, b), length in t.edges():
+            if scale % length.denominator:
+                raise ValueError("target tree length does not fit the instance scale")
+            ln = length.numerator * (scale // length.denominator)
+            ia, ib = index[a], index[b]
+            adj[ia].append((ib, ln))
+            adj[ib].append((ia, ln))
+        parent = [0] * n
+        depth = [-1] * n  # -1 until the traversal reaches the vertex
+        dist = [0] * n
+        order = []
+        depth[0] = 0
+        stack = [0]
         while stack:
             x = stack.pop()
             order.append(x)
-            for y, ln in tadj[x]:
-                if not seen[y]:
-                    seen[y] = True
+            for y, ln in adj[x]:
+                if depth[y] < 0:
                     parent[y] = x
                     depth[y] = depth[x] + 1
                     dist[y] = dist[x] + ln
                     stack.append(y)
-    logn = max(1, n.bit_length())
-    up = [parent]
-    for _ in range(logn - 1):
-        prev = up[-1]
-        up.append([-1 if p < 0 else prev[p] for p in prev])
+        if len(order) != n:
+            raise PreconditionFailed(f"{t!r} is not a tree")
+        self.vertices, self.index = verts, index
+        self.order, self.parent, self.depth, self.dist = order, parent, depth, dist
 
-    def lca(a, b):
-        if depth[a] < depth[b]:
-            a, b = b, a
-        diff = depth[a] - depth[b]
-        lvl = 0
-        while diff:
-            if diff & 1:
-                a = up[lvl][a]
-            diff >>= 1
-            lvl += 1
-        if a == b:
-            return a
-        for lvl in range(logn - 1, -1, -1):
-            if up[lvl][a] != up[lvl][b]:
-                a, b = up[lvl][a], up[lvl][b]
-        return parent[a]
+    def rows(self):
+        """(rows, pos): rows[i] holds the scaled distances from vertex i to
+        every vertex in preorder, where vertex j sits at pos[j].  A child's
+        row is its parent's, plus the edge length outside the child's
+        subtree and minus it inside."""
+        order, parent, dist = self.order, self.parent, self.dist
+        n = len(order)
+        pos = [0] * n
+        for p, x in enumerate(order):
+            pos[x] = p
+        size = [1] * n
+        for x in reversed(order[1:]):
+            size[parent[x]] += size[x]
+        rows = [None] * n
+        rows[0] = [dist[x] for x in order]
+        for x in order[1:]:
+            w = dist[x] - dist[parent[x]]
+            lo, hi = pos[x], pos[x] + size[x]
+            up = rows[parent[x]]
+            rows[x] = ([d + w for d in up[:lo]] + [d - w for d in up[lo:hi]]
+                       + [d + w for d in up[hi:]])
+        return rows, pos
 
-    out = []
-    for a, b in pairs:
-        if a == b:
-            out.append(0)
-        else:
-            c = lca(a, b)
-            out.append(dist[a] + dist[b] - 2 * dist[c])
-    return out
+    def pair_distances(self, pairs):
+        """Scaled distances of the given (index, index) pairs, by binary lifting."""
+        parent, depth, dist = self.parent, self.depth, self.dist
+        logn = len(parent).bit_length()
+        up = [parent]
+        for _ in range(logn - 1):
+            prev = up[-1]
+            up.append([prev[p] for p in prev])
+        out = []
+        for a, b in pairs:
+            ends = dist[a] + dist[b]
+            if depth[a] < depth[b]:
+                a, b = b, a
+            diff = depth[a] - depth[b]
+            lvl = 0
+            while diff:
+                if diff & 1:
+                    a = up[lvl][a]
+                diff >>= 1
+                lvl += 1
+            if a != b:
+                for lvl in range(logn - 1, -1, -1):
+                    if up[lvl][a] != up[lvl][b]:
+                        a, b = up[lvl][a], up[lvl][b]
+                a = parent[a]
+            out.append(ends - 2 * dist[a])
+        return out
+
+    def path(self, a, b):
+        """Vertices of the tree path from a to b, both ends included."""
+        parent, depth = self.parent, self.depth
+        x, y = self.index[a], self.index[b]
+        head, tail = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                head.append(x)
+                x = parent[x]
+            else:
+                tail.append(y)
+                y = parent[y]
+        return [self.vertices[i] for i in head + [x] + tail[::-1]]
+
+
+def _tree_metric(t: MetricGraph) -> DistanceMatrix:
+    """A tree's all-pairs distances in sorted vertex order, from its layer."""
+    scale = integer_scale([t])
+    rows, pos = _RootedTree(t, scale).rows()
+    return DistanceMatrix(t.vertices, [[row[p] for p in pos] for row in rows], scale)
 
 
 # --- averaged edge stretch --------------------------------------------------
@@ -394,27 +421,17 @@ class AverageStretch:
 def average_edge_stretch(g: MetricGraph, sample: EmbeddingSample,
                          require_noncontraction: bool = True) -> AverageStretch:
     """Exact per-edge average of target distances, both normalizations."""
-    _require_edges(g)
-    dm_t = shortest_path_metric(sample.target)
+    if g.m == 0:
+        raise EmptyEdgeSet("the source graph has no edges")
+    dm_t = _tree_metric(sample.target)
     if require_noncontraction and not _noncontraction(
             sample, shortest_path_metric(sample.source), dm_t):
         raise PreconditionFailed("sample contracts some distance")
-    return _edge_averages(g, sample, dm_t)
-
-
-def _require_edges(g):
-    if g.m == 0:
-        raise EmptyEdgeSet("the source graph has no edges")
-
-
-def _edge_averages(g, sample, dm_t) -> AverageStretch:
     total = Fraction(0)
     ratio = Fraction(0)
     counted = 0
     for (u, v), length in g.edges():
         d = dm_t.dist(sample.image(u), sample.image(v))
-        if d is None:
-            raise PreconditionFailed(f"images of ({u!r}, {v!r}) are disconnected")
         total += d
         if length > 0:
             ratio += d / length
@@ -461,21 +478,15 @@ def verify_lower_bound_witness(k: int, m, sample: EmbeddingSample) -> WitnessVer
 
     A passing verdict is consistent with the bound; a failing one is a
     falsification certificate and carries all quantities.  Samples whose
-    target has pathwidth above k, or which contract, prove nothing and are
-    rejected with PreconditionFailed.
+    target is not a tree or has pathwidth above k, or which contract, prove
+    nothing and are rejected with PreconditionFailed.
     """
     threshold = lower_bound_threshold(k, m)
-    if not is_tree(sample.target):
-        raise PreconditionFailed("witness target must be a tree")
+    # the target's layer rejects a non-tree before tree_pathwidth reads it
+    avg = average_edge_stretch(sample.source, sample)
     pw = tree_pathwidth(sample.target)
     if pw > k:
         raise PreconditionFailed(f"target pathwidth {pw} exceeds {k}")
-    # one all-pairs run on the target serves both checks
-    dm_t = shortest_path_metric(sample.target)
-    if not _noncontraction(sample, shortest_path_metric(sample.source), dm_t):
-        raise PreconditionFailed("sample contracts some distance")
-    _require_edges(sample.source)
-    avg = _edge_averages(sample.source, sample, dm_t)
     return WitnessVerdict(
         passed=avg.mean_distance >= threshold,
         threshold=threshold,
@@ -502,20 +513,25 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
     one target path cheaply: sum of per-edge target distances must be at
     least |near|^2 * min_leg / 16.
 
-    `subtrees` are vertex sets of s, each joined to `root` by a leg of
-    source length >= `min_leg`; legs may share only `root`.  `target_path`
-    is a vertex list forming a simple path in the target tree.
+    `s` must be a tree.  `subtrees` are vertex sets of s, each joined to
+    `root` by a leg (its tree path) of source length >= `min_leg`; legs may
+    share only `root`.  `target_path` is a vertex list forming a simple path
+    in the target tree.
     """
     L = Fraction(min_leg)
-    # one all-pairs run per graph: s's serves the source when they are equal
+    # one all-pairs run on the source: s's serves it when they are equal
     dm_s = shortest_path_metric(s)
-    dm_t = shortest_path_metric(sample.target)
+    dm_t = _tree_metric(sample.target)
     dm_src = dm_s if sample.source == s else shortest_path_metric(sample.source)
     if not _noncontraction(sample, dm_src, dm_t):
         raise HypothesisViolation("sample contracts some distance")
+    try:
+        s_tree = _RootedTree(s, dm_s.scale)
+    except PreconditionFailed as exc:
+        raise HypothesisViolation("s is not a tree") from exc
     subtrees = [set(t) for t in subtrees]
     seen = set()
-    leg_vertices = []
+    first_steps = {}
     for i, sub in enumerate(subtrees):
         if not sub or root in sub:
             raise HypothesisViolation(f"subtree {i} is empty or contains the root")
@@ -525,14 +541,13 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
         entry = min(sub, key=lambda v: (dm_s.dist(root, v), v))
         if dm_s.dist(root, entry) < L:
             raise HypothesisViolation(f"leg to subtree {i} is shorter than {L}")
-        leg = set(_tree_path_vertices(s, root, entry))
-        if (leg - {root, entry}) & seen:
+        leg = s_tree.path(root, entry)
+        if set(leg[1:-1]) & seen:
             raise HypothesisViolation(f"leg to subtree {i} passes through a subtree")
-        leg_vertices.append(leg)
-    for i in range(len(leg_vertices)):
-        for j in range(i + 1, len(leg_vertices)):
-            if leg_vertices[i] & leg_vertices[j] != {root}:
-                raise HypothesisViolation(f"legs {i} and {j} share more than the root")
+        # two tree paths from the root that meet again share their first edge
+        j = first_steps.setdefault(leg[1], i)
+        if j != i:
+            raise HypothesisViolation(f"legs {j} and {i} share more than the root")
     path = list(target_path)
     if len(set(path)) != len(path):
         raise HypothesisViolation("target path revisits a vertex")
@@ -551,19 +566,3 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
     rhs = Fraction(len(near) ** 2) * L / 16
     return ProximityVerdict(lhs >= rhs, near, lhs, rhs)
 
-
-def _tree_path_vertices(t: MetricGraph, a, b):
-    parent = {a: None}
-    stack = [a]
-    while stack and b not in parent:
-        x = stack.pop()
-        for y in t.neighbors(x):
-            if y not in parent:
-                parent[y] = x
-                stack.append(y)
-    if b not in parent:
-        raise HypothesisViolation(f"{a!r} and {b!r} are disconnected")
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    return path[::-1]

@@ -1,5 +1,9 @@
 """Shared helpers: random trees, exhaustive tree enumeration, witnesses."""
 
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
 from pwtree.graphs import MetricGraph, build_metric_graph, shortest_path_metric
 from pwtree.pathwidth import (
     LinearCompositionSequence,
@@ -8,6 +12,15 @@ from pwtree.pathwidth import (
     tree_path_decomposition,
 )
 from pwtree.harness import EmbeddingSample
+
+# edge lengths: zero, integers, and large or prime denominators
+LENGTHS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(0, 20).map(Fraction),
+    st.fractions(min_value=0, max_value=50, max_denominator=10**6),
+    st.sampled_from([Fraction(1, 1_000_003), Fraction(7, 999_983),
+                     Fraction(2**61 - 1, 2**31 - 1), Fraction(10**30 + 7, 2**89 - 1)]),
+)
 
 
 def random_unit_tree(n, rng) -> MetricGraph:

@@ -2,7 +2,10 @@
 
 This is the harness loop before equal consecutive samples shared their
 distances: it computes the tree distances of every sample and adds them
-one sample at a time.  Tests compare whole reports against it.
+one sample at a time.  Each sample's target distances come from
+`shortest_path_metric` on the target, rescaled exactly to the instance
+scale, so nothing here shares the harness's rooted-tree layer.  Tests
+compare whole reports against it.
 """
 
 import math
@@ -13,7 +16,6 @@ from pwtree.harness import (
     PairStat,
     StretchReport,
     _as_sample,
-    _tree_pair_distances,
     instance_hash,
     sample_rng,
 )
@@ -26,17 +28,17 @@ def reference_estimate(g, embedder, num_samples, seed, pairs="all"):
     else:
         measured = [(u, v, dm.dist(u, v)) for (u, v), _ in g.edges()]
     scale = integer_scale([g])
-    index = {v: i for i, v in enumerate(g.vertices)}
-    pair_idx = [(index[u], index[v]) for u, v, _ in measured]
     src_scaled = [d.numerator * (scale // d.denominator) for _, _, d in measured]
     sums = [0] * len(measured)
     sumsq = [0] * len(measured)
     violations = 0
     for i in range(num_samples):
         sample = _as_sample(g, embedder(sample_rng(seed, i)))
-        dists = _tree_pair_distances(sample, index, pair_idx, scale,
-                                     all_sources=pairs == "all")
-        for j, d in enumerate(dists):
+        dm_t = shortest_path_metric(sample.target)
+        for j, (u, v, _) in enumerate(measured):
+            d = dm_t.dist(sample.image(u), sample.image(v)) * scale
+            assert d.denominator == 1, "target length off the instance scale"
+            d = d.numerator
             violations += d < src_scaled[j]
             sums[j] += d
             sumsq[j] += d * d

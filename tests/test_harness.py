@@ -1,12 +1,18 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import flatten_to_path, tree_metric_and_sequence
+import pwtree
+from conftest import LENGTHS, flatten_to_path, tree_metric_and_sequence
 from distance_reference import reference_distances
 from harness_reference import reference_estimate
 from pwtree import harness
@@ -41,6 +47,71 @@ from pwtree.pwk import embed_pathwidthk
 
 def unit_path(n):
     return build_metric_graph(range(n), [(i, i + 1, 1) for i in range(n - 1)])
+
+
+# four vertices that are not a tree: a two-edge forest, a 4-cycle, and a
+# triangle with n - 1 edges that leaves vertex 3 unreached
+NON_TREES = {
+    "forest": [(0, 1, 1), (2, 3, 1)],
+    "cycle": [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)],
+    "triangle": [(0, 1, 1), (1, 2, 1), (0, 2, 1)],
+}
+
+
+@st.composite
+def weighted_trees(draw, max_n=24):
+    """Trees from paths (span 1) to random recursive trees, on scattered
+    labels, so the root (the smallest label) sits anywhere in the shape."""
+    n = draw(st.integers(1, max_n))
+    span = draw(st.integers(1, n))
+    labels = draw(st.lists(st.integers(-99, 99), min_size=n, max_size=n, unique=True))
+    edges = [(labels[v], labels[v - 1 - draw(st.integers(0, min(v, span) - 1))],
+              draw(LENGTHS)) for v in range(1, n)]
+    return build_metric_graph(labels, edges)
+
+
+class TestRootedTree:
+    """The one layer every target distance comes from, against all-pairs Dijkstra."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=weighted_trees(), mult=st.sampled_from([1, 6]))
+    def test_matches_all_pairs(self, t, mult):
+        # mult > 1 puts the tree on a finer instance scale than its own
+        dm = shortest_path_metric(t)
+        tree = harness._RootedTree(t, dm.scale * mult)
+        verts = t.vertices
+        idx = range(len(verts))
+        rows, pos = tree.rows()
+        pairs = list(itertools.product(idx, idx))
+        want = [dm.scaled(verts[i], verts[j]) * mult for i, j in pairs]
+        assert [rows[i][pos[j]] for i, j in pairs] == want
+        assert tree.pair_distances(pairs) == want
+        assert list(harness._tree_metric(t).scaled_pairs()) == list(dm.scaled_pairs())
+        for a, b in itertools.product(verts, verts):
+            path = tree.path(a, b)
+            assert (path[0], path[-1]) == (a, b)
+            assert len(set(path)) == len(path)
+            assert all(t.has_edge(x, y) for x, y in zip(path, path[1:]))
+
+    def test_single_vertex(self):
+        t = build_metric_graph(["v"], [])
+        tree = harness._RootedTree(t, 1)
+        assert tree.rows() == ([[0]], [0])
+        assert tree.pair_distances([(0, 0)]) == [0]
+        assert tree.path("v", "v") == ["v"]
+
+    def test_deep_path_needs_no_recursion(self):
+        # 3,000 levels below the root, past the default recursion limit
+        n = 3000
+        tree = harness._RootedTree(unit_path(n), 1)
+        assert max(tree.depth) == n - 1
+        assert tree.pair_distances([(0, n - 1), (n - 1, 1), (7, 7)]) == [n - 1, n - 2, 0]
+        assert tree.path(n - 1, 0) == list(range(n - 1, -1, -1))
+
+    def test_length_off_the_instance_scale(self):
+        t = build_metric_graph(range(2), [(0, 1, Fraction(1, 3))])
+        with pytest.raises(ValueError, match="instance scale"):
+            harness._RootedTree(t, 2)
 
 
 class TestNonContraction:
@@ -247,6 +318,45 @@ class TestEstimateDistortion:
         assert ((0, 1), Fraction(0)) in report.zero_distance_pairs
         assert all(s.pair != (0, 1) for s in report.pair_stats)
 
+    @pytest.mark.parametrize("pairs", ["all", "edges"])
+    @pytest.mark.parametrize("shape", sorted(NON_TREES))
+    def test_non_tree_target_rejected(self, shape, pairs):
+        # a forest used to raise TypeError in all mode and give a mean
+        # distance of -1 in edges mode; a cycle gave d_T(1, 2) = 3
+        target = build_metric_graph(range(4), NON_TREES[shape])
+        with pytest.raises(PreconditionFailed):
+            estimate_distortion(unit_path(4), lambda rng: target, 5, seed=0, pairs=pairs)
+
+    def test_non_tree_target_rejected_under_optimize(self):
+        code = textwrap.dedent("""
+            import sys
+            from pwtree.graphs import build_metric_graph
+            from pwtree.harness import (
+                PreconditionFailed, check_noncontraction, estimate_distortion,
+                identity_sample)
+            if __debug__:
+                sys.exit("asserts are live")
+            path = build_metric_graph(range(4), [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+            for edges in ([(0, 1, 1), (2, 3, 1)], [(0, 1, 1), (1, 2, 1), (0, 2, 1)]):
+                target = build_metric_graph(range(4), edges)
+                for pairs in ("all", "edges"):
+                    try:
+                        estimate_distortion(path, lambda rng: target, 3, 0, pairs=pairs)
+                    except PreconditionFailed:
+                        print("raised")
+                try:
+                    check_noncontraction(identity_sample(path, target))
+                except PreconditionFailed:
+                    print("raised")
+        """)
+        src = os.path.dirname(os.path.dirname(pwtree.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["raised"] * 6
+
     def test_instance_hash_is_stable(self):
         g, _ = cycle(4)
         assert instance_hash(g) == instance_hash(g)
@@ -325,6 +435,15 @@ class TestAverageEdgeStretch:
         with pytest.raises(PreconditionFailed):
             average_edge_stretch(g, sample)
 
+    @pytest.mark.parametrize("shape", sorted(NON_TREES))
+    def test_non_tree_target_rejected(self, shape):
+        g = unit_path(4)
+        sample = identity_sample(g, build_metric_graph(range(4), NON_TREES[shape]))
+        with pytest.raises(PreconditionFailed):
+            average_edge_stretch(g, sample, require_noncontraction=False)
+        with pytest.raises(PreconditionFailed):
+            check_noncontraction(sample)
+
 
     def test_one_distance_run_per_graph(self, monkeypatch):
         calls = []
@@ -336,9 +455,9 @@ class TestAverageEdgeStretch:
         out = average_edge_stretch(star, sample)
         assert out.mean_distance == average_edge_stretch(
             star, sample, require_noncontraction=False).mean_distance
-        # the checked call reads the source once and the target once
-        assert [g is sample.target for g in calls[:2]] in ([True, False], [False, True])
-        assert calls[2:] == [sample.target]
+        # the checked call runs on the source once; the target's distances
+        # come from its rooted-tree layer, never from an all-pairs run
+        assert calls == [sample.source]
 
 
 class TestLowerBoundThreshold:
@@ -375,16 +494,15 @@ class TestWitnessVerifier:
         assert verdict.passed
 
     def test_target_distances_computed_once(self, monkeypatch):
-        # the non-contraction check and the edge average share one target run
+        # one all-pairs run on the source; the target's rooted-tree layer
+        # serves both the non-contraction check and the edge average
         calls = []
         real = harness.shortest_path_metric
         monkeypatch.setattr(harness, "shortest_path_metric",
                             lambda g: calls.append(g) or real(g))
         sample = flatten_to_path(psi_truncated(1, 16, 2))
         assert verify_lower_bound_witness(1, 16, sample).passed
-        assert len(calls) == 2
-        assert sum(g is sample.target for g in calls) == 1
-        assert sum(g is sample.source for g in calls) == 1
+        assert calls == [sample.source]
 
     def test_identity_rejected_high_pathwidth(self):
         g = psi_truncated(1, 16, 3)
@@ -442,7 +560,8 @@ class TestCloseToPath:
             check_close_to_P(g, 0, arms, [0], sample, min_leg=10)
 
     def test_one_distance_run_per_graph(self, monkeypatch):
-        # s's matrix serves the non-contraction check; the target is read once
+        # s's matrix serves the non-contraction check; the target's distances
+        # come from its rooted-tree layer
         calls = []
         real = harness.shortest_path_metric
         monkeypatch.setattr(harness, "shortest_path_metric",
@@ -450,7 +569,7 @@ class TestCloseToPath:
         g, arms = self.spider_setup()
         sample = flatten_to_path(g)
         check_close_to_P(g, 0, arms, sorted(g.vertices)[:8], sample, min_leg=2)
-        assert calls == [g, sample.target]
+        assert calls == [g]
 
     def test_contraction_reported_before_hypotheses(self):
         # a contracting sample with a too-short leg fails on the contraction
@@ -464,6 +583,27 @@ class TestCloseToPath:
         arms[1] = arms[0]
         with pytest.raises(HypothesisViolation):
             check_close_to_P(g, 0, arms, [0], identity_sample(g, g), min_leg=2)
+
+    @pytest.mark.parametrize("edges, subtrees, message", [
+        # the legs 0-1-2-3 and 0-1-4-5 share the edge (0, 1)
+        ([(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 4, 1), (4, 5, 1)], [{3}, {5}],
+         "share more than the root"),
+        # the leg 0-1-2-3-4 runs through the subtree {2}
+        ([(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)], [{2}, {4}],
+         "passes through a subtree"),
+    ])
+    def test_bad_legs_rejected(self, edges, subtrees, message):
+        s = build_metric_graph({v for e in edges for v in e[:2]}, edges)
+        with pytest.raises(HypothesisViolation, match=message):
+            check_close_to_P(s, 0, subtrees, [0], identity_sample(s, s), min_leg=1)
+
+    def test_cyclic_source_rejected(self):
+        # a chord (2, 4) of length d(2, 4) = 2 changes no distance, so the
+        # sample stays non-contractive, but s is no longer a tree
+        g, arms = self.spider_setup()
+        s = g.with_edges({**dict(g.edges()), (2, 4): Fraction(2)})
+        with pytest.raises(HypothesisViolation, match="not a tree"):
+            check_close_to_P(s, 0, arms, [0], identity_sample(s, g), min_leg=2)
 
     def test_bad_target_path_rejected(self):
         g, arms = self.spider_setup()

@@ -3,14 +3,13 @@ import random
 import subprocess
 import sys
 import textwrap
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pwtree
 import tree_pathwidth_reference as reference
-from conftest import all_trees_up_to, random_unit_tree, tree_sequence
+from conftest import LENGTHS, all_trees_up_to, random_unit_tree, tree_sequence
 from pwtree.graphs import InfiniteDistance, build_metric_graph, is_tree, shortest_path_metric
 from pwtree.instances import phi, psi
 from pwtree.pathwidth import (
@@ -207,16 +206,6 @@ def random_composition(k, n, rng):
         window = sorted(pool[:k])
         steps.append((v, window))
     return LinearCompositionSequence(k, range(k), steps)
-
-
-# zero, integers, and large or prime denominators
-LENGTHS = st.one_of(
-    st.just(Fraction(0)),
-    st.integers(0, 20).map(Fraction),
-    st.fractions(min_value=0, max_value=50, max_denominator=10**6),
-    st.sampled_from([Fraction(1, 1_000_003), Fraction(7, 999_983),
-                     Fraction(2**61 - 1, 2**31 - 1), Fraction(10**30 + 7, 2**89 - 1)]),
-)
 
 
 class TestBagDistances:
