@@ -110,8 +110,7 @@ def cmd_embed(args) -> int:
             print("error: --warmup requires a width-2 composition", file=sys.stderr)
             return 1
         def embedder(rng):
-            return pw2.embed_pathwidth2(
-                seq, metric, rng, pw2.DEFAULT_TAU if tau is None else tau)
+            return pw2.embed_pathwidth2(seq, metric, rng, tau)
     else:
         def embedder(rng):
             return pwk.embed_pathwidthk(seq, metric, rng, tau)

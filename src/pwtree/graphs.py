@@ -109,9 +109,6 @@ class MetricGraph:
     def edge_keys(self):
         return set(self._edges)
 
-    def has_vertex(self, v):
-        return v in self._adj
-
     def has_edge(self, u, v):
         return edge_key(u, v) in self._edges
 

@@ -405,7 +405,9 @@ def _tree_metric(t: MetricGraph) -> DistanceMatrix:
     """A tree's all-pairs distances in sorted vertex order, from its layer."""
     scale = integer_scale([t])
     rows, pos = _RootedTree(t, scale).rows()
-    return DistanceMatrix(t.vertices, [[row[p] for p in pos] for row in rows], scale)
+    for row in rows:  # in place, so one n x n table is alive at a time
+        row[:] = [row[p] for p in pos]
+    return DistanceMatrix(t.vertices, rows, scale)
 
 
 # --- averaged edge stretch --------------------------------------------------

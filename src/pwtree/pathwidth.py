@@ -4,11 +4,12 @@ The exact oracle works on any small graph via a reachability search over
 vertex-separation prefixes.  Trees get rooted critical labels (Ellis,
 Sudborough & Turner): one iterative bottom-up pass gives the pathwidth,
 and a top-down rerooting pass gives the pathwidth of every branch at every
-vertex, in O(n log n) time without recursion.  The path peeling reads its
-heavy branches from that branch table; it removes a simple path and drops
-every remaining component's pathwidth by one, and the recursive peeling
-builds an optimal-width decomposition.  Checks that a constructed
-decomposition is valid at the width the proof promises raise
+vertex, in O(n log n) time without recursion; the traversal that roots a
+tree is the one check that it is a tree.  The path peeling reads its heavy
+branches from that branch table; it removes a simple path and drops every
+remaining component's pathwidth by one, and the recursive peeling builds
+an optimal-width decomposition, one branch table per tree.  Checks that a
+constructed decomposition is valid at the width the proof promises raise
 BrokenInvariant, also under ``python -O``.  Graph distances between
 vertices that share a bag of a composition come from a forward and a
 backward sweep over its bags (`bag_distances`), in O(n k^3) time.
@@ -25,7 +26,6 @@ from .graphs import (
     build_metric_graph,
     edge_key,
     integer_scale,
-    is_tree,
     shortest_path_metric,  # not called here; bench/tracer.py wraps it in every importer
     InfiniteDistance,
 )
@@ -123,12 +123,6 @@ class LinearCompositionSequence:
     @property
     def vertices(self):
         return tuple(self.initial) + tuple(v for v, _ in self.steps)
-
-    def windows(self):
-        """The window after every stage, starting with the initial one."""
-        out = [frozenset(self.initial)]
-        out.extend(w for _, w in self.steps)
-        return out
 
     def composed_edges(self):
         """Edge keys of the composed graph (clique + all attachments)."""
@@ -530,7 +524,10 @@ def _combine(children):
 
 
 def _rooted(t: MetricGraph):
-    """Index adjacency, breadth-first order from vertex index 0, and parents."""
+    """Index adjacency, breadth-first order from vertex index 0, and parents;
+    raises NotATree when m != n - 1 or the traversal misses a vertex."""
+    if t.m != t.n - 1:
+        raise NotATree(f"{t!r} is not a tree")
     index = {v: i for i, v in enumerate(t.vertices)}
     adj = [[index[u] for u in t.neighbors(v)] for v in t.vertices]
     parent = [None] * len(adj)
@@ -541,6 +538,8 @@ def _rooted(t: MetricGraph):
             if parent[u] is None:
                 parent[u] = v
                 order.append(u)
+    if len(order) != len(adj):
+        raise NotATree(f"{t!r} is not a tree")
     return adj, order, parent
 
 
@@ -600,8 +599,6 @@ def tree_pathwidth(t: MetricGraph) -> int:
     combines the children's labels at every vertex: O(n log n) time, no
     recursion, so deep trees never reach the recursion limit.
     """
-    if not is_tree(t):
-        raise NotATree("tree_pathwidth requires a tree")
     adj, order, parent = _rooted(t)
     return _down_labels(adj, order, parent)[0][0] >> 1
 
@@ -617,12 +614,14 @@ def peel_path(t: MetricGraph):
     vertex id.  Returns (path vertices, leftover components as
     MetricGraphs).
     """
-    if not is_tree(t):
-        raise NotATree("peel_path requires a tree")
     level, branches = _branch_widths(t)
     if level < 2:
         raise PathwidthTooLow(f"pathwidth {level} tree has no peel path")
+    return _peel(t, level, branches)
 
+
+def _peel(t: MetricGraph, level, branches):
+    """`peel_path` on a tree of pathwidth `level` >= 2 with its branch table."""
     heavy = {}  # v -> the neighbours leading into its heavy branches
     for v in t.vertices:
         heavy[v] = [u for u, width in branches[v] if width == level]
@@ -725,16 +724,19 @@ def _check_width(g: MetricGraph, pd: PathDecomposition, width: int, what: str):
 def tree_path_decomposition(t: MetricGraph) -> PathDecomposition:
     """Optimal-width path decomposition of a tree, built by recursive peeling.
 
-    The recursion depth is the tree's pathwidth, O(log n).
+    One branch table per tree of the recursion gives its pathwidth and its
+    peel path.  Peel components are trees by construction, and the result
+    is validated once.  The recursion depth is the pathwidth, O(log n).
     """
-    if not is_tree(t):
-        raise NotATree("tree_path_decomposition requires a tree")
-    level = tree_pathwidth(t)
-    if level == 0:
-        return PathDecomposition([frozenset(t.vertices)])
-    if level == 1:
-        return _caterpillar_decomposition(t)
-    path, components = peel_path(t)
+    level, branches = _branch_widths(t)
+    bags = _tree_bags(t, level, branches)
+    return _check_width(t, PathDecomposition(bags), level, "tree decomposition")
+
+
+def _tree_bags(t: MetricGraph, level, branches):
+    if level <= 1:
+        return _caterpillar_decomposition(t).bags
+    path, components = _peel(t, level, branches)
     attach = {}
     path_set = set(path)
     for comp in components:
@@ -745,16 +747,16 @@ def tree_path_decomposition(t: MetricGraph) -> PathDecomposition:
     bags = []
     for i, v in enumerate(path):
         for comp in attach.get(v, []):
-            for bag in tree_path_decomposition(comp).bags:
+            for bag in _tree_bags(comp, *_branch_widths(comp)):
                 bags.append(bag | {v})
         if i + 1 < len(path):
             bags.append(frozenset({v, path[i + 1]}))
-    return _check_width(t, PathDecomposition(bags), level, "tree decomposition")
+    return bags
 
 
 def _caterpillar_decomposition(t: MetricGraph) -> PathDecomposition:
     adj = {v: set(t.neighbors(v)) for v in t.vertices}
-    if t.n == 2:
+    if t.n <= 2:
         return PathDecomposition([frozenset(t.vertices)])
     spine = sorted(v for v in t.vertices if len(adj[v]) >= 2)
     if len(spine) == 1:

@@ -119,9 +119,9 @@ def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
     Each step is (added, (victim, p), (other, 1 - p), thr, window): the two
     new edges, the edge deleted with probability p and the one deleted
     otherwise, p's float threshold, and the next window's edge, which the
-    step must keep.
+    step must keep.  A `tau` of None means DEFAULT_TAU.
     """
-    tau = check_tau(tau)
+    tau = check_tau(DEFAULT_TAU if tau is None else tau)
     window = frozenset(seq.initial)
     steps = []
     for x, retained in seq.steps:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pwtree
+import pwtree.pathwidth as pw
 import tree_pathwidth_reference as reference
 from conftest import LENGTHS, all_trees_up_to, random_unit_tree, tree_sequence
 from pwtree.graphs import InfiniteDistance, build_metric_graph, is_tree, shortest_path_metric
@@ -56,6 +57,14 @@ def complete(n):
 FOUR_CYCLE = build_metric_graph(
     [0, 1, 2, 3], [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]
 )
+
+NON_TREES = {
+    "empty": build_metric_graph([], []),
+    "forest": build_metric_graph(range(4), [(0, 1, 1), (2, 3, 1)]),
+    # m = n - 1, so only the traversal's reach check catches it
+    "triangle-and-vertex": build_metric_graph(range(4), [(0, 1, 1), (1, 2, 1), (0, 2, 1)]),
+    "4-cycle": FOUR_CYCLE,
+}
 
 
 @st.composite
@@ -375,9 +384,12 @@ class TestExactOracle:
 
 
 class TestTreePathwidth:
-    def test_not_a_tree(self):
+    @pytest.mark.parametrize("name", NON_TREES)
+    @pytest.mark.parametrize("f", [tree_pathwidth, peel_path, tree_path_decomposition],
+                             ids=lambda f: f.__name__)
+    def test_not_a_tree(self, f, name):
         with pytest.raises(NotATree):
-            tree_pathwidth(FOUR_CYCLE)
+            f(NON_TREES[name])
 
     def test_stars(self):
         for m in (2, 3, 6):
@@ -501,10 +513,6 @@ class TestPeelPath:
                 found += 1
                 self.assert_peels(t)
 
-    def test_requires_tree(self):
-        with pytest.raises(NotATree):
-            peel_path(FOUR_CYCLE)
-
     def test_requires_pathwidth_two(self):
         with pytest.raises(PathwidthTooLow):
             peel_path(unit_path(5))
@@ -525,6 +533,38 @@ class TestTreeDecomposition:
             t = random_unit_tree(rng.randint(2, 14), rng)
             pd = tree_path_decomposition(t)
             assert validate_path_decomposition(t, pd) == tree_pathwidth(t)
+
+    def test_one_labelling_per_tree(self, monkeypatch):
+        # the recursion reads each tree's level and peel path from one branch
+        # table; peel components are trees by construction, so nothing
+        # re-checks them, and the decomposition is validated once
+        t = psi(2, 81)
+        want = reference.tree_path_decomposition(t).bags
+
+        def refuse(*args):
+            raise AssertionError("not called by tree_path_decomposition")
+
+        def record(calls, f):
+            return lambda *args: calls.append(args[0]) or f(*args)
+
+        rooted, validated, comps = [], [], []
+        monkeypatch.setattr(pw, "tree_pathwidth", refuse)
+        monkeypatch.setattr(pw, "peel_path", refuse)
+        monkeypatch.setattr(pw, "_rooted", record(rooted, pw._rooted))
+        monkeypatch.setattr(pw, "validate_path_decomposition",
+                            record(validated, pw.validate_path_decomposition))
+        forest = pw._forest_components
+
+        def split(*args):
+            out = forest(*args)
+            comps.extend(out)
+            return out
+
+        monkeypatch.setattr(pw, "_forest_components", split)
+        assert tree_path_decomposition(t).bags == want
+        assert validated == [t]
+        assert sorted(map(id, rooted)) == sorted(map(id, [t] + comps))
+        assert not hasattr(pw, "is_tree")
 
     def test_invariants_raise_under_optimize(self):
         # the width checks on built decompositions are proof invariants, so
@@ -553,8 +593,8 @@ class TestTreeDecomposition:
             # the three leaves of a star as the heavy core: not a path
             star = build_metric_graph(range(4), [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
             attempt(pw._two_sided_path, star, {0: [1], 1: [0, 0], 2: [0, 0], 3: [0, 0]})
-            real_peel = pw.peel_path
-            pw.peel_path = lambda t: (lambda path, comps: (path, comps[1:]))(*real_peel(t))
+            real_peel = pw._peel
+            pw._peel = lambda *args: (lambda path, comps: (path, comps[1:]))(*real_peel(*args))
             attempt(pw.tree_path_decomposition, psi(1, 9))  # a component dropped
         """)
         src = os.path.dirname(os.path.dirname(pwtree.__file__))

@@ -9,6 +9,7 @@ from pwtree.graphs import is_tree, shortest_path_metric
 from pwtree.instances import cycle, random_pathwidth_graph, small_rational_lengths
 from pwtree.pathwidth import LinearCompositionSequence, composed_metric_graph
 from pwtree.pw2 import (
+    DEFAULT_TAU,
     DegenerateZero,
     NegativeTau,
     TooManyOutcomes,
@@ -171,6 +172,16 @@ class TestPlan:
         with pytest.raises(NegativeTau):
             embed_pathwidth2(seq, metric, random.Random(0), tau=Fraction(-1, 3))
         assert sum(p for _, p in enumerate_pw2_distribution(seq, metric, tau=0)) == 1
+
+    def test_none_tau_is_default(self):
+        # as in pwk, None stands for the default tau
+        g, seq = random_pathwidth_graph(2, 9, small_rational_lengths, random.Random(5))
+        metric = composed_metric_graph(g, seq)
+        assert (enumerate_pw2_distribution(seq, metric, tau=None)
+                == enumerate_pw2_distribution(seq, metric, tau=DEFAULT_TAU))
+        for i in range(20):
+            assert (embed_pathwidth2(seq, metric, random.Random(i), None)
+                    == embed_pathwidth2(seq, metric, random.Random(i), DEFAULT_TAU))
 
 
 def expected_edge_stretches(g, seq, metric):
