@@ -103,20 +103,27 @@ def cmd_embed(args) -> int:
         return 1
     k = seq.k
     metric = pathwidth.composed_metric_graph(g, seq)
-    tau = Fraction(args.tau) if args.tau else None
+    tau = None if args.tau is None else Fraction(args.tau)
 
+    # each sampler's draws determine its tree: the harness tallies the
+    # draws and builds one tree per distinct draw
     if args.warmup:
         if k != 2:
             print("error: --warmup requires a width-2 composition", file=sys.stderr)
             return 1
         def embedder(rng):
             return pw2.embed_pathwidth2(seq, metric, rng, tau)
+        def outcome(rng):
+            return pw2.draw_coins(seq, metric, rng, tau)
     else:
         def embedder(rng):
             return pwk.embed_pathwidthk(seq, metric, rng, tau)
+        def outcome(rng):
+            return pwk.draw_prefixes(seq, metric, rng, tau)
 
     report = harness.estimate_distortion(
-        g, embedder, args.samples, args.seed, pairs=args.pairs, source_metric=metric
+        g, embedder, args.samples, args.seed, pairs=args.pairs, source_metric=metric,
+        outcome=outcome,
     )
     bound = pwk.proven_bound(k)
     payload = report.to_json()

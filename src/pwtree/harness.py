@@ -3,7 +3,9 @@
 Distances are exact rationals throughout; the only floating point is in
 standard errors and sampling.  Per-sample random streams are derived from
 (seed, sample index), so reports are bit-for-bit reproducible regardless
-of how samples are scheduled.  Source distances come from
+of how samples are scheduled, and a sample can be drawn again from its
+index alone.  The estimate tallies equal samples and measures each
+distinct one once, weighted by its count.  Source distances come from
 `shortest_path_metric`, since a source need not be a tree; every target
 distance comes from one traversal of the target tree (`_RootedTree`).
 """
@@ -166,7 +168,8 @@ def sample_rng(seed, index) -> random.Random:
 
 def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
                         pairs: str = "all",
-                        source_metric: Optional[MetricGraph] = None) -> StretchReport:
+                        source_metric: Optional[MetricGraph] = None,
+                        outcome=None) -> StretchReport:
     """Empirical expected stretch per pair, with an exact non-contraction sweep.
 
     `embedder(rng)` must return a target tree on the vertex set of `g`
@@ -181,9 +184,18 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     its length there, and no all-pairs run is made; a metric that lacks an
     edge of `g`, or gives one a length above its length in `g` or off the
     scale of `g`, raises BadSourceMetric.  "all" ignores `source_metric`.
-    Means are exact rationals; only stderr is floating point.  A sample
-    equal to the one before it (same target, same map) reuses its
-    distances.
+    Means are exact rationals; only stderr is floating point.
+
+    Equal samples are tallied, and each distinct one is measured once and
+    weighted by its count; the sums are exact integers, so the report is
+    the same as measuring every sample.  Without `outcome`, samples are
+    tallied by value (target and vertex map), which holds every distinct
+    sample until the end: O(distinct x n) memory.  `outcome(rng)` must
+    draw from `rng` what `embedder(rng)` draws and return a hashable value
+    that determines the sample, as `pwk.draw_prefixes` and
+    `pw2.draw_coins` do.  The outcomes are then tallied instead,
+    O(distinct x steps) memory for those two, and `embedder` runs once
+    per distinct outcome, on the stream of its first sample.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -208,15 +220,15 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     violations = 0
 
     src_scaled = [d for _, _, d in measured]
-    # a sample equal to the one before it has the same distances: count the
-    # run of equal samples and add its distances once, weighted by the run
-    last, dists, run = None, [], 0
-    for i in range(num_samples):
-        sample = _as_sample(g, embedder(sample_rng(seed, i)))
-        if last is not None and sample.target == last.target and sample.fmap == last.fmap:
-            run += 1
-            continue
-        violations += _accumulate(sums, sumsq, src_scaled, dists, run)
+    if outcome is None:
+        samples = (_as_sample(g, embedder(sample_rng(seed, i))) for i in range(num_samples))
+        distinct = _tally(((s.target, tuple([s.fmap[v] for v in g.vertices])), s)
+                          for s in samples)
+    else:
+        firsts = _tally((outcome(sample_rng(seed, i)), i) for i in range(num_samples))
+        distinct = ((_as_sample(g, embedder(sample_rng(seed, first))), count)
+                    for first, count in firsts)
+    for sample, count in distinct:
         tree = _RootedTree(sample.target, scale)
         img = [tree.index[sample.fmap[v]] for v in g.vertices]
         if pairs == "all":
@@ -224,8 +236,7 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
             dists = [rows[img[a]][pos[img[b]]] for a, b in pair_idx]
         else:
             dists = tree.pair_distances([(img[a], img[b]) for a, b in pair_idx])
-        last, run = sample, 1
-    violations += _accumulate(sums, sumsq, src_scaled, dists, run)
+        violations += _accumulate(sums, sumsq, src_scaled, dists, count)
 
     stats = []
     zero_pairs = []
@@ -278,14 +289,27 @@ def _edge_distances(g, metric, scale):
     return measured
 
 
-def _accumulate(sums, sumsq, src_scaled, dists, run):
-    """Add `run` samples with distances `dists`; returns their violations."""
+def _tally(items):
+    """[first value, count] per distinct key of the (key, value) pairs,
+    in first-seen order."""
+    tally = {}
+    for key, value in items:
+        entry = tally.get(key)
+        if entry is None:
+            tally[key] = [value, 1]
+        else:
+            entry[1] += 1
+    return tally.values()
+
+
+def _accumulate(sums, sumsq, src_scaled, dists, count):
+    """Add `count` samples with distances `dists`; returns their violations."""
     violations = 0
     for j, d in enumerate(dists):
         if d < src_scaled[j]:
-            violations += run
-        sums[j] += run * d
-        sumsq[j] += run * d * d
+            violations += count
+        sums[j] += count * d
+        sumsq[j] += count * d * d
     return violations
 
 

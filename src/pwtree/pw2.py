@@ -8,7 +8,9 @@ so it never contracts any distance.
 Nothing but the coin flips depends on the sample, so `_plan` lists the
 steps once per (sequence, metric, tau) and keeps the last plan: every
 sample of a run reuses it, and the exact enumerator takes its product
-over the same steps.
+over the same steps.  A sample's coins, one per step, are its only
+random choices (`draw_coins`); the sample deletes one edge per step by
+its coin.
 """
 
 from __future__ import annotations
@@ -141,21 +143,36 @@ def _tree(g, edges):
     return g.with_edges({e: g.length(*e) for e in edges})
 
 
+def _coins(steps, rng):
+    # a float draw is below thr exactly when it is below p
+    return [rng.random() < thr for _, _, _, thr, _ in steps]
+
+
+def draw_coins(seq: LinearCompositionSequence, g: MetricGraph, rng,
+               tau=DEFAULT_TAU) -> bytes:
+    """A sample's random choices: one byte per step, 1 where it deletes the
+    step's victim.  Consumes `rng` exactly as `embed_pathwidth2` does,
+    whose tree is a function of the result."""
+    if seq.k != 2:
+        raise WrongWidth(f"this construction needs k=2, got k={seq.k}")
+    return bytes(_coins(_plan(seq, g, tau)[1], rng))
+
+
 def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
                      tau=DEFAULT_TAU) -> MetricGraph:
     """Sample a random spanning tree of the composed graph of `seq`.
 
     `g` must be the reduced metric graph on the composed edge set; the
-    returned tree keeps the lengths of the edges it retains.
+    returned tree keeps the lengths of the edges it retains.  The sample
+    flips its coins as `draw_coins` does, then deletes by them.
     """
     if seq.k != 2:
         raise WrongWidth(f"this construction needs k=2, got k={seq.k}")
     first, steps = _plan(seq, g, tau)
     tree = {first}
-    for added, (victim, _), (other, _), thr, window in steps:
+    for (added, (victim, _), (other, _), _, window), coin in zip(steps, _coins(steps, rng)):
         tree.update(added)
-        # a float draw is below thr exactly when it is below p
-        tree.discard(victim if rng.random() < thr else other)
+        tree.discard(victim if coin else other)
         if window not in tree:
             raise InvariantViolated(f"window edge {window!r} was deleted")
     return _tree(g, tree)

@@ -10,15 +10,18 @@ therefore never contracts.
 
 Only the ranks depend on the sample, so a plan of the departures
 (`_plan`) is built once per (sequence, metric, tau) and kept: every sample
-of a run reuses it and applies the one step rule (`_keep`) per departure,
-with a prefix length drawn against the plan's float thresholds, and the
-exact enumerator applies it once per possible prefix length, weighted by
-the exact probabilities.  The rank cap C(k+1, 2) is checked at every step
-and a breach raises `InvariantViolated`.
+of a run reuses it.  A sample's only random choices are its prefix
+lengths, one per departure, drawn against the plan's float thresholds
+(`draw_prefixes`); the sample applies the one step rule (`_keep`) per
+departure with its drawn length, and the exact enumerator applies it once
+per possible prefix length, weighted by the exact probabilities.  The rank
+cap C(k+1, 2) is checked at every step and a breach raises
+`InvariantViolated`.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -120,15 +123,32 @@ def _keep(ranks, w, ranked, j, cap):
     return kept
 
 
+def _prefix_lengths(departures, rng):
+    return [sample_prefix_length(thresholds, rng) for _, _, _, thresholds in departures]
+
+
+def draw_prefixes(seq: LinearCompositionSequence, g: MetricGraph, rng,
+                  tau=None) -> bytes:
+    """A sample's random choices: the eligible-prefix length of every departure.
+
+    Consumes `rng` exactly as `embed_pathwidthk` does, whose tree is a
+    function of the result.  A length is at most k, so it packs into one
+    byte per departure below k = 256 and into eight from there on."""
+    lengths = _prefix_lengths(_plan(seq, g, tau)[0], rng)
+    return bytes(lengths) if seq.k < 256 else array("Q", lengths).tobytes()
+
+
 def embed_pathwidthk(seq: LinearCompositionSequence, g: MetricGraph, rng,
                      tau=None) -> MetricGraph:
     """Sample a random tree on the composed vertex set, lengths inherited.
 
-    `g` must be the reduced metric graph on the composed edge set."""
+    `g` must be the reduced metric graph on the composed edge set.  The
+    sample draws its prefix lengths as `draw_prefixes` does, then applies
+    the step rule with them."""
     departures, mst, cap = _plan(seq, g, tau)
     ranks = {}
-    kept = [_keep(ranks, w, ranked, sample_prefix_length(thresholds, rng), cap)
-            for w, ranked, _, thresholds in departures]
+    kept = [_keep(ranks, w, ranked, j, cap)
+            for (w, ranked, _, _), j in zip(departures, _prefix_lengths(departures, rng))]
     tree = _tree(g, kept + list(mst))
     if tree.m != tree.n - 1:
         raise InvariantViolated(f"{tree.m} edges on {tree.n} vertices is not a tree")

@@ -1,8 +1,8 @@
 """Reference accumulation for `estimate_distortion`: every sample measured.
 
-This is the harness loop before equal consecutive samples shared their
-distances: it computes the tree distances of every sample and adds them
-one sample at a time.  Each sample's target distances come from
+This is the harness loop before equal samples shared their distances:
+it computes the tree distances of every sample and adds them one sample
+at a time.  Each sample's target distances come from
 `shortest_path_metric` on the target, rescaled exactly to the instance
 scale, so nothing here shares the harness's rooted-tree layer.  Tests
 compare whole reports against it.

@@ -204,6 +204,13 @@ class TestTau:
         assert code == 1 and out == ""
         assert "tau must be non-negative" in err
 
+    @pytest.mark.parametrize("warmup", [[], ["--warmup"]])
+    def test_empty_tau_is_an_input_error(self, capsys, tmp_path, warmup):
+        # an empty --tau used to run silently at the default tau
+        code, out, err = run(capsys, *self.generate(capsys, tmp_path), "--tau=", *warmup)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
     def test_warmup_tau_zero_is_not_the_default(self, capsys, tmp_path):
         argv = [*self.generate(capsys, tmp_path), "--warmup"]
         code, zero, _ = run(capsys, *argv, "--tau", "0")

@@ -11,8 +11,8 @@ import json
 
 from pwtree.harness import estimate_distortion
 from pwtree.pathwidth import composed_metric_graph
-from pwtree.pw2 import embed_pathwidth2, enumerate_pw2_distribution
-from pwtree.pwk import embed_pathwidthk, enumerate_pwk_distribution
+from pwtree.pw2 import draw_coins, embed_pathwidth2, enumerate_pw2_distribution
+from pwtree.pwk import draw_prefixes, embed_pathwidthk, enumerate_pwk_distribution
 from test_acceptance import SEED, build_corpus, criterion_07_cases
 
 NUM_SAMPLES = 200
@@ -22,17 +22,23 @@ def _sha(data):
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
-def report_digests():
-    """Per corpus instance, algorithm and pairs mode: digest of to_json()."""
+def report_digests(tally_draws=False):
+    """Per corpus instance, algorithm and pairs mode: digest of to_json().
+
+    With `tally_draws` the harness tallies each sampler's draws, as
+    `pwtree embed` does, instead of its samples; the digests are the same."""
     out = {}
     for name, g, seq in build_corpus():
         metric = composed_metric_graph(g, seq)
-        algos = {"pwk": lambda rng: embed_pathwidthk(seq, metric, rng)}
+        algos = {"pwk": (lambda rng: embed_pathwidthk(seq, metric, rng),
+                         lambda rng: draw_prefixes(seq, metric, rng))}
         if seq.k == 2:
-            algos["pw2"] = lambda rng: embed_pathwidth2(seq, metric, rng)
-        for algo, embedder in algos.items():
+            algos["pw2"] = (lambda rng: embed_pathwidth2(seq, metric, rng),
+                            lambda rng: draw_coins(seq, metric, rng))
+        for algo, (embedder, draw) in algos.items():
             for pairs in ("all", "edges"):
-                report = estimate_distortion(g, embedder, NUM_SAMPLES, SEED, pairs=pairs)
+                report = estimate_distortion(g, embedder, NUM_SAMPLES, SEED, pairs=pairs,
+                                             outcome=draw if tally_draws else None)
                 out[f"{name}:{algo}:{pairs}"] = _sha(report.to_json())
     return out
 
@@ -190,6 +196,10 @@ DISTRIBUTION_DIGESTS = {
 
 def test_report_digests():
     assert report_digests() == REPORT_DIGESTS
+
+
+def test_report_digests_from_draw_tallies():
+    assert report_digests(tally_draws=True) == REPORT_DIGESTS
 
 
 def test_distribution_digests():

@@ -31,6 +31,7 @@ from pwtree.harness import (
     identity_sample,
     instance_hash,
     lower_bound_threshold,
+    sample_rng,
     verify_lower_bound_witness,
 )
 from pwtree.instances import (
@@ -41,8 +42,8 @@ from pwtree.instances import (
     small_rational_lengths,
 )
 from pwtree.pathwidth import LinearCompositionSequence, composed_metric_graph
-from pwtree.pw2 import embed_pathwidth2, enumerate_pw2_distribution
-from pwtree.pwk import embed_pathwidthk
+from pwtree.pw2 import draw_coins, embed_pathwidth2, enumerate_pw2_distribution
+from pwtree.pwk import draw_prefixes, embed_pathwidthk
 
 
 def unit_path(n):
@@ -369,8 +370,23 @@ def scripted(samples):
     return lambda rng: next(it)
 
 
+def counting_trees(monkeypatch):
+    """Counts the target trees the harness measures from here on."""
+    built = []
+
+    class Counting(harness._RootedTree):
+        __slots__ = ()
+
+        def __init__(self, t, scale):
+            built.append(t)
+            super().__init__(t, scale)
+
+    monkeypatch.setattr(harness, "_RootedTree", Counting)
+    return built
+
+
 class TestSampleReuse:
-    def test_scripted_runs_match_reference(self):
+    def two_trees(self):
         g, seq = random_pathwidth_graph(2, 8, small_rational_lengths, random.Random(4))
         metric = composed_metric_graph(g, seq)
         trees = {}
@@ -378,6 +394,10 @@ class TestSampleReuse:
             t = embed_pathwidth2(seq, metric, random.Random(i))
             trees.setdefault(frozenset(t.edge_keys()), t)
         a, b = list(trees.values())[:2]
+        return g, a, b
+
+    def test_scripted_runs_match_reference(self):
+        g, a, b = self.two_trees()
         # a tree equals its identity sample; `moved` has a's target but maps
         # 1 onto 0, so it contracts the pair (0, 1)
         same_a = identity_sample(g, a)
@@ -392,19 +412,56 @@ class TestSampleReuse:
                                         pairs=pairs)
             assert got.to_json() != merged.to_json()
 
+    @pytest.mark.parametrize("pairs", ["all", "edges"])
+    def test_each_distinct_sample_measured_once(self, monkeypatch, pairs):
+        # a tree that comes back after another one is still measured once
+        g, a, b = self.two_trees()
+        built = counting_trees(monkeypatch)
+        got = estimate_distortion(g, scripted([a, b, a]), 3, 5, pairs=pairs)
+        assert built == [a, b]
+        assert got.to_json() == reference_estimate(g, scripted([a, b, a]), 3, 5,
+                                                   pairs=pairs).to_json()
+
+    @pytest.mark.parametrize("pairs", ["all", "edges"])
+    def test_outcomes_realized_once_at_their_first_index(self, monkeypatch, pairs):
+        g, a, b = self.two_trees()
+        outcomes = ["x", "y", "x", "x"]
+        tree_of = {"x": a, "y": b}
+        streams = [sample_rng(5, i).getstate() for i in range(len(outcomes))]
+        realized = []
+
+        def embedder(rng):
+            i = streams.index(rng.getstate())
+            realized.append(i)
+            return tree_of[outcomes[i]]
+
+        built = counting_trees(monkeypatch)
+        got = estimate_distortion(g, embedder, len(outcomes), 5, pairs=pairs,
+                                  outcome=scripted(outcomes))
+        assert realized == [0, 1]
+        assert built == [a, b]
+        want = reference_estimate(g, scripted([tree_of[x] for x in outcomes]),
+                                  len(outcomes), 5, pairs=pairs)
+        assert got.to_json() == want.to_json()
+
     def test_sampled_runs_match_reference(self):
         rng = random.Random(41)
         for k in (2, 3):
             g, seq = random_pathwidth_graph(k, 12, small_rational_lengths, rng)
             metric = composed_metric_graph(g, seq)
-            algos = [lambda r: embed_pathwidthk(seq, metric, r)]
+            algos = [(lambda r: embed_pathwidthk(seq, metric, r),
+                      lambda r: draw_prefixes(seq, metric, r))]
             if k == 2:
-                algos.append(lambda r: embed_pathwidth2(seq, metric, r))
-            for embedder in algos:
+                algos.append((lambda r: embed_pathwidth2(seq, metric, r),
+                              lambda r: draw_coins(seq, metric, r)))
+            for embedder, draw in algos:
                 for pairs in ("all", "edges"):
-                    got = estimate_distortion(g, embedder, 300, 9, pairs=pairs)
                     want = reference_estimate(g, embedder, 300, 9, pairs=pairs)
-                    assert got.to_json() == want.to_json()
+                    # tallied by sample, then by draw
+                    for outcome in (None, draw):
+                        got = estimate_distortion(g, embedder, 300, 9, pairs=pairs,
+                                                  outcome=outcome)
+                        assert got.to_json() == want.to_json()
 
 
 class TestAverageEdgeStretch:

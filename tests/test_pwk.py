@@ -1,8 +1,10 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -20,11 +22,13 @@ from pwtree.pathwidth import (
     composed_metric_graph,
     tree_pathwidth,
 )
+from pwtree import pw2
 from pwtree.pwk import (
     MissingLength,
     NegativeTau,
     _keep,
     _plan,
+    draw_prefixes,
     eligible_probs,
     embed_pathwidthk,
     enumerate_pwk_distribution,
@@ -219,6 +223,7 @@ class TestEdgeRank:
             import sys
             from fractions import Fraction
             from pwtree import pw2
+            from pwtree.harness import estimate_distortion
             from pwtree.instances import cycle
             from pwtree.pathwidth import composed_metric_graph
             from pwtree.pwk import InvariantViolated, _keep, _plan
@@ -240,6 +245,13 @@ class TestEdgeRank:
                 pw2.embed_pathwidth2(seq, metric, random.Random(0))
             except InvariantViolated:
                 print("raised")
+            # the harness tallies coins, which check nothing, and must still
+            # realize a sample that checks them
+            try:
+                estimate_distortion(g, lambda rng: pw2.embed_pathwidth2(seq, metric, rng), 3, 0,
+                                    outcome=lambda rng: pw2.draw_coins(seq, metric, rng))
+            except InvariantViolated:
+                print("raised")
             pw2._plan = lambda *args: (first, ((added, (victim, Fraction(2, 3)),
                                                  (other[0], Fraction(2, 3)), thr, window),))
             try:
@@ -253,7 +265,7 @@ class TestEdgeRank:
         run = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True, env=env, timeout=60)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["raised"] * 3
+        assert run.stdout.split() == ["raised"] * 4
 
 
 class TestStepTransition:
@@ -333,6 +345,44 @@ class TestReference:
                     assert ref == embed_pathwidthk(seq, metric, sample_rng(3100, i))
                     samples += 1
         assert samples >= 1000
+
+
+class TestDraws:
+    def test_draws_consume_the_stream_as_the_sample(self):
+        # the harness tallies draws and realizes each distinct one from its
+        # first sample's stream: a draw must read exactly what the sample
+        # reads, and fix its tree.  The default tau saturates most steps of
+        # these small graphs, so tau = 1 is run too
+        rng = random.Random(53)
+        varied = 0
+        for k in (2, 3, 4):
+            for _ in range(4):
+                g, seq, metric = random_instance(k, 12, rng)
+                samplers = [(draw_prefixes, embed_pathwidthk, len(_plan(seq, metric, None)[0]))]
+                if k == 2:
+                    samplers.append((pw2.draw_coins, pw2.embed_pathwidth2, len(seq.steps)))
+                for (draw, embed, steps), tau in itertools.product(samplers, (None, 1)):
+                    trees = {}
+                    for i in range(40):
+                        drawn, sampled = sample_rng(53, i), sample_rng(53, i)
+                        key = draw(seq, metric, drawn, tau)
+                        tree = embed(seq, metric, sampled, tau)
+                        assert drawn.getstate() == sampled.getstate()
+                        assert isinstance(key, bytes) and len(key) == steps
+                        assert trees.setdefault(key, tree) == tree
+                    varied += len(trees) > 1
+        assert varied >= 16
+
+    def test_wide_prefixes_pack_in_eight_bytes(self):
+        # unit lengths saturate every step, so each prefix is all k = 256
+        # edges, one past a byte
+        k = 256
+        seq = LinearCompositionSequence(
+            k, range(k), [(k + i, range(i + 1, k + i + 1)) for i in range(3)])
+        metric = build_metric_graph(seq.vertices, [(u, v, 1) for u, v in seq.composed_edges()])
+        drawn = draw_prefixes(seq, metric, random.Random(0))
+        assert list(array("Q", drawn)) == [k, k]
+        assert is_tree(embed_pathwidthk(seq, metric, random.Random(0)))
 
 
 class TestEmbed:
