@@ -340,9 +340,17 @@ def graph_to_json(g: MetricGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> MetricGraph:
-    return build_metric_graph(
-        data["vertices"], [(u, v, l) for u, v, l in data["edges"]]
-    )
+    """The graph of {"vertices": [...], "edges": [[u, v, length], ...]}.
+
+    A document of another shape (a list, a scalar vertex list, unhashable
+    or unorderable vertex ids, a list or an overflowing number as a
+    length) raises GraphError."""
+    try:
+        return build_metric_graph(
+            data["vertices"], [(u, v, l) for u, v, l in data["edges"]]
+        )
+    except (TypeError, OverflowError) as exc:
+        raise GraphError(f"malformed graph JSON: {exc}") from None
 
 
 def dump_graph(g: MetricGraph, path):

@@ -380,19 +380,12 @@ PATHWIDTH_ORACLE_LIMIT = 20
 
 def exact_pathwidth(g: MetricGraph, limit: int = PATHWIDTH_ORACLE_LIMIT) -> int:
     """Exact pathwidth by vertex-separation search; exponential, n <= limit."""
-    order, k = _vs_search(g, limit)
-    return k
+    return _vs_search(g, limit)[1]
 
 
 def exact_path_decomposition(g: MetricGraph, limit: int = PATHWIDTH_ORACLE_LIMIT) -> PathDecomposition:
     """Optimal-width decomposition recovered from a vertex-separation layout."""
-    order, k = _vs_search(g, limit)
-    verts = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for (u, v) in g.edge_keys():
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
+    order, k, verts, adj = _vs_search(g, limit)
     bags = []
     prefix = 0
     for pos in order:
@@ -408,6 +401,7 @@ def exact_path_decomposition(g: MetricGraph, limit: int = PATHWIDTH_ORACLE_LIMIT
 
 
 def _vs_search(g: MetricGraph, limit):
+    """(order, width, sorted vertices, bitmask adjacency) of an optimal layout."""
     n = g.n
     if n > limit:
         raise TooLarge(f"{n} vertices exceeds the oracle limit of {limit}")
@@ -422,7 +416,7 @@ def _vs_search(g: MetricGraph, limit):
     for k in range(n):
         order = _vs_layout(adj, n, k)
         if order is not None:
-            return order, k
+            return order, k, verts, adj
     raise AssertionError("unreachable: pathwidth is at most n - 1")
 
 
@@ -799,11 +793,16 @@ def composition_to_json(seq: LinearCompositionSequence) -> dict:
 
 
 def composition_from_json(data: dict) -> LinearCompositionSequence:
-    return LinearCompositionSequence(
-        data["k"],
-        data["initial"],
-        [(s["new"], frozenset(s["window"])) for s in data["steps"]],
-    )
+    """The sequence of {"k": k, "initial": [...], "steps": [{"new": v,
+    "window": [...]}, ...]}; a document of another shape raises BadSequence."""
+    try:
+        return LinearCompositionSequence(
+            data["k"],
+            data["initial"],
+            [(s["new"], frozenset(s["window"])) for s in data["steps"]],
+        )
+    except (TypeError, OverflowError) as exc:
+        raise BadSequence(f"malformed composition JSON: {exc}") from None
 
 
 def dump_composition(seq, path):

@@ -7,17 +7,20 @@ so it never contracts any distance.
 
 Nothing but the coin flips depends on the sample, so `_plan` lists the
 steps once per (sequence, metric, tau) and keeps the last plan: every
-sample of a run reuses it, and the exact enumerator takes its product
-over the same steps.  A sample's coins, one per step, are its only
-random choices (`draw_coins`); the sample deletes one edge per step by
-its coin.
+sample of a run reuses it.  A sample's only random choices are its drawn
+lengths, one per step (`draw_coins`): length 2, with probability p,
+deletes the step's victim and length 1 the other edge.  One step rule
+(`_realize`) turns the lengths into the tree, both for the sampler and
+for the exact enumerator, which realizes every draw of positive
+probability (`_distribution`, shared with `pwk`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 
 from .graphs import MetricGraph, edge_key
 from .pathwidth import LinearCompositionSequence
@@ -76,66 +79,76 @@ def pw2_deletion_probability(case: str, len_uw, len_vw, len_uv=None, tau=DEFAULT
     raise ValueError(f"unknown case {case!r}")
 
 
-def _step_choices(g: MetricGraph, window, x, retained, tau):
-    """The two possible deletions for one step: ((edge_to_delete, prob), ...).
-
-    `window` is the current edge {u, v}, `x` the new vertex, `retained`
-    the next window.  Exactly one listed edge is deleted.
-    """
-    u, v = sorted(window)
-    if retained == frozenset((u, v)):
-        try:
-            p = pw2_deletion_probability(
-                "same_window", g.length(u, x), g.length(v, x), tau=tau
-            )
-        except DegenerateZero:
-            p = Fraction(1, 2)
-        return (edge_key(u, x), p), (edge_key(v, x), 1 - p)
-    if retained == frozenset((v, x)):
-        keep_u, other = u, v
-    elif retained == frozenset((u, x)):
-        keep_u, other = v, u
-    else:
-        raise ValueError(f"retained window {sorted(retained)!r} not inside the triangle")
-    # the slid window edge {other, x} always survives; the risk is between
-    # the opposite new edge and the old window edge
-    try:
-        p = pw2_deletion_probability(
-            "moved_window", g.length(keep_u, x), None, g.length(u, v), tau=tau
-        )
-    except DegenerateZero:
-        p = Fraction(1, 2)
-    return (edge_key(keep_u, x), p), (edge_key(u, v), 1 - p)
-
-
 def float_threshold(p) -> float:
     """The smallest float >= p: for every float x, x < it exactly when x < p."""
     thr = float(p)
     return math.nextafter(thr, math.inf) if thr < p else thr
 
 
+def _distribution(steps, realize, g: MetricGraph, limit):
+    """Exact output distribution of a sampler as [(tree, probability)].
+
+    Each step ends in (probs, thresholds), probs[j - 1] being the exact
+    P[the drawn length extends past j]; `realize` maps a list of drawn
+    lengths, one per step, to the sample's edges.  Every draw of positive
+    probability is realized once and the draws are merged by tree, so the
+    work is (draws x steps); more than `limit` draws raise TooManyOutcomes.
+    """
+    options = []
+    for *_, probs, _ in steps:
+        # P[length j] = P[reach j] * P[stop at j]; the last never extends
+        reach, step = Fraction(1), []
+        for j, p in enumerate(probs + (0,), 1):
+            p_j, reach = reach * (1 - p), reach * p
+            if p_j:
+                step.append((j, p_j))
+        options.append(step)
+    draws = math.prod(len(step) for step in options)
+    if draws > limit:
+        raise TooManyOutcomes(f"{draws} positive-probability draws exceed the limit {limit}")
+    merged = {}
+    for draw in product(*options):
+        key = frozenset(realize([j for j, _ in draw]))
+        merged[key] = merged.get(key, 0) + math.prod(p for _, p in draw)
+    result = [(_tree(g, key), prob) for key, prob in sorted(
+        merged.items(), key=lambda item: sorted(item[0]))]
+    if sum(p for _, p in result) != 1:
+        raise InvariantViolated("enumerated probabilities do not sum to 1")
+    return result
+
+
 @lru_cache(maxsize=1)
 def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
     """Everything that does not depend on the sample: (first edge, steps).
 
-    Each step is (added, (victim, p), (other, 1 - p), thr, window): the two
-    new edges, the edge deleted with probability p and the one deleted
-    otherwise, p's float threshold, and the next window's edge, which the
-    step must keep.  A `tau` of None means DEFAULT_TAU.
+    Each step is (added, (other, victim), window, (p,), (thr,)): the two
+    new edges, the edge deleted at drawn length 1 and the one deleted at
+    length 2, which has probability p, the next window's edge, which the
+    step must keep, and p's float threshold.  Every step draws, even at
+    p = 1.  A `tau` of None means DEFAULT_TAU.
     """
+    if seq.k != 2:
+        raise WrongWidth(f"this construction needs k=2, got k={seq.k}")
     tau = check_tau(DEFAULT_TAU if tau is None else tau)
-    window = frozenset(seq.initial)
+    u, v = sorted(seq.initial)
     steps = []
     for x, retained in seq.steps:
-        u, v = sorted(window)
-        choices = _step_choices(g, window, x, retained, tau)
-        steps.append((
-            (edge_key(u, x), edge_key(v, x)),
-            *choices,
-            float_threshold(choices[0][1]),
-            edge_key(*retained),
-        ))
-        window = retained
+        if retained == {u, v}:
+            deleted = edge_key(v, x), edge_key(u, x)
+            risk = "same_window", g.length(u, x), g.length(v, x)
+        else:
+            # the slid window edge always survives; the risk is between
+            # the opposite new edge and the old window edge
+            keep = u if v in retained else v
+            deleted = edge_key(u, v), edge_key(keep, x)
+            risk = "moved_window", g.length(keep, x), None, g.length(u, v)
+        try:
+            p = pw2_deletion_probability(*risk, tau=tau)
+        except DegenerateZero:
+            p = Fraction(1, 2)
+        steps.append(((edge_key(u, x), edge_key(v, x)), deleted, edge_key(*retained),
+                      (p,), (float_threshold(p),)))
+        u, v = sorted(retained)
     return edge_key(*seq.initial), tuple(steps)
 
 
@@ -143,19 +156,31 @@ def _tree(g, edges):
     return g.with_edges({e: g.length(*e) for e in edges})
 
 
-def _coins(steps, rng):
+def _lengths(steps, rng):
     # a float draw is below thr exactly when it is below p
-    return [rng.random() < thr for _, _, _, thr, _ in steps]
+    return [1 + (rng.random() < thr) for _, _, _, _, (thr,) in steps]
+
+
+def _realize(plan, lengths):
+    """The step rule: each step adds its two edges and deletes the one its
+    drawn length names; the next window edge must survive."""
+    first, steps = plan
+    tree = {first}
+    for (added, deleted, window, _, _), j in zip(steps, lengths):
+        tree.update(added)
+        tree.discard(deleted[j - 1])
+        if window not in tree:
+            raise InvariantViolated(f"window edge {window!r} was deleted")
+    return tree
 
 
 def draw_coins(seq: LinearCompositionSequence, g: MetricGraph, rng,
                tau=DEFAULT_TAU) -> bytes:
-    """A sample's random choices: one byte per step, 1 where it deletes the
-    step's victim.  Consumes `rng` exactly as `embed_pathwidth2` does,
-    whose tree is a function of the result."""
-    if seq.k != 2:
-        raise WrongWidth(f"this construction needs k=2, got k={seq.k}")
-    return bytes(_coins(_plan(seq, g, tau)[1], rng))
+    """A sample's random choices: one byte per step, its drawn length, 2
+    where it deletes the step's victim and 1 where it deletes the other
+    edge.  Consumes `rng` exactly as `embed_pathwidth2` does, whose tree
+    is a function of the result."""
+    return bytes(_lengths(_plan(seq, g, tau)[1], rng))
 
 
 def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
@@ -164,41 +189,17 @@ def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
 
     `g` must be the reduced metric graph on the composed edge set; the
     returned tree keeps the lengths of the edges it retains.  The sample
-    flips its coins as `draw_coins` does, then deletes by them.
+    draws its lengths as `draw_coins` does, then applies the step rule.
     """
-    if seq.k != 2:
-        raise WrongWidth(f"this construction needs k=2, got k={seq.k}")
-    first, steps = _plan(seq, g, tau)
-    tree = {first}
-    for (added, (victim, _), (other, _), _, window), coin in zip(steps, _coins(steps, rng)):
-        tree.update(added)
-        tree.discard(victim if coin else other)
-        if window not in tree:
-            raise InvariantViolated(f"window edge {window!r} was deleted")
-    return _tree(g, tree)
+    plan = _plan(seq, g, tau)
+    return _tree(g, _realize(plan, _lengths(plan[1], rng)))
 
 
 def enumerate_pw2_distribution(seq: LinearCompositionSequence, g: MetricGraph,
                                tau=DEFAULT_TAU, limit=1 << 20):
-    """Exact output distribution as [(tree, probability)], probabilities sum to 1."""
-    if seq.k != 2:
-        raise WrongWidth(f"this construction needs k=2, got k={seq.k}")
-    if 2 ** len(seq.steps) > limit:
-        raise TooManyOutcomes(f"{len(seq.steps)} binary steps exceed the limit")
-    first, steps = _plan(seq, g, tau)
-    outcomes = {frozenset({first}): Fraction(1)}
-    for added, *choices, _, _ in steps:
-        nxt = {}
-        for tree, prob in outcomes.items():
-            grown = tree.union(added)
-            for victim, p in choices:
-                if p == 0:
-                    continue
-                key = grown - {victim}
-                nxt[key] = nxt.get(key, Fraction(0)) + prob * p
-        outcomes = nxt
-    result = [(_tree(g, tree), prob) for tree, prob in outcomes.items()]
-    result.sort(key=lambda pair: sorted(pair[0].edge_keys()))
-    if sum(p for _, p in result) != 1:
-        raise InvariantViolated("enumerated probabilities do not sum to 1")
-    return result
+    """Exact output distribution as [(tree, probability)]; sums to 1.
+
+    The sampler's step rule realized on every positive-probability draw;
+    `limit` bounds the number of those draws."""
+    plan = _plan(seq, g, tau)
+    return _distribution(plan[1], partial(_realize, plan), g, limit)

@@ -12,10 +12,11 @@ Only the ranks depend on the sample, so a plan of the departures
 (`_plan`) is built once per (sequence, metric, tau) and kept: every sample
 of a run reuses it.  A sample's only random choices are its prefix
 lengths, one per departure, drawn against the plan's float thresholds
-(`draw_prefixes`); the sample applies the one step rule (`_keep`) per
-departure with its drawn length, and the exact enumerator applies it once
-per possible prefix length, weighted by the exact probabilities.  The rank
-cap C(k+1, 2) is checked at every step and a breach raises
+(`draw_prefixes`).  `_realize` applies the one step rule (`_keep`) per
+departure with those lengths; the sampler calls it on its draw, and the
+exact enumerator on every draw of positive probability, weighted by the
+plan's exact probabilities (`pw2._distribution`).  The rank cap
+C(k+1, 2) is checked at every step and a breach raises
 `InvariantViolated`.
 """
 
@@ -23,14 +24,15 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .graphs import MetricGraph, edge_key, minimum_spanning_tree
 from .pathwidth import LinearCompositionSequence
-# InvariantViolated and NegativeTau are shared with pw2 and re-exported here
+# InvariantViolated, NegativeTau and TooManyOutcomes are shared with pw2 and re-exported here
 from .pw2 import (  # noqa: F401
-    InvariantViolated, NegativeTau, TooManyOutcomes, _tree, check_tau, float_threshold)
+    InvariantViolated, NegativeTau, TooManyOutcomes, _distribution, _tree, check_tau,
+    float_threshold)
 
 
 class MissingLength(ValueError):
@@ -127,6 +129,15 @@ def _prefix_lengths(departures, rng):
     return [sample_prefix_length(thresholds, rng) for _, _, _, thresholds in departures]
 
 
+def _realize(plan, lengths):
+    """The sample's edges for its prefix lengths: the step rule once per
+    departure, then the final clique's minimum spanning tree."""
+    departures, mst, cap = plan
+    ranks = {}
+    return [_keep(ranks, w, ranked, j, cap)
+            for (w, ranked, _, _), j in zip(departures, lengths)] + list(mst)
+
+
 def draw_prefixes(seq: LinearCompositionSequence, g: MetricGraph, rng,
                   tau=None) -> bytes:
     """A sample's random choices: the eligible-prefix length of every departure.
@@ -145,11 +156,8 @@ def embed_pathwidthk(seq: LinearCompositionSequence, g: MetricGraph, rng,
     `g` must be the reduced metric graph on the composed edge set.  The
     sample draws its prefix lengths as `draw_prefixes` does, then applies
     the step rule with them."""
-    departures, mst, cap = _plan(seq, g, tau)
-    ranks = {}
-    kept = [_keep(ranks, w, ranked, j, cap)
-            for (w, ranked, _, _), j in zip(departures, _prefix_lengths(departures, rng))]
-    tree = _tree(g, kept + list(mst))
+    plan = _plan(seq, g, tau)
+    tree = _tree(g, _realize(plan, _prefix_lengths(plan[0], rng)))
     if tree.m != tree.n - 1:
         raise InvariantViolated(f"{tree.m} edges on {tree.n} vertices is not a tree")
     return tree
@@ -159,29 +167,7 @@ def enumerate_pwk_distribution(seq: LinearCompositionSequence, g: MetricGraph,
                                tau=None, limit=1 << 20):
     """Exact output distribution as [(tree, probability)]; sums to 1.
 
-    Branches on the eligible-prefix length only: the kept edge is a
-    deterministic function of the prefix, so each step has at most k
-    outcomes."""
-    if seq.k ** max(0, len(seq.steps) - 1) > limit:
-        raise TooManyOutcomes("outcome bound exceeds the enumeration limit")
-    departures, mst, cap = _plan(seq, g, tau)
-    frontier = [({}, (), Fraction(1))]
-    for w, ranked, probs, _ in departures:
-        nxt = []
-        for ranks, kept, reach in frontier:
-            # P[prefix length j] = P[reach j] * P[stop at j]; the last never extends
-            for j, p in enumerate(probs + (0,), 1):
-                p_j, reach = reach * (1 - p), reach * p
-                if p_j:
-                    branch = dict(ranks)
-                    nxt.append((branch, kept + (_keep(branch, w, ranked, j, cap),), p_j))
-        frontier = nxt
-    merged = {}
-    for _, kept, prob in frontier:
-        key = frozenset(kept + mst)
-        merged[key] = merged.get(key, 0) + prob
-    result = [(_tree(g, key), prob) for key, prob in sorted(
-        merged.items(), key=lambda item: sorted(item[0]))]
-    if sum(p for _, p in result) != 1:
-        raise InvariantViolated("enumerated probabilities do not sum to 1")
-    return result
+    The sampler's step rule realized on every positive-probability draw of
+    prefix lengths; `limit` bounds the number of those draws."""
+    plan = _plan(seq, g, tau)
+    return _distribution(plan[0], partial(_realize, plan), g, limit)

@@ -245,3 +245,42 @@ class TestTau:
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "pathwidth", "/nonexistent/graph.json")
     assert code == 1
+
+
+TRIANGLE = {"vertices": [0, 1, 2], "edges": [[0, 1, 1], [1, 2, "1/2"], [0, 2, 1]]}
+TRIANGLE_STEPS = {"k": 2, "initial": [0, 1], "steps": [{"new": 2, "window": [0, 2]}]}
+
+
+@pytest.mark.parametrize("graph, composition", [
+    ([1, 2], TRIANGLE_STEPS),
+    ({"vertices": 5, "edges": []}, TRIANGLE_STEPS),
+    ({"vertices": [[0], [1]], "edges": [[[0], [1], 1]]}, None),
+    ({"vertices": [0, "a"], "edges": [[0, "a", 1]]}, None),
+    ({"vertices": [0, 1], "edges": [[0, 1, [1]]]}, None),
+    ({"vertices": [0, 1], "edges": [[0, 1, float("inf")]]}, None),  # JSON's 1e400 loads as inf
+    (TRIANGLE, dict(TRIANGLE_STEPS, steps=[{"new": 2, "window": 5}])),
+    (TRIANGLE, dict(TRIANGLE_STEPS, initial=5)),
+    (TRIANGLE, dict(TRIANGLE_STEPS, k=[2])),
+    (TRIANGLE, dict(TRIANGLE_STEPS, k=float("inf"))),
+], ids=["graph-list", "vertices-int", "list-ids", "mixed-ids", "list-length",
+        "infinite-length", "window-int", "initial-int", "k-list", "infinite-k"])
+def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
+    # each of these used to escape as a TypeError traceback
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(graph))
+    argv = ["embed", str(gpath), "--samples", "3"]
+    if composition is not None:
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps(composition))
+        argv += ["--composition", str(cpath)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed") and err.count("\n") == 1
+
+
+def test_well_formed_json_still_embeds(capsys, tmp_path):
+    gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+    gpath.write_text(json.dumps(TRIANGLE))
+    cpath.write_text(json.dumps(dict(TRIANGLE_STEPS, k="2")))
+    code, *_ = run(capsys, "embed", str(gpath), "--composition", str(cpath), "--samples", "3")
+    assert code == 0

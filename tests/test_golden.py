@@ -9,7 +9,7 @@ fields that moved.
 import hashlib
 import json
 
-from pwtree.harness import estimate_distortion
+from pwtree.harness import estimate_distortion, sample_rng
 from pwtree.pathwidth import composed_metric_graph
 from pwtree.pw2 import draw_coins, embed_pathwidth2, enumerate_pw2_distribution
 from pwtree.pwk import draw_prefixes, embed_pathwidthk, enumerate_pwk_distribution
@@ -43,12 +43,23 @@ def report_digests(tally_draws=False):
     return out
 
 
+ENUMERATORS = {"pw2": enumerate_pw2_distribution, "pwk": enumerate_pwk_distribution}
+SAMPLERS = {"pw2": embed_pathwidth2, "pwk": embed_pathwidthk}
+
+
+def corpus_cases():
+    """(name, graph, sequence, algorithm) for every corpus instance and each
+    algorithm that applies to it."""
+    return [(name, g, seq, algo) for name, g, seq in build_corpus()
+            for algo in (("pwk", "pw2") if seq.k == 2 else ("pwk",))]
+
+
 def distribution_digests():
-    """Per criterion-07 case: digest of [(sorted tree edges, "num/den")]."""
-    enumerators = {"pw2": enumerate_pw2_distribution, "pwk": enumerate_pwk_distribution}
+    """Per criterion-07 case and corpus instance: digest of
+    [(sorted tree edges, "num/den")]."""
     out = {}
-    for name, g, seq, algo in criterion_07_cases():
-        dist = enumerators[algo](seq, composed_metric_graph(g, seq))
+    for name, g, seq, algo in criterion_07_cases() + corpus_cases():
+        dist = ENUMERATORS[algo](seq, composed_metric_graph(g, seq))
         out[f"{name}:{algo}"] = _sha([
             [sorted(t.edge_keys()), f"{p.numerator}/{p.denominator}"] for t, p in dist
         ])
@@ -191,6 +202,62 @@ DISTRIBUTION_DIGESTS = {
         "980f7bda6a99f15068fe453946a0b6a9d6dd896e3f0e640025a3a2672e474e3f",
     "rand-2:pwk":
         "9523fafa622e5ac9470f3a176be2679ef67f93eeef021c86b2e59e8b81dbebca",
+    "cycle-3:pwk":
+        "d601a64e080887dea0423aeefe995ccba86b83622b63663a752e99a5d52dbf81",
+    "cycle-3:pw2":
+        "d601a64e080887dea0423aeefe995ccba86b83622b63663a752e99a5d52dbf81",
+    "cycle-4:pwk":
+        "b303d0173ee8ae656a0ee9962514d06e441a997a266293e410215cc8f21c02c3",
+    "cycle-4:pw2":
+        "48cb8e90dc61e2086f55c698f29075927b0cc65676cc5a0691af88f8b586558b",
+    "cycle-5:pwk":
+        "7a64981f66a9203036d18d41260b95df9eeeedf3ca4cfc2f5e289775be79765d",
+    "cycle-5:pw2":
+        "b72192151706daac20fb5d1b391c2d162b9fb6fb34d0d64718ad6bae9183bf38",
+    "cycle-6:pwk":
+        "f2ba65f9b2d6c1d3f405a7010e87ef3090f8490693186f8bb42099d0ea01870a",
+    "cycle-6:pw2":
+        "ffd398ae9d19402e8be658f4439c3b29b7bf4ff04b60859c00b9bb6f2a5c41b8",
+    "cycle-7:pwk":
+        "7e3f1ce2607da428a5e4c6ad78a06f7c9b17bfa5164801d13123081a506ab2b4",
+    "cycle-7:pw2":
+        "ce8e729e46887856588f801fe5b40f081091aaba4c867e27f51fc2ce914d76b6",
+    "cycle-8:pwk":
+        "a6431158ab389f0df515a2bce8fbd99291a45130264f492fd68f8394f985e05e",
+    "cycle-8:pw2":
+        "00b6566ba226db9bc0a457d619d9eb4121a42bcf6f407bd0619355bd3fbee3d1",
+    "cycle-9:pwk":
+        "76f5db95ed7351a2c0e7cf2bb3dcd3b337ea6be804f0e71be3f7cc99db6b5c26",
+    "cycle-9:pw2":
+        "37ef42e6590813cd861f68c861e8cbe5086aa62a5d71447235a6ee93ea98a407",
+    "cycle-10:pwk":
+        "73258bd557f327a3ae78b7554ecb70a91727be27d35bf743171e55a7f47c9d86",
+    "cycle-10:pw2":
+        "b4d62019805077df5e86712167bdf40ff9693e4699ec3c860319835e702096fc",
+    "cycle-11:pwk":
+        "dc610716f64a07efe75c54145daccc326719b2fd2a412c7656da96271b3c2826",
+    "cycle-11:pw2":
+        "3a3f7e798123d0d7bb8396ef2db6716ee7b130100255c59f6369b058a3c6381f",
+    "cycle-12:pwk":
+        "1391b96244748c0b97078a8e05f4c1a48d7a4bb4a28ff159b84e970df643b3bf",
+    "cycle-12:pw2":
+        "8e4b0c623b75f1bfdc9bc82b6dbcf2f77572e0569dc0071199ee28a7c014271d",
+    "random-k2-n32:pwk":
+        "efb8ddc1dfbb9ed8c512b1972daa280c86265400d4df1fd95dca05eff2f70769",
+    "random-k2-n32:pw2":
+        "2fcb27937f4f391d87111cf846471e50fe1f0c1f33f25138de0f709ccf62635c",
+    "random-k3-n24:pwk":
+        "75b0e2c9b0ca96ebd26cedd93fb2fdcaebd2085846ad5645edfa4d35c0a7352a",
+    "random-k4-n16:pwk":
+        "6793500eb6437a40aea542cb20422feb1c016771dc399fa1f8a0fe2ebd5a3a18",
+    "psi-1-9:pwk":
+        "5b8ea3475d3adc2ebc910788a339ec5b35d34e4d8698904a7b66259b6df06488",
+    "psi-1-9:pw2":
+        "0bca389244745f4c40b7a4846d45fdf760680b8fc857e631cfe527855f6c8a25",
+    "psi-2-81-trunc2:pwk":
+        "e3b26e9e2a3ef6b083c59a25ea36546b1d04d93efcc5ae06d0bcbb487299bc11",
+    "psi-2-81-trunc2:pw2":
+        "3deeceb079dde291b1aa32b32e8342890e3d143c40e2d35e3de1ff9ce50a7af8",
 }
 
 
@@ -204,6 +271,17 @@ def test_report_digests_from_draw_tallies():
 
 def test_distribution_digests():
     assert distribution_digests() == DISTRIBUTION_DIGESTS
+
+
+def test_corpus_samples_lie_in_the_enumerated_support():
+    # every corpus instance enumerates at the default limit, and the
+    # sampler never leaves the enumerated support
+    for name, g, seq, algo in corpus_cases():
+        metric = composed_metric_graph(g, seq)
+        support = {frozenset(t.edge_keys()) for t, _ in ENUMERATORS[algo](seq, metric)}
+        for i in range(NUM_SAMPLES):
+            tree = SAMPLERS[algo](seq, metric, sample_rng(SEED, i))
+            assert frozenset(tree.edge_keys()) in support, (name, algo, i)
 
 
 if __name__ == "__main__":

@@ -588,7 +588,9 @@ class TestTreeDecomposition:
             pw._drop_redundant = lambda bags: [{0, 1}, {0, 2}]  # loses edge (1, 2)
             attempt(pw.normalize_decomposition, pw.PathDecomposition([{0, 1}, {1, 2}]), path3)
             pw._drop_redundant = real_drop
-            pw._vs_search = lambda g, limit: ([0, 1, 2], 0)  # claims width 0
+            real_search = pw._vs_search
+            pw._vs_search = lambda g, limit: (  # claims width 0
+                lambda order, k, *rest: (order, 0, *rest))(*real_search(g, limit))
             attempt(pw.exact_path_decomposition, path3)
             # the three leaves of a star as the heavy core: not a path
             star = build_metric_graph(range(4), [(0, 1, 1), (0, 2, 1), (0, 3, 1)])

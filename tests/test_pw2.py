@@ -127,6 +127,15 @@ class TestEnumeration:
         with pytest.raises(TooManyOutcomes):
             enumerate_pw2_distribution(seq, metric, limit=4)
 
+    def test_limit_counts_positive_draws(self):
+        # each unit-length same-window step deletes either edge with
+        # probability 1/2, each moved-window step saturates: 2^7 draws
+        g, seq = cycle(30)
+        metric = composed_metric_graph(g, seq)
+        assert len(enumerate_pw2_distribution(seq, metric, limit=128)) == 128
+        with pytest.raises(TooManyOutcomes, match="128 positive-probability draws"):
+            enumerate_pw2_distribution(seq, metric, limit=127)
+
     def test_matches_sampling_frequencies(self):
         g, seq, metric = triangle_instance()
         rng = random.Random(17)

@@ -26,6 +26,7 @@ from pwtree import pw2
 from pwtree.pwk import (
     MissingLength,
     NegativeTau,
+    TooManyOutcomes,
     _keep,
     _plan,
     draw_prefixes,
@@ -219,9 +220,9 @@ class TestEdgeRank:
         # the cap and pw2's invariants are proof invariants, so their checks
         # must survive `python -O`; pw2 is fed plans that break them
         code = textwrap.dedent("""
+            import itertools
             import random
             import sys
-            from fractions import Fraction
             from pwtree import pw2
             from pwtree.harness import estimate_distortion
             from pwtree.instances import cycle
@@ -238,9 +239,10 @@ class TestEdgeRank:
             except InvariantViolated:
                 print("raised")
             first, steps = pw2._plan(seq, metric, pw2.DEFAULT_TAU)
-            added, (victim, p), other, thr, window = steps[0]
-            # deleting the next window edge, then probabilities summing to 4/3
-            pw2._plan = lambda *args: (first, ((added, (window, p), other, 1.0, window),))
+            added, _, window, probs, thresholds = steps[0]
+            # a plan whose step deletes the next window edge at either length
+            pw2._plan = lambda *args: (first, ((added, (window, window), window, probs,
+                                                 thresholds),))
             try:
                 pw2.embed_pathwidth2(seq, metric, random.Random(0))
             except InvariantViolated:
@@ -252,8 +254,15 @@ class TestEdgeRank:
                                     outcome=lambda rng: pw2.draw_coins(seq, metric, rng))
             except InvariantViolated:
                 print("raised")
-            pw2._plan = lambda *args: (first, ((added, (victim, Fraction(2, 3)),
-                                                 (other[0], Fraction(2, 3)), thr, window),))
+            # the enumerator realizes its draws with the sampler's step rule
+            try:
+                pw2.enumerate_pw2_distribution(seq, metric)
+            except InvariantViolated:
+                print("raised")
+            # per-step probabilities telescope to 1, so only an enumerator
+            # that loses a draw breaks the sum
+            pw2._plan = lambda *args: (first, steps)
+            pw2.product = lambda *options: itertools.islice(itertools.product(*options), 1, None)
             try:
                 pw2.enumerate_pw2_distribution(seq, metric)
             except InvariantViolated:
@@ -265,7 +274,7 @@ class TestEdgeRank:
         run = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True, env=env, timeout=60)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["raised"] * 4
+        assert run.stdout.split() == ["raised"] * 5
 
 
 class TestStepTransition:
@@ -444,6 +453,15 @@ class TestEnumeration:
             dist = enumerate_pwk_distribution(seq, metric)
             assert sum(p for _, p in dist) == 1
             assert all(is_tree(t) for t, _ in dist)
+
+    def test_limit_counts_positive_draws(self):
+        # four departures have two positive prefix lengths each, the rest
+        # one; the 16 draws keep only 4 distinct edge sets
+        g, seq = random_pathwidth_graph(2, 32, small_rational_lengths, random.Random(101))
+        metric = composed_metric_graph(g, seq)
+        assert len(enumerate_pwk_distribution(seq, metric, limit=16)) == 4
+        with pytest.raises(TooManyOutcomes, match="16 positive-probability draws"):
+            enumerate_pwk_distribution(seq, metric, limit=15)
 
     def test_four_cycle_matches_sampling(self):
         g, seq = cycle(4)
