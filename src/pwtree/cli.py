@@ -28,11 +28,6 @@ def _write_json(data, out_path):
         sys.stdout.write(text)
 
 
-def _load_graph(path):
-    with open(path) as fh:
-        return graphs.graph_from_json(json.load(fh))
-
-
 def cmd_generate(args) -> int:
     seq = None
     if args.family == "phi":
@@ -61,7 +56,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pathwidth(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphs.load_graph(args.graph)
     if args.method == "exact":
         value = pathwidth.exact_pathwidth(g)
         _write_json({"method": "exact", "pathwidth": value}, args.out)
@@ -83,7 +78,7 @@ def cmd_pathwidth(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphs.load_graph(args.graph)
     if args.composition:
         seq = pathwidth.load_composition(args.composition)
     else:

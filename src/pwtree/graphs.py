@@ -15,8 +15,9 @@ random generator's length reduction, and edges-mode `estimate_distortion`
 reads each edge's d_G from the composed metric's lengths.  The kernel stays
 for the source distances of all-pairs reports and of the checkers, since a
 source need not be a tree, and as the oracle of the bag sweep.  Distances in
-a target tree come from the harness's rooted-tree layer instead, which makes
-one traversal of the tree.
+a target tree come from the harness's rooted-tree layer instead, which reads
+the tree's parent links: a tree sampled by `pwk` carries them (`_links`), and
+any other tree is traversed once for them.
 """
 
 from __future__ import annotations
@@ -73,22 +74,19 @@ class MetricGraph:
     """Finite loop-free simple graph with exact non-negative edge lengths.
 
     Instances are immutable after construction and safe to share across
-    threads.  Use :func:`build_metric_graph` to construct with validation.
+    threads; the sorted adjacency lists are built on the first `neighbors`
+    or `adjacency` call.  Use :func:`build_metric_graph` to construct with
+    validation.  A tree sampled by `pwk` also keeps, in `_links`, the
+    parent links it was realized from, for the harness's rooted-tree layer;
+    every other graph has None there.
     """
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_hash")
+    __slots__ = ("_vertices", "_edges", "_adj", "_hash", "_links")
 
     def __init__(self, vertices, edges):
         self._vertices = tuple(sorted(vertices))
         self._edges = dict(edges)
-        adj = {v: [] for v in self._vertices}
-        for (u, v), length in self._edges.items():
-            adj[u].append((v, length))
-            adj[v].append((u, length))
-        for v in adj:
-            adj[v].sort()
-        self._adj = adj
-        self._hash = None
+        self._adj = self._hash = self._links = None
 
     @property
     def vertices(self):
@@ -115,11 +113,22 @@ class MetricGraph:
     def length(self, u, v) -> Fraction:
         return self._edges[edge_key(u, v)]
 
+    def _adjacency(self):
+        if self._adj is None:
+            adj = {v: [] for v in self._vertices}
+            for (u, v), length in self._edges.items():
+                adj[u].append((v, length))
+                adj[v].append((u, length))
+            for v in adj:
+                adj[v].sort()
+            self._adj = adj
+        return self._adj
+
     def neighbors(self, v):
-        return [u for u, _ in self._adj[v]]
+        return [u for u, _ in self._adjacency()[v]]
 
     def adjacency(self, v):
-        return list(self._adj[v])
+        return list(self._adjacency()[v])
 
     def __eq__(self, other):
         if not isinstance(other, MetricGraph):
@@ -142,7 +151,9 @@ class MetricGraph:
 
     def with_edges(self, edges) -> "MetricGraph":
         """New graph on the same vertex set with the given edge dict."""
-        return MetricGraph(self._vertices, edges)
+        g = MetricGraph((), edges)
+        g._vertices = self._vertices  # already sorted
+        return g
 
 
 def build_metric_graph(vertices, weighted_edges) -> MetricGraph:

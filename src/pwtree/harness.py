@@ -7,7 +7,9 @@ of how samples are scheduled, and a sample can be drawn again from its
 index alone.  The estimate tallies equal samples and measures each
 distinct one once, weighted by its count.  Source distances come from
 `shortest_path_metric`, since a source need not be a tree; every target
-distance comes from one traversal of the target tree (`_RootedTree`).
+distance comes from the target tree's parent links (`_RootedTree`).  A
+tree sampled by `pwk` carries its links, so it is measured without a
+traversal; any other target is traversed once to get them.
 """
 
 from __future__ import annotations
@@ -314,13 +316,18 @@ def _accumulate(sums, sumsq, src_scaled, dists, count):
 
 
 class _RootedTree:
-    """A tree rooted at its first vertex, measured by one iterative traversal.
+    """A tree as parent links over its vertices, numbered in sorted order.
 
-    Vertices are numbered in sorted order; the root is vertex 0 and its own
-    parent.  The traversal marks a child when it pushes it, so `order` is a
-    preorder in which every subtree is a contiguous run; it also gives each
-    vertex its `parent`, `depth` and root distance `dist`, times `scale`.
-    A graph that is not a tree raises PreconditionFailed.
+    The links come from one of two sources.  A tree sampled by `pwk`
+    carries them (`MetricGraph._links`: an order that lists every vertex
+    after its parent, the parents, the root being its own, and each
+    vertex's edge length to its parent as an integer over the plan's
+    scale); they are rescaled to `scale`.  Every other tree, or a sampled
+    one whose scale does not divide `scale`, gets them from one iterative
+    traversal from vertex 0 (`_traverse`).  One pass along the order then
+    gives each vertex's `depth` and root distance `dist`, times `scale`.
+    A graph that is not a tree raises PreconditionFailed, and a length off
+    `scale` raises ValueError.
     """
 
     __slots__ = ("vertices", "index", "order", "parent", "depth", "dist")
@@ -331,49 +338,44 @@ class _RootedTree:
         if t.m != n - 1:
             raise PreconditionFailed(f"{t!r} is not a tree")
         index = {v: i for i, v in enumerate(verts)}
-        adj = [[] for _ in verts]
-        for (a, b), length in t.edges():
-            if scale % length.denominator:
-                raise ValueError("target tree length does not fit the instance scale")
-            ln = length.numerator * (scale // length.denominator)
-            ia, ib = index[a], index[b]
-            adj[ia].append((ib, ln))
-            adj[ib].append((ia, ln))
-        parent = [0] * n
-        depth = [-1] * n  # -1 until the traversal reaches the vertex
+        if t._links is not None and scale % t._links[3] == 0:
+            order, parent, to_parent, own = t._links
+            mult = scale // own
+        else:
+            order, parent, to_parent = _traverse(t, index, scale)
+            mult = 1
+        depth = [0] * n
         dist = [0] * n
-        order = []
-        depth[0] = 0
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y, ln in adj[x]:
-                if depth[y] < 0:
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    dist[y] = dist[x] + ln
-                    stack.append(y)
-        if len(order) != n:
-            raise PreconditionFailed(f"{t!r} is not a tree")
+        for x in order[1:]:
+            p = parent[x]
+            depth[x] = depth[p] + 1
+            dist[x] = dist[p] + to_parent[x] * mult
         self.vertices, self.index = verts, index
         self.order, self.parent, self.depth, self.dist = order, parent, depth, dist
 
     def rows(self):
         """(rows, pos): rows[i] holds the scaled distances from vertex i to
-        every vertex in preorder, where vertex j sits at pos[j].  A child's
-        row is its parent's, plus the edge length outside the child's
-        subtree and minus it inside."""
+        every vertex in a preorder where every subtree is a contiguous run
+        and vertex j sits at pos[j].  A child's row is its parent's, plus
+        the edge length outside the child's subtree and minus it inside."""
         order, parent, dist = self.order, self.parent, self.dist
         n = len(order)
-        pos = [0] * n
-        for p, x in enumerate(order):
-            pos[x] = p
         size = [1] * n
         for x in reversed(order[1:]):
             size[parent[x]] += size[x]
+        # each child takes the next free run of its parent's block
+        pos = [0] * n
+        free = [1] * n
+        for x in order[1:]:
+            p = parent[x]
+            pos[x] = free[p]
+            free[p] += size[x]
+            free[x] = pos[x] + 1
+        pre = [0] * n
+        for x in order:
+            pre[pos[x]] = x
         rows = [None] * n
-        rows[0] = [dist[x] for x in order]
+        rows[order[0]] = [dist[x] for x in pre]
         for x in order[1:]:
             w = dist[x] - dist[parent[x]]
             lo, hi = pos[x], pos[x] + size[x]
@@ -423,6 +425,38 @@ class _RootedTree:
                 tail.append(y)
                 y = parent[y]
         return [self.vertices[i] for i in head + [x] + tail[::-1]]
+
+
+def _traverse(t, index, scale):
+    """A tree's parent links from one iterative traversal from vertex 0:
+    (preorder, parent, edge length to the parent times `scale`).  A graph
+    that the traversal does not span raises PreconditionFailed."""
+    n = len(index)
+    adj = [[] for _ in range(n)]
+    for (a, b), length in t.edges():
+        if scale % length.denominator:
+            raise ValueError("target tree length does not fit the instance scale")
+        ln = length.numerator * (scale // length.denominator)
+        ia, ib = index[a], index[b]
+        adj[ia].append((ib, ln))
+        adj[ib].append((ia, ln))
+    parent = [0] * n
+    to_parent = [0] * n
+    seen = [False] * n
+    order = []
+    seen[0] = True
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y, ln in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                parent[y], to_parent[y] = x, ln
+                stack.append(y)
+    if len(order) != n:
+        raise PreconditionFailed(f"{t!r} is not a tree")
+    return order, parent, to_parent
 
 
 def _tree_metric(t: MetricGraph) -> DistanceMatrix:

@@ -93,6 +93,8 @@ def _distribution(steps, realize, g: MetricGraph, limit):
     lengths, one per step, to the sample's edges.  Every draw of positive
     probability is realized once and the draws are merged by tree, so the
     work is (draws x steps); more than `limit` draws raise TooManyOutcomes.
+    A step with one positive-probability length draws it with probability
+    1, so a draw's probability multiplies only the branching steps' ones.
     """
     options = []
     for *_, probs, _ in steps:
@@ -106,10 +108,14 @@ def _distribution(steps, realize, g: MetricGraph, limit):
     draws = math.prod(len(step) for step in options)
     if draws > limit:
         raise TooManyOutcomes(f"{draws} positive-probability draws exceed the limit {limit}")
+    lengths = [step[0][0] for step in options]
+    branching = [i for i, step in enumerate(options) if len(step) > 1]
     merged = {}
-    for draw in product(*options):
-        key = frozenset(realize([j for j, _ in draw]))
-        merged[key] = merged.get(key, 0) + math.prod(p for _, p in draw)
+    for draw in product(*[options[i] for i in branching]):
+        for i, (j, _) in zip(branching, draw):
+            lengths[i] = j
+        key = frozenset(realize(lengths))
+        merged[key] = merged.get(key, Fraction(0)) + math.prod(p for _, p in draw)
     result = [(_tree(g, key), prob) for key, prob in sorted(
         merged.items(), key=lambda item: sorted(item[0]))]
     if sum(p for _, p in result) != 1:

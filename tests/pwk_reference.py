@@ -8,13 +8,19 @@ that edge.  ``pwtree.pwk`` keeps only those per-edge maxima and updates
 them in O(k) per step; the tests check that both give the same ranks and
 the same trees.  It is slow (quadratic in n per step) and meant for small
 instances only.
+
+`keep` and `realize` are the per-edge step rule as it reads on edge
+tuples, ranks in a dict keyed by edge and each departing vertex's edges
+popped when it leaves; ``pwtree.pwk`` runs the same rule on integer edge
+codes, and the tests check that both keep the same edges.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from pwtree.graphs import edge_key, minimum_spanning_tree
-from pwtree.pwk import MissingLength, eligible_probs, prefix_thresholds, sample_prefix_length
+from pwtree.pwk import (
+    InvariantViolated, MissingLength, eligible_probs, prefix_thresholds, sample_prefix_length)
 
 
 class ReferenceState:
@@ -167,3 +173,40 @@ def reference_embed(seq, g, rng, tau=None):
     for v, window in seq.steps[1:]:
         state.random_step(v, window, rng)
     return state.tree()
+
+
+def ranked_departures(plan, g):
+    """Each departure of a ``pwtree.pwk`` plan on `g` as (w, ranked): the
+    departing vertex and its candidates as ((edge, other endpoint), ...)."""
+    verts = g.vertices
+    return [(verts[d.w], tuple((e, verts[x]) for (e, _), x in zip(d.edges, d.anchors)))
+            for d in plan.departures]
+
+
+def keep(ranks, w, ranked, j, cap):
+    """The step rule on edge tuples: `w` leaves the clique keeping one of its
+    first `j` edges, the eligible one of largest rank, ties going to the
+    first.  Every eligible edge's rank goes up by one, and the ranks of
+    `w`'s edges move to the kept edge's other endpoint (the anchor).
+    Mutates `ranks` and returns the kept edge."""
+    eligible = ranked[:j]
+    kept, anchor = max(eligible, key=lambda cand: ranks.get(cand[0], 0))
+    for e, _ in eligible:
+        bumped = ranks.get(e, 0) + 1
+        if bumped > cap:
+            raise InvariantViolated(f"rank of {e!r} would pass its cap {cap}")
+        ranks[e] = bumped
+    for e, x in ranked:
+        old = ranks.pop(e, 0)
+        if x != anchor and old > ranks.get(edge_key(anchor, x), 0):
+            ranks[edge_key(anchor, x)] = old
+    return kept
+
+
+def realize(plan, g, lengths):
+    """The sample's edges for its prefix lengths: `keep` once per
+    departure, then the final clique's minimum spanning tree."""
+    ranks = {}
+    return ([keep(ranks, w, ranked, j, plan.cap)
+             for (w, ranked), j in zip(ranked_departures(plan, g), lengths)]
+            + [e for e, _ in plan.mst])

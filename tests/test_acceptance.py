@@ -162,12 +162,12 @@ def test_criterion_05_rank_cap_never_exceeded():
         for _ in range(25):
             g, seq = random_pathwidth_graph(k, 3 * k + 6, small_rational_lengths, rng)
             metric = composed_metric_graph(g, seq)
-            departures, _, plan_cap = _plan(seq, metric, None)
-            assert plan_cap == cap
-            ranks = {}
-            for w, ranked, _, thresholds in departures:
-                _keep(ranks, w, ranked, sample_prefix_length(thresholds, rng), cap)
-                assert all(r <= cap for r in ranks.values())
+            plan = _plan(seq, metric, None)
+            assert plan.cap == cap
+            ranks = [0] * plan.ncodes
+            for d in plan.departures:
+                _keep(ranks, d, sample_prefix_length(d.thresholds, rng), cap)
+                assert all(r <= cap for r in ranks)
 
 
 def test_criterion_06_no_size_growth():

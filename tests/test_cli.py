@@ -218,6 +218,34 @@ class TestTau:
         assert zero != run(capsys, *argv, "--tau", "12")[1]
         assert zero == run(capsys, *argv, "--tau", "0/7")[1]
 
+    def test_edges_mode_measures_sampled_trees_from_their_links(
+            self, capsys, tmp_path, monkeypatch):
+        # each distinct draw's tree carries the parent links it was sampled
+        # with: whatever the number of draws, no target is traversed and no
+        # adjacency is built.  The width-2 sampler's trees are traversed
+        argv = self.generate(capsys, tmp_path)[:-2] + ["--pairs", "edges", "--tau", "1"]
+        counts = dict.fromkeys(["traverse", "adjacency", "pwk", "pw2"], 0)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(harness, "_traverse", counting("traverse", harness._traverse))
+        monkeypatch.setattr(graphs.MetricGraph, "_adjacency",
+                            counting("adjacency", graphs.MetricGraph._adjacency))
+        monkeypatch.setattr(pwk, "embed_pathwidthk", counting("pwk", pwk.embed_pathwidthk))
+        monkeypatch.setattr(pw2, "embed_pathwidth2", counting("pw2", pw2.embed_pathwidth2))
+        realized = []
+        for samples in ("1", "300"):
+            assert run(capsys, *argv, "--samples", samples)[0] == 0
+            realized.append(counts["pwk"])
+        assert realized[0] == 1 and realized[1] > 10
+        assert counts["traverse"] == counts["adjacency"] == 0
+        assert run(capsys, *argv, "--samples", "300", "--warmup")[0] == 0
+        assert counts["traverse"] == counts["pw2"] > 1 and counts["adjacency"] == 0
+
     def test_plan_built_once_per_run(self, capsys, tmp_path, monkeypatch):
         argv = self.generate(capsys, tmp_path)
         calls = []

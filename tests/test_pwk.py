@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tree_metric_and_sequence
-from pwk_reference import ReferenceState, reference_embed
+from pwk_reference import ReferenceState, keep, ranked_departures, realize, reference_embed
 import pwtree
-from pwtree.graphs import build_metric_graph, is_tree, shortest_path_metric
+from pwtree import harness
+from pwtree.graphs import (
+    build_metric_graph, edge_key, integer_scale, is_tree, shortest_path_metric)
 from pwtree.harness import sample_rng
 from pwtree.instances import cycle, phi, random_pathwidth_graph, small_rational_lengths
 from pwtree.pathwidth import (
@@ -29,6 +31,8 @@ from pwtree.pwk import (
     TooManyOutcomes,
     _keep,
     _plan,
+    _realize,
+    _sampled_tree,
     draw_prefixes,
     eligible_probs,
     embed_pathwidthk,
@@ -99,11 +103,10 @@ class TestPrefixThresholds:
         for k in (2, 3, 4):
             for tau in (None, 1):
                 g, seq, metric = random_instance(k, 12, rng)
-                departures, _, _ = _plan(seq, metric, tau)
-                for _, _, probs, thresholds in departures:
-                    assert thresholds == prefix_thresholds(probs)
-                    saturated += thresholds.count(None)
-                    drawn += len(thresholds) - thresholds.count(None)
+                for d in _plan(seq, metric, tau).departures:
+                    assert d.thresholds == prefix_thresholds(d.probs)
+                    saturated += d.thresholds.count(None)
+                    drawn += len(d.thresholds) - d.thresholds.count(None)
         assert saturated > 10 and drawn > 10
 
     def test_sampling_compares_no_fractions(self, monkeypatch):
@@ -178,29 +181,34 @@ class TestEdgeRank:
     def test_bump_after_transition(self):
         g, seq = cycle(5)
         metric = composed_metric_graph(g, seq)
-        departures, _, cap = _plan(seq, metric, None)
-        ranks = {}
-        w, ranked, _, thresholds = departures[0]
-        _keep(ranks, w, ranked, sample_prefix_length(thresholds, random.Random(0)), cap)
-        assert any(r >= 1 for r in ranks.values())
+        plan = _plan(seq, metric, None)
+        ranks = [0] * plan.ncodes
+        d = plan.departures[0]
+        _keep(ranks, d, sample_prefix_length(d.thresholds, random.Random(0)), plan.cap)
+        assert any(r >= 1 for r in ranks)
 
     def test_classrank_matches_bruteforce(self):
         # the step rule's per-edge counters equal the reference's per-pair
-        # ranks maximized over canonical paths, after every step
+        # ranks maximized over canonical paths, after every step, both on
+        # edge tuples and on the plan's edge codes
         rng = random.Random(9)
         checked = 0
         for _ in range(25):
             g, seq, metric = random_instance(2, 10, rng)
-            departures, _, cap = _plan(seq, metric, None)
+            plan = _plan(seq, metric, None)
+            code = {e: i for i, e in enumerate(sorted(seq.composed_edges()))}
             state = ReferenceState(seq, metric)
-            ranks = {}
-            for (w, ranked, _, _), (v, window) in zip(departures, seq.steps[1:]):
+            by_edge, by_code = {}, [0] * plan.ncodes
+            for d, (w, ranked), (v, window) in zip(
+                    plan.departures, ranked_departures(plan, metric), seq.steps[1:]):
                 j = state.random_step(v, window, rng)
-                _keep(ranks, w, ranked, j, cap)
-                unset_is_zero = {e: ranks.get(e, 0) for e in state.clique_edges()}
-                assert unset_is_zero == state.clique_edge_ranks()
-                assert set(ranks) <= set(state.clique_edges())
-                checked += len(ranks)
+                kept = keep(by_edge, w, ranked, j, plan.cap)
+                assert d.edges[_keep(by_code, d, j, plan.cap)][0] == kept
+                want = state.clique_edge_ranks()
+                assert {e: by_edge.get(e, 0) for e in state.clique_edges()} == want
+                assert {e: by_code[code[e]] for e in state.clique_edges()} == want
+                assert set(by_edge) <= set(state.clique_edges())
+                checked += len(by_edge)
         assert checked > 100
 
     def test_rank_cap_holds(self):
@@ -209,12 +217,12 @@ class TestEdgeRank:
             cap = (k + 1) * k // 2
             for _ in range(10):
                 g, seq, metric = random_instance(k, n, rng)
-                departures, _, plan_cap = _plan(seq, metric, None)
-                assert plan_cap == cap
-                ranks = {}
-                for w, ranked, _, thresholds in departures:
-                    _keep(ranks, w, ranked, sample_prefix_length(thresholds, rng), cap)
-                    assert all(r <= cap for r in ranks.values())
+                plan = _plan(seq, metric, None)
+                assert plan.cap == cap
+                ranks = [0] * plan.ncodes
+                for d in plan.departures:
+                    _keep(ranks, d, sample_prefix_length(d.thresholds, rng), cap)
+                    assert all(r <= cap for r in ranks)
 
     def test_cap_breach_raises_under_optimize(self):
         # the cap and pw2's invariants are proof invariants, so their checks
@@ -232,10 +240,12 @@ class TestEdgeRank:
                 sys.exit("asserts are live")
             g, seq = cycle(5)
             metric = composed_metric_graph(g, seq)
-            departures, _, cap = _plan(seq, metric, None)
-            w, ranked, _, _ = departures[0]
+            plan = _plan(seq, metric, None)
+            d = plan.departures[0]
+            ranks = [0] * plan.ncodes
+            ranks[d.codes[0]] = plan.cap
             try:
-                _keep({ranked[0][0]: cap}, w, ranked, 1, cap)
+                _keep(ranks, d, 1, plan.cap)
             except InvariantViolated:
                 print("raised")
             first, steps = pw2._plan(seq, metric, pw2.DEFAULT_TAU)
@@ -332,9 +342,10 @@ class TestStepTransition:
         # least shortest edge from the departing vertex
         g, seq = cycle(5)
         metric = composed_metric_graph(g, seq)
-        departures, _, cap = _plan(seq, metric, None)
-        w, ranked, _, _ = departures[0]
-        assert _keep({}, w, ranked, 2, cap) == ranked[0][0]
+        plan = _plan(seq, metric, None)
+        assert _keep([0] * plan.ncodes, plan.departures[0], 2, plan.cap) == 0
+        (w, ranked), *_ = ranked_departures(plan, metric)
+        assert keep({}, w, ranked, 2, plan.cap) == ranked[0][0]
         state = ReferenceState(seq, metric)
         v, win = seq.steps[1]
         assert state.step(v, win, 2) == ranked[0][0]
@@ -356,6 +367,69 @@ class TestReference:
         assert samples >= 1000
 
 
+@st.composite
+def mixed_instances(draw):
+    """A random width-2/3/4 instance on scattered vertex labels whose lengths
+    mix small rationals with small rationals times 2^j, j up to 40."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(k + 1, k + 5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def length(r):
+        base = small_rational_lengths(r)
+        return base * 2 ** r.randint(1, 40) if r.random() < 0.5 else base
+
+    g, seq = random_pathwidth_graph(k, n, length, rng)
+    label = dict(zip(range(n), rng.sample(range(-99, 100), n)))
+    g = build_metric_graph(label.values(), [(label[u], label[v], d) for (u, v), d in g.edges()])
+    seq = LinearCompositionSequence(k, [label[v] for v in seq.initial],
+                                    [(label[v], {label[x] for x in w}) for v, w in seq.steps])
+    return g, seq
+
+
+class TestParentLinks:
+    @settings(max_examples=40, deadline=None)
+    @given(instance=mixed_instances(), mult=st.sampled_from([1, 6]))
+    def test_links_match_the_edge_rule_and_a_traversal(self, instance, mult):
+        # on every admissible prefix-length vector, the sample's parent links
+        # give the tuple-keyed step rule's edges, and the harness measures
+        # the same distances from them as from a traversal of the tree
+        g, seq = instance
+        metric = composed_metric_graph(g, seq)
+        plan = _plan(seq, metric, None)
+        verts = metric.vertices
+        scale = integer_scale([g]) * mult
+        idx = range(len(verts))
+        pairs = list(itertools.product(idx, idx))
+        for lengths in itertools.product(*[range(1, len(d.anchors) + 1)
+                                           for d in plan.departures]):
+            tree = _sampled_tree(metric, plan, _realize(plan, lengths))
+            order, parent, scaled, own = tree._links
+            assert {edge_key(verts[x], verts[parent[x]]) for x in order[1:]} \
+                == set(realize(plan, metric, lengths)) == tree.edge_keys()
+            assert all(Fraction(scaled[x], own) == metric.length(verts[x], verts[parent[x]])
+                       for x in order[1:])
+            linked = harness._RootedTree(tree, scale)
+            walked = harness._RootedTree(tree.with_edges(dict(tree.edges())), scale)
+            assert linked.order is order and walked.order[0] == 0
+            assert linked.pair_distances(pairs) == walked.pair_distances(pairs)
+            (lrows, lpos), (wrows, wpos) = linked.rows(), walked.rows()
+            assert ([lrows[i][lpos[j]] for i, j in pairs]
+                    == [wrows[i][wpos[j]] for i, j in pairs])
+
+    def test_links_off_the_harness_scale_fall_back_to_a_traversal(self):
+        # a scale the plan's does not divide measures the tree's own edges,
+        # which may still fit it; one that does not fit raises as before
+        metric = build_metric_graph(range(3), [(0, 1, Fraction(1, 2)), (0, 2, 1),
+                                               (1, 2, Fraction(4, 3))])
+        seq = LinearCompositionSequence(2, [0, 1], [(2, {0, 2})])
+        tree = embed_pathwidthk(seq, metric, random.Random(0))
+        assert tree._links[3] == 6 and tree.edge_keys() == {(0, 1), (0, 2)}
+        assert harness._RootedTree(tree, 2).pair_distances([(1, 2)]) == [3]
+        with pytest.raises(ValueError, match="instance scale"):
+            harness._RootedTree(tree, 3)
+
+
 class TestDraws:
     def test_draws_consume_the_stream_as_the_sample(self):
         # the harness tallies draws and realizes each distinct one from its
@@ -367,7 +441,8 @@ class TestDraws:
         for k in (2, 3, 4):
             for _ in range(4):
                 g, seq, metric = random_instance(k, 12, rng)
-                samplers = [(draw_prefixes, embed_pathwidthk, len(_plan(seq, metric, None)[0]))]
+                samplers = [(draw_prefixes, embed_pathwidthk,
+                             len(_plan(seq, metric, None).departures))]
                 if k == 2:
                     samplers.append((pw2.draw_coins, pw2.embed_pathwidth2, len(seq.steps)))
                 for (draw, embed, steps), tau in itertools.product(samplers, (None, 1)):
