@@ -28,6 +28,13 @@ def _write_json(data, out_path):
         sys.stdout.write(text)
 
 
+def _rational(text, option):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # Fraction("1/0")
+        raise BadSpec(f"{option} {text!r} has a zero denominator") from None
+
+
 def cmd_generate(args) -> int:
     seq = None
     if args.family == "phi":
@@ -35,7 +42,7 @@ def cmd_generate(args) -> int:
     elif args.family == "psi":
         g = instances.psi(args.i, args.m)
     elif args.family == "psi-trunc":
-        g = instances.psi_truncated(args.i, args.m, Fraction(args.branches))
+        g = instances.psi_truncated(args.i, args.m, _rational(args.branches, "--branches"))
     elif args.family == "cycle":
         g, seq = instances.cycle(args.n)
     elif args.family == "random-pw":
@@ -98,7 +105,7 @@ def cmd_embed(args) -> int:
         return 1
     k = seq.k
     metric = pathwidth.composed_metric_graph(g, seq)
-    tau = None if args.tau is None else Fraction(args.tau)
+    tau = None if args.tau is None else _rational(args.tau, "--tau")
 
     # each sampler's draws determine its tree: the harness tallies the
     # draws and builds one tree per distinct draw

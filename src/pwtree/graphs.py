@@ -17,7 +17,8 @@ for the source distances of all-pairs reports and of the checkers, since a
 source need not be a tree, and as the oracle of the bag sweep.  Distances in
 a target tree come from the harness's rooted-tree layer instead, which reads
 the tree's parent links: a tree sampled by `pwk` carries them (`_links`), and
-any other tree is traversed once for them.
+any other tree gets them from `spanning_links`, the one traversal, which
+also serves `is_tree` and the tree toolkit's rooting (`pathwidth._rooted`).
 """
 
 from __future__ import annotations
@@ -262,22 +263,36 @@ def reduce_lengths(g: MetricGraph) -> MetricGraph:
     return g.with_edges({(u, v): dm.dist(u, v) for (u, v) in g.edge_keys()})
 
 
+def spanning_links(g: MetricGraph):
+    """(adj, order, parent), the package's one traversal: vertices are
+    numbered by sorted position, adj[i] lists vertex i's neighbours in
+    ascending order, and `order` is the breadth-first order of vertex 0's
+    component.  The root is its own parent; an unreached vertex has None."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj = [[] for _ in index]
+    for u, v in g._edges:
+        a, b = index[u], index[v]
+        adj[a].append(b)
+        adj[b].append(a)
+    for nbrs in adj:
+        nbrs.sort()
+    order = [0] if adj else []  # the root, vertex 0, is its own parent
+    parent = order + [None] * (len(adj) - len(order))
+    for x in order:
+        for y in adj[x]:
+            if parent[y] is None:
+                parent[y] = x
+                order.append(y)
+    return adj, order, parent
+
+
 def is_connected(g: MetricGraph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.n
+    """One component; the empty graph counts as connected."""
+    return len(spanning_links(g)[1]) == g.n
 
 
 def is_tree(g: MetricGraph) -> bool:
-    """Connected and |E| = |V| - 1."""
+    """Connected and |E| = |V| - 1.  The empty graph is not a tree."""
     return g.n >= 1 and g.m == g.n - 1 and is_connected(g)
 
 
@@ -354,13 +369,13 @@ def graph_from_json(data: dict) -> MetricGraph:
     """The graph of {"vertices": [...], "edges": [[u, v, length], ...]}.
 
     A document of another shape (a list, a scalar vertex list, unhashable
-    or unorderable vertex ids, a list or an overflowing number as a
-    length) raises GraphError."""
+    or unorderable vertex ids, a list, an overflowing number or a zero
+    denominator as a length) raises GraphError."""
     try:
         return build_metric_graph(
             data["vertices"], [(u, v, l) for u, v, l in data["edges"]]
         )
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, OverflowError, ZeroDivisionError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from None
 
 

@@ -9,7 +9,8 @@ distinct one once, weighted by its count.  Source distances come from
 `shortest_path_metric`, since a source need not be a tree; every target
 distance comes from the target tree's parent links (`_RootedTree`).  A
 tree sampled by `pwk` carries its links, so it is measured without a
-traversal; any other target is traversed once to get them.
+traversal; any other target gets them from one `graphs.spanning_links`
+call, the traversal that also serves `is_tree` and the tree toolkit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .graphs import (
     graph_to_json,
     integer_scale,
     shortest_path_metric,
+    spanning_links,
 )
 from .pathwidth import tree_pathwidth
 
@@ -323,8 +325,9 @@ class _RootedTree:
     after its parent, the parents, the root being its own, and each
     vertex's edge length to its parent as an integer over the plan's
     scale); they are rescaled to `scale`.  Every other tree, or a sampled
-    one whose scale does not divide `scale`, gets them from one iterative
-    traversal from vertex 0 (`_traverse`).  One pass along the order then
+    one whose scale does not divide `scale`, gets them from the package's
+    one traversal, `graphs.spanning_links`, and each vertex's length to
+    its parent is then scaled to `scale`.  One pass along the order then
     gives each vertex's `depth` and root distance `dist`, times `scale`.
     A graph that is not a tree raises PreconditionFailed, and a length off
     `scale` raises ValueError.
@@ -342,8 +345,15 @@ class _RootedTree:
             order, parent, to_parent, own = t._links
             mult = scale // own
         else:
-            order, parent, to_parent = _traverse(t, index, scale)
-            mult = 1
+            _, order, parent = spanning_links(t)
+            if len(order) != n:
+                raise PreconditionFailed(f"{t!r} is not a tree")
+            to_parent, mult = [0] * n, 1
+            for x in order[1:]:
+                length = t.length(verts[x], verts[parent[x]])
+                if scale % length.denominator:
+                    raise ValueError("target tree length does not fit the instance scale")
+                to_parent[x] = length.numerator * (scale // length.denominator)
         depth = [0] * n
         dist = [0] * n
         for x in order[1:]:
@@ -425,38 +435,6 @@ class _RootedTree:
                 tail.append(y)
                 y = parent[y]
         return [self.vertices[i] for i in head + [x] + tail[::-1]]
-
-
-def _traverse(t, index, scale):
-    """A tree's parent links from one iterative traversal from vertex 0:
-    (preorder, parent, edge length to the parent times `scale`).  A graph
-    that the traversal does not span raises PreconditionFailed."""
-    n = len(index)
-    adj = [[] for _ in range(n)]
-    for (a, b), length in t.edges():
-        if scale % length.denominator:
-            raise ValueError("target tree length does not fit the instance scale")
-        ln = length.numerator * (scale // length.denominator)
-        ia, ib = index[a], index[b]
-        adj[ia].append((ib, ln))
-        adj[ib].append((ia, ln))
-    parent = [0] * n
-    to_parent = [0] * n
-    seen = [False] * n
-    order = []
-    seen[0] = True
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y, ln in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y], to_parent[y] = x, ln
-                stack.append(y)
-    if len(order) != n:
-        raise PreconditionFailed(f"{t!r} is not a tree")
-    return order, parent, to_parent
 
 
 def _tree_metric(t: MetricGraph) -> DistanceMatrix:
@@ -589,12 +567,16 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
         s_tree = _RootedTree(s, dm_s.scale)
     except PreconditionFailed as exc:
         raise HypothesisViolation("s is not a tree") from exc
+    if root not in s_tree.index:
+        raise HypothesisViolation(f"root {root!r} is not a vertex of s")
     subtrees = [set(t) for t in subtrees]
     seen = set()
     first_steps = {}
     for i, sub in enumerate(subtrees):
         if not sub or root in sub:
             raise HypothesisViolation(f"subtree {i} is empty or contains the root")
+        if not sub.issubset(s_tree.index):
+            raise HypothesisViolation(f"subtree {i} leaves the vertex set of s")
         if sub & seen:
             raise HypothesisViolation(f"subtree {i} overlaps another subtree")
         seen |= sub
@@ -609,6 +591,8 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
         if j != i:
             raise HypothesisViolation(f"legs {j} and {i} share more than the root")
     path = list(target_path)
+    if not path or not set(path).issubset(sample.target.vertices):
+        raise HypothesisViolation("target path is empty or leaves the target tree")
     if len(set(path)) != len(path):
         raise HypothesisViolation("target path revisits a vertex")
     for a, b in zip(path, path[1:]):

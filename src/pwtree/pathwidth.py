@@ -4,15 +4,16 @@ The exact oracle works on any small graph via a reachability search over
 vertex-separation prefixes.  Trees get rooted critical labels (Ellis,
 Sudborough & Turner): one iterative bottom-up pass gives the pathwidth,
 and a top-down rerooting pass gives the pathwidth of every branch at every
-vertex, in O(n log n) time without recursion; the traversal that roots a
-tree is the one check that it is a tree.  The path peeling reads its heavy
-branches from that branch table; it removes a simple path and drops every
-remaining component's pathwidth by one, and the recursive peeling builds
-an optimal-width decomposition, one branch table per tree.  Checks that a
-constructed decomposition is valid at the width the proof promises raise
-BrokenInvariant, also under ``python -O``.  Graph distances between
-vertices that share a bag of a composition come from a forward and a
-backward sweep over its bags (`bag_distances`), in O(n k^3) time.
+vertex, in O(n log n) time without recursion.  Rooting a tree at its
+lowest vertex by `graphs.spanning_links` is the one check that it is a
+tree.  The path peeling reads its heavy branches from that branch table;
+it removes a simple path and drops every remaining component's pathwidth
+by one, and the recursive peeling builds an optimal-width decomposition,
+one branch table per tree.  Checks that a constructed decomposition is
+valid at the width the proof promises raise BrokenInvariant, also under
+``python -O``.  Graph distances between vertices that share a bag of a
+composition come from a forward and a backward sweep over its bags
+(`bag_distances`), in O(n k^3) time.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .graphs import (
     build_metric_graph,
     edge_key,
     integer_scale,
+    spanning_links,
     shortest_path_metric,  # not called here; bench/tracer.py wraps it in every importer
     InfiniteDistance,
 )
@@ -518,21 +520,10 @@ def _combine(children):
 
 
 def _rooted(t: MetricGraph):
-    """Index adjacency, breadth-first order from vertex index 0, and parents;
-    raises NotATree when m != n - 1 or the traversal misses a vertex."""
-    if t.m != t.n - 1:
-        raise NotATree(f"{t!r} is not a tree")
-    index = {v: i for i, v in enumerate(t.vertices)}
-    adj = [[index[u] for u in t.neighbors(v)] for v in t.vertices]
-    parent = [None] * len(adj)
-    parent[0] = -1
-    order = [0]
-    for v in order:
-        for u in adj[v]:
-            if parent[u] is None:
-                parent[u] = v
-                order.append(u)
-    if len(order) != len(adj):
+    """`spanning_links` of a tree; raises NotATree when m != n - 1 or the
+    traversal misses a vertex."""
+    adj, order, parent = spanning_links(t)
+    if t.m != t.n - 1 or len(order) != t.n:
         raise NotATree(f"{t!r} is not a tree")
     return adj, order, parent
 

@@ -211,6 +211,18 @@ class TestTau:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("warmup", [[], ["--warmup"]])
+    def test_zero_denominator_tau_is_an_input_error(self, capsys, tmp_path, warmup):
+        # a --tau of 1/0 used to escape as a ZeroDivisionError traceback
+        code, out, err = run(capsys, *self.generate(capsys, tmp_path), "--tau", "1/0", *warmup)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --tau") and err.count("\n") == 1
+
+    def test_zero_denominator_branches_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "generate", "psi-trunc", "--branches", "1/0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --branches") and err.count("\n") == 1
+
     def test_warmup_tau_zero_is_not_the_default(self, capsys, tmp_path):
         argv = [*self.generate(capsys, tmp_path), "--warmup"]
         code, zero, _ = run(capsys, *argv, "--tau", "0")
@@ -222,7 +234,8 @@ class TestTau:
             self, capsys, tmp_path, monkeypatch):
         # each distinct draw's tree carries the parent links it was sampled
         # with: whatever the number of draws, no target is traversed and no
-        # adjacency is built.  The width-2 sampler's trees are traversed
+        # adjacency is built.  The width-2 sampler's trees are traversed,
+        # once each, by the shared traversal and without an adjacency build
         argv = self.generate(capsys, tmp_path)[:-2] + ["--pairs", "edges", "--tau", "1"]
         counts = dict.fromkeys(["traverse", "adjacency", "pwk", "pw2"], 0)
 
@@ -232,7 +245,8 @@ class TestTau:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(harness, "_traverse", counting("traverse", harness._traverse))
+        monkeypatch.setattr(harness, "spanning_links",
+                            counting("traverse", harness.spanning_links))
         monkeypatch.setattr(graphs.MetricGraph, "_adjacency",
                             counting("adjacency", graphs.MetricGraph._adjacency))
         monkeypatch.setattr(pwk, "embed_pathwidthk", counting("pwk", pwk.embed_pathwidthk))
@@ -290,10 +304,13 @@ TRIANGLE_STEPS = {"k": 2, "initial": [0, 1], "steps": [{"new": 2, "window": [0, 
     (TRIANGLE, dict(TRIANGLE_STEPS, initial=5)),
     (TRIANGLE, dict(TRIANGLE_STEPS, k=[2])),
     (TRIANGLE, dict(TRIANGLE_STEPS, k=float("inf"))),
+    ({"vertices": [0, 1], "edges": [[0, 1, "1/0"]]}, None),
 ], ids=["graph-list", "vertices-int", "list-ids", "mixed-ids", "list-length",
-        "infinite-length", "window-int", "initial-int", "k-list", "infinite-k"])
+        "infinite-length", "window-int", "initial-int", "k-list", "infinite-k",
+        "zero-denominator"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
-    # each of these used to escape as a TypeError traceback
+    # each of these used to escape as a TypeError (a zero denominator: a
+    # ZeroDivisionError) traceback
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(graph))
     argv = ["embed", str(gpath), "--samples", "3"]

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from distance_reference import reference_distances
 from pwtree.graphs import (
@@ -24,6 +24,7 @@ from pwtree.graphs import (
     minimum_spanning_tree,
     reduce_lengths,
     shortest_path_metric,
+    spanning_links,
 )
 
 
@@ -204,6 +205,79 @@ class TestTreePredicates:
 
     def test_single_vertex(self):
         assert is_tree(build_metric_graph([5], []))
+
+
+def union_find_components(g):
+    """The test's own oracle: the vertex sets of g's components."""
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in g.edge_keys():
+        root[find(u)] = find(v)
+    comps = {}
+    for v in g.vertices:
+        comps.setdefault(find(v), set()).add(v)
+    return list(comps.values())
+
+
+@st.composite
+def traversal_graphs(draw):
+    """Forests, trees, cycles and scattered pieces on 0-9 vertices: each
+    vertex hangs from an earlier one or starts a new piece, then extra
+    edges may close cycles.  Labels are scattered ints or strings."""
+    n = draw(st.integers(0, 9))
+    names = draw(st.sampled_from([[3 * i + 1 for i in range(n)], [f"v{i}" for i in range(n)]]))
+    names = draw(st.permutations(names))
+    edges = set()
+    for i in range(1, n):
+        j = draw(st.one_of(st.none(), st.integers(0, i - 1)))
+        if j is not None:
+            edges.add(frozenset((names[i], names[j])))
+    pairs = [frozenset(p) for p in itertools.combinations(names, 2)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    return build_metric_graph(names, [(*sorted(e), 1) for e in edges])
+
+
+def edgeless(n):
+    return build_metric_graph(range(n), [])
+
+
+@given(traversal_graphs())
+@example(edgeless(0))
+@example(edgeless(1))
+@example(build_metric_graph(range(5), [(0, 1, 1), (2, 3, 1), (3, 4, 1)]))  # forest
+@example(build_metric_graph(range(4), [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]))  # cycle
+@example(build_metric_graph(range(4), [(0, 1, 1), (1, 2, 1), (0, 2, 1)]))  # m = n - 1, split
+@settings(max_examples=200, deadline=None)
+def test_traversal_matches_union_find(g):
+    comps = union_find_components(g)
+    assert is_connected(g) == (len(comps) <= 1)
+    assert is_tree(g) == (len(comps) == 1 and g.m == g.n - 1)
+    adj, order, parent = spanning_links(g)
+    verts = g.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    assert adj == [sorted(index[u] for e in g.edge_keys() if v in e for u in e if u != v)
+                   for v in verts]
+    if not verts:
+        assert order == parent == []
+        return
+    # breadth-first from vertex 0 over its component, the root its own parent
+    (home,) = [c for c in comps if verts[0] in c]
+    assert sorted(order) == sorted(index[v] for v in home) and order[0] == 0
+    assert parent[0] == 0
+    seen = {0}
+    for x in order[1:]:
+        assert parent[x] in seen and g.has_edge(verts[x], verts[parent[x]])
+        seen.add(x)
+    assert [order.index(parent[x]) for x in order[1:]] == sorted(
+        order.index(parent[x]) for x in order[1:])
+    assert all(parent[i] is None for i in range(len(verts)) if i not in seen)
 
 
 class TestMST:

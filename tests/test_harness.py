@@ -654,6 +654,20 @@ class TestCloseToPath:
         with pytest.raises(HypothesisViolation, match=message):
             check_close_to_P(s, 0, subtrees, [0], identity_sample(s, s), min_leg=1)
 
+    @pytest.mark.parametrize("root, subtrees, path, message", [
+        (9, [{3}], [0], "root 9 is not a vertex of s"),
+        (0, [{3}, {9}], [0], "subtree 1 leaves the vertex set"),
+        (0, [{4}], [7], "leaves the target tree"),
+        (0, [{4}], [], "target path is empty"),
+    ])
+    def test_foreign_vertices_rejected(self, root, subtrees, path, message):
+        # the first three used to escape as a bare KeyError, the empty path
+        # as min()'s ValueError.  The parameters of test_bad_legs_rejected
+        # have no root or path, so these cases live beside it
+        s = build_metric_graph(range(5), [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
+        with pytest.raises(HypothesisViolation, match=message):
+            check_close_to_P(s, root, subtrees, path, identity_sample(s, s), min_leg=1)
+
     def test_cyclic_source_rejected(self):
         # a chord (2, 4) of length d(2, 4) = 2 changes no distance, so the
         # sample stays non-contractive, but s is no longer a tree

@@ -550,7 +550,8 @@ class TestTreeDecomposition:
         rooted, validated, comps = [], [], []
         monkeypatch.setattr(pw, "tree_pathwidth", refuse)
         monkeypatch.setattr(pw, "peel_path", refuse)
-        monkeypatch.setattr(pw, "_rooted", record(rooted, pw._rooted))
+        # `_rooted` roots each tree through the package's one traversal
+        monkeypatch.setattr(pw, "spanning_links", record(rooted, pw.spanning_links))
         monkeypatch.setattr(pw, "validate_path_decomposition",
                             record(validated, pw.validate_path_decomposition))
         forest = pw._forest_components
