@@ -18,7 +18,8 @@ source need not be a tree, and as the oracle of the bag sweep.  Distances in
 a target tree come from the harness's rooted-tree layer instead, which reads
 the tree's parent links: a tree sampled by `pwk` carries them (`_links`), and
 any other tree gets them from `spanning_links`, the one traversal, which
-also serves `is_tree` and the tree toolkit's rooting (`pathwidth._rooted`).
+also serves `is_tree` and the tree toolkit: `pathwidth._rooted` roots each
+tree once per call, and the peeling runs on that rooting's index lists.
 """
 
 from __future__ import annotations

@@ -461,6 +461,8 @@ def average_edge_stretch(g: MetricGraph, sample: EmbeddingSample,
     """Exact per-edge average of target distances, both normalizations."""
     if g.m == 0:
         raise EmptyEdgeSet("the source graph has no edges")
+    if any(v not in sample.fmap for v in g.vertices):
+        raise PreconditionFailed("the sample does not map every vertex of the source graph")
     dm_t = _tree_metric(sample.target)
     if require_noncontraction and not _noncontraction(
             sample, shortest_path_metric(sample.source), dm_t):
@@ -557,6 +559,8 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
     in the target tree.
     """
     L = Fraction(min_leg)
+    if any(v not in sample.fmap for v in s.vertices):
+        raise HypothesisViolation("the sample does not map every vertex of s")
     # one all-pairs run on the source: s's serves it when they are equal
     dm_s = shortest_path_metric(s)
     dm_t = _tree_metric(sample.target)

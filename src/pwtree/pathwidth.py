@@ -4,16 +4,16 @@ The exact oracle works on any small graph via a reachability search over
 vertex-separation prefixes.  Trees get rooted critical labels (Ellis,
 Sudborough & Turner): one iterative bottom-up pass gives the pathwidth,
 and a top-down rerooting pass gives the pathwidth of every branch at every
-vertex, in O(n log n) time without recursion.  Rooting a tree at its
-lowest vertex by `graphs.spanning_links` is the one check that it is a
-tree.  The path peeling reads its heavy branches from that branch table;
-it removes a simple path and drops every remaining component's pathwidth
-by one, and the recursive peeling builds an optimal-width decomposition,
-one branch table per tree.  Checks that a constructed decomposition is
-valid at the width the proof promises raise BrokenInvariant, also under
-``python -O``.  Graph distances between vertices that share a bag of a
-composition come from a forward and a backward sweep over its bags
-(`bag_distances`), in O(n k^3) time.
+vertex, in O(n log n) time without recursion.  Each public tree call
+roots its tree once, at its lowest vertex, by `graphs.spanning_links`,
+the one check that it is a tree.  The path peeling reads its heavy
+branches from that branch table and removes a simple path from the
+rooting's index lists, dropping every remaining component's pathwidth by
+one; recursive peeling on those lists builds an optimal decomposition.
+Checks that a constructed decomposition is valid at the width the proof
+promises raise BrokenInvariant, also under ``python -O``.  Distances
+between vertices sharing a bag of a composition come from a forward and
+a backward sweep over its bags (`bag_distances`), in O(n k^3) time.
 """
 
 from __future__ import annotations
@@ -521,38 +521,40 @@ def _combine(children):
 
 def _rooted(t: MetricGraph):
     """`spanning_links` of a tree; raises NotATree when m != n - 1 or the
-    traversal misses a vertex."""
+    traversal misses a vertex.  The index lists are the caller's own: a peel
+    removes the path from its neighbours' lists, so each component left
+    (its vertices in `order`, root first, every other vertex keeping its
+    parent) lists exactly its edges, and the label passes run on it as is."""
     adj, order, parent = spanning_links(t)
     if t.m != t.n - 1 or len(order) != t.n:
         raise NotATree(f"{t!r} is not a tree")
     return adj, order, parent
 
 
-def _down_labels(adj, order, parent):
-    """Bottom-up pass: the label of every vertex's rooted subtree."""
-    down = [None] * len(adj)
-    for v in reversed(order):
+def _down_labels(adj, comp, parent, down):
+    """Bottom-up pass: the label of every vertex's rooted subtree goes to
+    `down`; returns the component's pathwidth."""
+    for v in reversed(comp):
         counts = {}
         for u in adj[v]:
             if u != parent[v]:
                 counts[down[u]] = counts.get(down[u], 0) + 1
         down[v] = _combine(counts.items())
-    return down
+    return down[comp[0]][0] >> 1
 
 
-def _branch_widths(t: MetricGraph):
-    """Pathwidth of tree t and the branch table: for every vertex v, the
-    pair (u, pw of the component of t - v holding u) for each neighbour u.
+def _branch_widths(adj, comp, parent, down, up):
+    """Pathwidth of a component and its branch table: for every vertex v,
+    in ascending order, the pair (u, pw of the component of comp - v
+    holding u) for each neighbour u.
 
     The top-down pass labels the branch above every vertex from its
     parent's other branches.  Those combines are cached per parent by the
     label left out, so a vertex runs one combine per distinct child label,
     not one per child: a spider with 10^4 equal legs costs one.
     """
-    adj, order, parent = _rooted(t)
-    down = _down_labels(adj, order, parent)
-    up = [None] * len(adj)  # label of the branch at v holding its parent
-    for v in order:
+    level = _down_labels(adj, comp, parent, down)
+    for v in comp:  # up[v] is the label of the branch at v holding its parent
         counts = {}
         for u in adj[v]:
             label = up[v] if u == parent[v] else down[u]
@@ -567,14 +569,8 @@ def _branch_widths(t: MetricGraph):
                 without[label] = _combine(counts.items())
                 counts[label] += 1
             up[u] = without[label]
-    verts = t.vertices
-    table = {
-        verts[v]: [
-            (verts[u], (down[u] if parent[u] == v else up[v])[0] >> 1) for u in nbrs
-        ]
-        for v, nbrs in enumerate(adj)
-    }
-    return down[0][0] >> 1, table
+    return level, {v: [(u, (down[u] if parent[u] == v else up[v])[0] >> 1) for u in adj[v]]
+                   for v in sorted(comp)}
 
 
 def tree_pathwidth(t: MetricGraph) -> int:
@@ -585,7 +581,7 @@ def tree_pathwidth(t: MetricGraph) -> int:
     recursion, so deep trees never reach the recursion limit.
     """
     adj, order, parent = _rooted(t)
-    return _down_labels(adj, order, parent)[0][0] >> 1
+    return _down_labels(adj, order, parent, [None] * t.n)
 
 
 def peel_path(t: MetricGraph):
@@ -597,58 +593,61 @@ def peel_path(t: MetricGraph):
     vertex with no heavy branch, the all-one walk, and the two-heavy-branch
     path extended one vertex on each side); ties are broken by lowest
     vertex id.  Returns (path vertices, leftover components as
-    MetricGraphs).
+    MetricGraphs), each component built from its parent links.
     """
-    level, branches = _branch_widths(t)
+    adj, order, parent = _rooted(t)
+    level, table = _branch_widths(adj, order, parent, [None] * t.n, [None] * t.n)
     if level < 2:
         raise PathwidthTooLow(f"pathwidth {level} tree has no peel path")
-    return _peel(t, level, branches)
+    path = _peel(adj, level, table)
+    verts = t.vertices
+    comps = []
+    for comp in _split(adj, order, parent, path):
+        links = (edge_key(verts[x], verts[parent[x]]) for x in comp[1:])
+        comps.append(MetricGraph([verts[x] for x in comp], {e: t.length(*e) for e in links}))
+    return [verts[v] for v in path], comps
 
 
-def _peel(t: MetricGraph, level, branches):
-    """`peel_path` on a tree of pathwidth `level` >= 2 with its branch table."""
+def _peel(adj, level, table):
+    """`peel_path` of a component of pathwidth `level` >= 2 with its branch table."""
     heavy = {}  # v -> the neighbours leading into its heavy branches
-    for v in t.vertices:
-        heavy[v] = [u for u, width in branches[v] if width == level]
+    for v, branches in table.items():
+        heavy[v] = [u for u, width in branches if width == level]
         if not heavy[v]:
             # no branch at v carries the full pathwidth: v alone peels
-            return [v], _forest_components(t, {v})
-
+            return [v]
     if all(len(us) == 1 for us in heavy.values()):
-        path = _greedy_walk(t, heavy)
-    else:
-        path = _two_sided_path(t, heavy)
-
-    return path, _forest_components(t, set(path))
+        return _greedy_walk(adj, heavy)
+    return _two_sided_path(adj, heavy)
 
 
-def _forest_components(t: MetricGraph, removed):
-    remaining = set(t.vertices) - removed
-    comps = []
-    for start in t.vertices:  # sorted, so each component starts at its lowest vertex
-        if start not in remaining:
-            continue
-        seen = {start}
-        stack = [start]
-        edges = {}
-        while stack:
-            x = stack.pop()
-            for y, length in t.adjacency(x):
-                if y in remaining and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-                    edges[edge_key(x, y)] = length
-        remaining -= seen
-        comps.append(MetricGraph(seen, edges))
+def _split(adj, comp, parent, path):
+    """The components of comp without the peeled path, by lowest vertex.
+
+    Removes the path from its neighbours' index lists, then splits in one
+    pass over comp: a vertex joins its parent's component, and starts one
+    when it is comp's root or its parent was peeled."""
+    peeled = set(path)
+    for p in path:
+        for u in adj[p]:
+            adj[u].remove(p)
+    comps, where = [], {}  # where: a vertex -> its component
+    for x in comp:
+        if x not in peeled:
+            c = where[x] = where.get(parent[x]) or []  # [] when x roots one
+            if not c:
+                comps.append(c)
+            c.append(x)
+    comps.sort(key=min)
     return comps
 
 
-def _branch(t: MetricGraph, v, u):
-    """Vertex set of the component of t - v that holds its neighbour u."""
+def _branch(adj, v, u):
+    """Vertex set of the component of comp - v that holds its neighbour u."""
     seen = {v, u}
     stack = [u]
     while stack:
-        for y in t.neighbors(stack.pop()):
+        for y in adj[stack.pop()]:
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
@@ -656,35 +655,32 @@ def _branch(t: MetricGraph, v, u):
     return seen
 
 
-def _greedy_walk(t, heavy):
-    x = min(v for v in t.vertices if len(t.neighbors(v)) == 1)
-    path = [x]
-    seen = {x}
-    while True:
-        (y,) = heavy[x]
-        if y in seen:
-            return path
-        path.append(y)
-        seen.add(y)
-        x = y
+def _greedy_walk(adj, heavy):
+    """From the lowest leaf along each vertex's heavy branch, up to a repeat."""
+    path = [next(v for v in heavy if len(adj[v]) == 1)]
+    seen = {path[0]}
+    while heavy[path[-1]][0] not in seen:
+        path.append(heavy[path[-1]][0])
+        seen.add(path[-1])
+    return path
 
 
-def _two_sided_path(t, heavy):
-    core = [v for v in t.vertices if len(heavy[v]) == 2]
+def _two_sided_path(adj, heavy):
+    core = [v for v, us in heavy.items() if len(us) == 2]
     if len(core) == 1:
         (v,) = core
-        w1, w2 = sorted(heavy[v], key=lambda u: min(_branch(t, v, u)))
+        w1, w2 = sorted(heavy[v], key=lambda u: min(_branch(adj, v, u)))
         return [w1, v, w2]
     # the heavy-core vertices induce a path; order it end to end, then
     # extend each end by its one heavy branch off the core
     core_set = set(core)
-    ends = [v for v in core if len(core_set.intersection(t.neighbors(v))) == 1]
+    ends = [v for v in core if len(core_set.intersection(adj[v])) == 1]
     if len(ends) != 2:
         raise BrokenInvariant(f"heavy core {core!r} does not induce a path")
     order = [ends[0]]
     prev = None
     while order[-1] != ends[1]:
-        nxt = core_set.intersection(t.neighbors(order[-1])) - {prev}
+        nxt = core_set.intersection(adj[order[-1]]) - {prev}
         prev = order[-1]
         order.append(min(nxt))
     if len(order) != len(core):
@@ -709,60 +705,58 @@ def _check_width(g: MetricGraph, pd: PathDecomposition, width: int, what: str):
 def tree_path_decomposition(t: MetricGraph) -> PathDecomposition:
     """Optimal-width path decomposition of a tree, built by recursive peeling.
 
-    One branch table per tree of the recursion gives its pathwidth and its
-    peel path.  Peel components are trees by construction, and the result
-    is validated once.  The recursion depth is the pathwidth, O(log n).
+    The tree is rooted once; every tree of the recursion is a component of
+    that rooting, and one branch table per component gives its pathwidth
+    and its peel path.  The components are disjoint, so they share one pair
+    of label lists.  Bags hold vertex indices until the result, which is
+    validated once.  The recursion depth is the pathwidth, O(log n).
     """
-    level, branches = _branch_widths(t)
-    bags = _tree_bags(t, level, branches)
-    return _check_width(t, PathDecomposition(bags), level, "tree decomposition")
+    adj, order, parent = _rooted(t)
+    level, bags = _tree_bags(adj, order, parent, [None] * t.n, [None] * t.n)
+    verts = t.vertices
+    pd = PathDecomposition([verts[x] for x in bag] for bag in bags)
+    return _check_width(t, pd, level, "tree decomposition")
 
 
-def _tree_bags(t: MetricGraph, level, branches):
+def _tree_bags(adj, comp, parent, down, up):
+    """(pathwidth, bags) of a component: along its peel path, the bags of
+    the components attached at each path vertex, each with that vertex
+    added, then the path edge onward."""
+    level, table = _branch_widths(adj, comp, parent, down, up)
     if level <= 1:
-        return _caterpillar_decomposition(t).bags
-    path, components = _peel(t, level, branches)
+        return level, _caterpillar_bags(adj, comp)
+    path = _peel(adj, level, table)
+    on_path = set(path)
     attach = {}
-    path_set = set(path)
-    for comp in components:
-        for v in comp.vertices:
-            for u in t.neighbors(v):
-                if u in path_set:
-                    attach.setdefault(u, []).append(comp)
+    for c in _split(adj, comp, parent, path):
+        # a component hangs at its root's parent; the one holding comp's
+        # root hangs at the path vertex whose parent is off the path
+        at = parent[c[0]] if c[0] != comp[0] else next(
+            p for p in path if parent[p] not in on_path)
+        attach.setdefault(at, []).append(c)
     bags = []
     for i, v in enumerate(path):
-        for comp in attach.get(v, []):
-            for bag in _tree_bags(comp, *_branch_widths(comp)):
-                bags.append(bag | {v})
+        for c in attach.get(v, []):
+            bags.extend(bag | {v} for bag in _tree_bags(adj, c, parent, down, up)[1])
         if i + 1 < len(path):
             bags.append(frozenset({v, path[i + 1]}))
+    return level, bags
+
+
+def _caterpillar_bags(adj, comp):
+    """Bags of a component of pathwidth <= 1: along its spine from the lower
+    end, each spine vertex's leaves in order, then the spine edge onward."""
+    if len(comp) <= 2:
+        return [frozenset(comp)]
+    spine = {v for v in comp if len(adj[v]) >= 2}
+    x = min(v for v in spine if sum(u in spine for u in adj[v]) <= 1)
+    bags, prev = [], None
+    while x is not None:
+        bags += [frozenset({x, u}) for u in adj[x] if u not in spine]
+        prev, x = x, next((u for u in adj[x] if u in spine and u != prev), None)
+        if x is not None:
+            bags.append(frozenset({prev, x}))
     return bags
-
-
-def _caterpillar_decomposition(t: MetricGraph) -> PathDecomposition:
-    adj = {v: set(t.neighbors(v)) for v in t.vertices}
-    if t.n <= 2:
-        return PathDecomposition([frozenset(t.vertices)])
-    spine = sorted(v for v in t.vertices if len(adj[v]) >= 2)
-    if len(spine) == 1:
-        center = spine[0]
-        return PathDecomposition(
-            [frozenset({center, leaf}) for leaf in sorted(adj[center])]
-        )
-    ends = [v for v in spine if len(adj[v] & set(spine)) == 1]
-    order = [min(ends)]
-    prev = None
-    while len(order) < len(spine):
-        nxt = (adj[order[-1]] & set(spine)) - {prev}
-        prev = order[-1]
-        order.append(min(nxt))
-    bags = []
-    for i, v in enumerate(order):
-        for leaf in sorted(adj[v] - set(spine)):
-            bags.append(frozenset({v, leaf}))
-        if i + 1 < len(order):
-            bags.append(frozenset({v, order[i + 1]}))
-    return PathDecomposition(bags)
 
 
 # --- JSON interchange -------------------------------------------------------

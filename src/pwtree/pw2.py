@@ -85,6 +85,26 @@ def float_threshold(p) -> float:
     return math.nextafter(thr, math.inf) if thr < p else thr
 
 
+def sample_prefix_length(thresholds, rng) -> int:
+    """Draw an eligible-prefix length; a saturated step (None) extends without a draw."""
+    return _draw_lengths([(thresholds,)], rng)[0]
+
+
+def _draw_lengths(steps, rng):
+    """The one draw rule of both samplers: each step's `sample_prefix_length`
+    on the thresholds in its last field, inlined (no call per step)."""
+    lengths = []
+    for step in steps:
+        j = 1
+        for thr in step[-1]:
+            # a float draw is below thr exactly when it is below p
+            if thr is not None and not (rng.random() < thr):
+                break
+            j += 1
+        lengths.append(j)
+    return lengths
+
+
 def _distribution(steps, realize, g: MetricGraph, limit):
     """Exact output distribution of a sampler as [(tree, probability)].
 
@@ -162,11 +182,6 @@ def _tree(g, edges):
     return g.with_edges({e: g.length(*e) for e in edges})
 
 
-def _lengths(steps, rng):
-    # a float draw is below thr exactly when it is below p
-    return [1 + (rng.random() < thr) for _, _, _, _, (thr,) in steps]
-
-
 def _realize(plan, lengths):
     """The step rule: each step adds its two edges and deletes the one its
     drawn length names; the next window edge must survive."""
@@ -186,7 +201,7 @@ def draw_coins(seq: LinearCompositionSequence, g: MetricGraph, rng,
     where it deletes the step's victim and 1 where it deletes the other
     edge.  Consumes `rng` exactly as `embed_pathwidth2` does, whose tree
     is a function of the result."""
-    return bytes(_lengths(_plan(seq, g, tau)[1], rng))
+    return bytes(_draw_lengths(_plan(seq, g, tau)[1], rng))
 
 
 def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
@@ -198,7 +213,7 @@ def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
     draws its lengths as `draw_coins` does, then applies the step rule.
     """
     plan = _plan(seq, g, tau)
-    return _tree(g, _realize(plan, _lengths(plan[1], rng)))
+    return _tree(g, _realize(plan, _draw_lengths(plan[1], rng)))
 
 
 def enumerate_pw2_distribution(seq: LinearCompositionSequence, g: MetricGraph,

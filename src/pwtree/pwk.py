@@ -35,9 +35,10 @@ from typing import NamedTuple
 
 from .graphs import MetricGraph, edge_key, integer_scale, minimum_spanning_tree
 from .pathwidth import LinearCompositionSequence
-# InvariantViolated, NegativeTau and TooManyOutcomes are shared with pw2 and re-exported here
+# errors and the draw rule shared with pw2, re-exported here
 from .pw2 import (  # noqa: F401
-    InvariantViolated, NegativeTau, TooManyOutcomes, _distribution, check_tau, float_threshold)
+    InvariantViolated, NegativeTau, TooManyOutcomes, _distribution, _draw_lengths, check_tau,
+    float_threshold, sample_prefix_length)
 
 
 class MissingLength(ValueError):
@@ -65,17 +66,6 @@ def eligible_probs(lengths, tau):
 def prefix_thresholds(probs):
     """Each probability's float threshold (`float_threshold`), None where p = 1."""
     return tuple(None if p == 1 else float_threshold(p) for p in probs)
-
-
-def sample_prefix_length(thresholds, rng) -> int:
-    """Draw an eligible-prefix length; a saturated step (None) extends without a draw."""
-    j = 1
-    for thr in thresholds:
-        # a float draw is below thr exactly when it is below p
-        if thr is not None and not (rng.random() < thr):
-            break
-        j += 1
-    return j
 
 
 class _Departure(NamedTuple):
@@ -185,10 +175,6 @@ def _keep(ranks, departure, j, cap):
     return best
 
 
-def _prefix_lengths(departures, rng):
-    return [sample_prefix_length(d.thresholds, rng) for d in departures]
-
-
 def _realize(plan, lengths):
     """The kept candidate of every departure for its prefix lengths: the
     step rule once per departure."""
@@ -227,7 +213,7 @@ def draw_prefixes(seq: LinearCompositionSequence, g: MetricGraph, rng,
     Consumes `rng` exactly as `embed_pathwidthk` does, whose tree is a
     function of the result.  A length is at most k, so it packs into one
     byte per departure below k = 256 and into eight from there on."""
-    lengths = _prefix_lengths(_plan(seq, g, tau).departures, rng)
+    lengths = _draw_lengths(_plan(seq, g, tau).departures, rng)
     return bytes(lengths) if seq.k < 256 else array("Q", lengths).tobytes()
 
 
@@ -239,7 +225,7 @@ def embed_pathwidthk(seq: LinearCompositionSequence, g: MetricGraph, rng,
     sample draws its prefix lengths as `draw_prefixes` does, then applies
     the step rule with them."""
     plan = _plan(seq, g, tau)
-    return _sampled_tree(g, plan, _realize(plan, _prefix_lengths(plan.departures, rng)))
+    return _sampled_tree(g, plan, _realize(plan, _draw_lengths(plan.departures, rng)))
 
 
 def enumerate_pwk_distribution(seq: LinearCompositionSequence, g: MetricGraph,

@@ -501,6 +501,14 @@ class TestAverageEdgeStretch:
         with pytest.raises(PreconditionFailed):
             check_noncontraction(sample)
 
+    @pytest.mark.parametrize("require_noncontraction", [True, False])
+    def test_unmapped_vertex_rejected(self, require_noncontraction):
+        # vertex 4 of the graph is outside the sample's map; its edge (3, 4)
+        # used to escape as a bare KeyError 4
+        g = unit_path(5)
+        sample = identity_sample(unit_path(4), unit_path(4))
+        with pytest.raises(PreconditionFailed, match="does not map"):
+            average_edge_stretch(g, sample, require_noncontraction=require_noncontraction)
 
     def test_one_distance_run_per_graph(self, monkeypatch):
         calls = []
@@ -667,6 +675,14 @@ class TestCloseToPath:
         s = build_metric_graph(range(5), [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
         with pytest.raises(HypothesisViolation, match=message):
             check_close_to_P(s, root, subtrees, path, identity_sample(s, s), min_leg=1)
+
+    def test_unmapped_vertex_rejected(self):
+        # every subtree is inside the sample's map, but the sum over s's
+        # edges walks (3, 4) and used to escape as a bare KeyError 4
+        s = build_metric_graph(range(5), [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
+        g = s.induced(range(4))
+        with pytest.raises(HypothesisViolation, match="does not map every vertex of s"):
+            check_close_to_P(s, 0, [{3}], [0], identity_sample(g, g), min_leg=1)
 
     def test_cyclic_source_rejected(self):
         # a chord (2, 4) of length d(2, 4) = 2 changes no distance, so the

@@ -44,6 +44,17 @@ from pwtree.pathwidth import (
 )
 
 
+def branch_table(t):
+    """`_branch_widths` of a whole tree with its vertex labels; the table
+    lists the vertices in ascending order, as `_peel` reads them."""
+    adj, order, parent = pw._rooted(t)
+    level, table = _branch_widths(adj, order, parent, [None] * t.n, [None] * t.n)
+    assert list(table) == sorted(table)
+    verts = t.vertices
+    return level, {verts[v]: [(verts[u], w) for u, w in branches]
+                   for v, branches in table.items()}
+
+
 def unit_path(n):
     return build_metric_graph(range(n), [(i, i + 1, 1) for i in range(n - 1)])
 
@@ -440,7 +451,7 @@ class TestAgainstReference:
     @settings(max_examples=100, deadline=None)
     def test_branch_table(self, t):
         # every branch's width is the reference width of that component
-        level, table = _branch_widths(t)
+        level, table = branch_table(t)
         assert level == reference.tree_pathwidth(t)
         for v in t.vertices:
             comps = reference._split_components(
@@ -456,7 +467,7 @@ class TestLargeTrees:
     @staticmethod
     def check_table(t):
         # the branch table obeys the three-branch rule at every vertex
-        level, table = _branch_widths(t)
+        level, table = branch_table(t)
         assert level == tree_pathwidth(t)
         thirds = [sorted((w for _, w in table[v]), reverse=True)[2]
                   for v in t.vertices if len(table[v]) >= 3]
@@ -535,37 +546,53 @@ class TestTreeDecomposition:
             assert validate_path_decomposition(t, pd) == tree_pathwidth(t)
 
     def test_one_labelling_per_tree(self, monkeypatch):
-        # the recursion reads each tree's level and peel path from one branch
-        # table; peel components are trees by construction, so nothing
-        # re-checks them, and the decomposition is validated once
+        # one rooting for the whole call; every tree of the recursion is a
+        # component of it, labelled once by one branch table, and none is
+        # rebuilt as a graph or re-checked; the decomposition is validated once
         t = psi(2, 81)
         want = reference.tree_path_decomposition(t).bags
 
         def refuse(*args):
             raise AssertionError("not called by tree_path_decomposition")
 
-        def record(calls, f):
-            return lambda *args: calls.append(args[0]) or f(*args)
+        def spy(name):
+            calls, f = [], getattr(pw, name)
+            monkeypatch.setattr(pw, name, lambda *args: calls.append((args, f(*args))) or calls[-1][1])
+            return calls
 
-        rooted, validated, comps = [], [], []
         monkeypatch.setattr(pw, "tree_pathwidth", refuse)
         monkeypatch.setattr(pw, "peel_path", refuse)
-        # `_rooted` roots each tree through the package's one traversal
-        monkeypatch.setattr(pw, "spanning_links", record(rooted, pw.spanning_links))
-        monkeypatch.setattr(pw, "validate_path_decomposition",
-                            record(validated, pw.validate_path_decomposition))
-        forest = pw._forest_components
-
-        def split(*args):
-            out = forest(*args)
-            comps.extend(out)
-            return out
-
-        monkeypatch.setattr(pw, "_forest_components", split)
+        monkeypatch.setattr(pw, "MetricGraph", refuse)
+        rooted, validated = spy("spanning_links"), spy("validate_path_decomposition")
+        labelled, split = spy("_branch_widths"), spy("_split")
         assert tree_path_decomposition(t).bags == want
-        assert validated == [t]
-        assert sorted(map(id, rooted)) == sorted(map(id, [t] + comps))
+        assert [args for args, _ in rooted] == [(t,)]
+        assert [args[0] for args, _ in validated] == [t]
+        order = rooted[0][1][1]
+        trees = [order] + [comp for _, comps in split for comp in comps]
+        assert len(trees) > 10
+        assert sorted(id(args[1]) for args, _ in labelled) == sorted(map(id, trees))
         assert not hasattr(pw, "is_tree")
+        assert not hasattr(pw, "_forest_components")
+
+    def test_toolkit_builds_no_adjacency(self, monkeypatch):
+        # the toolkit reads the rooting's index lists, never the graph's
+        # sorted (vertex, length) adjacency
+        rng = random.Random(17)
+        trees = [psi(2, 81), phi(4), unit_path(6)] + [
+            random_unit_tree(rng.randint(2, 40), rng) for _ in range(30)]
+        want = [(reference.tree_pathwidth(t), reference.tree_path_decomposition(t).bags)
+                for t in trees]
+        peels = [reference.peel_path(t) for t, (level, _) in zip(trees, want) if level >= 2]
+        fresh = [build_metric_graph(t.vertices, [(u, v, w) for (u, v), w in t.edges()])
+                 for t in trees]
+
+        def refuse(self):
+            raise AssertionError("the tree toolkit built a MetricGraph adjacency")
+
+        monkeypatch.setattr(pw.MetricGraph, "_adjacency", refuse)
+        assert [(tree_pathwidth(t), tree_path_decomposition(t).bags) for t in fresh] == want
+        assert [peel_path(t) for t, (level, _) in zip(fresh, want) if level >= 2] == peels
 
     def test_invariants_raise_under_optimize(self):
         # the width checks on built decompositions are proof invariants, so
@@ -593,11 +620,11 @@ class TestTreeDecomposition:
             pw._vs_search = lambda g, limit: (  # claims width 0
                 lambda order, k, *rest: (order, 0, *rest))(*real_search(g, limit))
             attempt(pw.exact_path_decomposition, path3)
-            # the three leaves of a star as the heavy core: not a path
-            star = build_metric_graph(range(4), [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+            # the three leaves of a star (index lists) as the heavy core: not a path
+            star = [[1, 2, 3], [0], [0], [0]]
             attempt(pw._two_sided_path, star, {0: [1], 1: [0, 0], 2: [0, 0], 3: [0, 0]})
-            real_peel = pw._peel
-            pw._peel = lambda *args: (lambda path, comps: (path, comps[1:]))(*real_peel(*args))
+            real_split = pw._split
+            pw._split = lambda *args: real_split(*args)[1:]
             attempt(pw.tree_path_decomposition, psi(1, 9))  # a component dropped
         """)
         src = os.path.dirname(os.path.dirname(pwtree.__file__))

@@ -5,7 +5,9 @@ scheme: `tree_pathwidth` recurses over every component reachable by
 deleting vertices (memoised by vertex set, with a caterpillar test at
 pathwidth 1), and `peel_path` splits the tree at every vertex to find its
 heavy branches.  It runs in about O(n^3) and serves the tests as the
-oracle for the labels, `peel_path` and `tree_path_decomposition`.
+oracle for the labels, `peel_path` and `tree_path_decomposition`.  Its
+pathwidth-1 bags come from its own caterpillar decomposition, which walks
+the spine on the tree's `MetricGraph` adjacency.
 """
 
 from pwtree.graphs import MetricGraph, is_tree
@@ -13,7 +15,6 @@ from pwtree.pathwidth import (
     NotATree,
     PathDecomposition,
     PathwidthTooLow,
-    _caterpillar_decomposition,
     validate_path_decomposition,
 )
 
@@ -201,3 +202,29 @@ def tree_path_decomposition(t: MetricGraph) -> PathDecomposition:
     pd = PathDecomposition(bags)
     assert validate_path_decomposition(t, pd) == level
     return pd
+
+
+def _caterpillar_decomposition(t: MetricGraph) -> PathDecomposition:
+    adj = {v: set(t.neighbors(v)) for v in t.vertices}
+    if t.n <= 2:
+        return PathDecomposition([frozenset(t.vertices)])
+    spine = sorted(v for v in t.vertices if len(adj[v]) >= 2)
+    if len(spine) == 1:
+        center = spine[0]
+        return PathDecomposition(
+            [frozenset({center, leaf}) for leaf in sorted(adj[center])]
+        )
+    ends = [v for v in spine if len(adj[v] & set(spine)) == 1]
+    order = [min(ends)]
+    prev = None
+    while len(order) < len(spine):
+        nxt = (adj[order[-1]] & set(spine)) - {prev}
+        prev = order[-1]
+        order.append(min(nxt))
+    bags = []
+    for i, v in enumerate(order):
+        for leaf in sorted(adj[v] - set(spine)):
+            bags.append(frozenset({v, leaf}))
+        if i + 1 < len(order):
+            bags.append(frozenset({v, order[i + 1]}))
+    return PathDecomposition(bags)
