@@ -102,7 +102,10 @@ class LinearCompositionSequence:
     __slots__ = ("k", "initial", "steps")
 
     def __init__(self, k, initial, steps):
-        self.k = int(k)
+        # bool is an int subclass, but True is no width
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise BadSequence(f"malformed width {k!r}: k must be an int")
+        self.k = k
         self.initial = tuple(initial)
         self.steps = tuple((v, frozenset(w)) for v, w in steps)
         self._validate()
@@ -786,7 +789,7 @@ def composition_from_json(data: dict) -> LinearCompositionSequence:
             data["initial"],
             [(s["new"], frozenset(s["window"])) for s in data["steps"]],
         )
-    except (TypeError, OverflowError) as exc:
+    except TypeError as exc:
         raise BadSequence(f"malformed composition JSON: {exc}") from None
 
 

@@ -305,12 +305,17 @@ TRIANGLE_STEPS = {"k": 2, "initial": [0, 1], "steps": [{"new": 2, "window": [0, 
     (TRIANGLE, dict(TRIANGLE_STEPS, k=[2])),
     (TRIANGLE, dict(TRIANGLE_STEPS, k=float("inf"))),
     ({"vertices": [0, 1], "edges": [[0, 1, "1/0"]]}, None),
+    (TRIANGLE, dict(TRIANGLE_STEPS, k=2.5)),
+    (TRIANGLE, dict(TRIANGLE_STEPS, k=2.0)),
+    (TRIANGLE, dict(TRIANGLE_STEPS, k="2")),
+    (TRIANGLE, dict(TRIANGLE_STEPS, k=True)),
 ], ids=["graph-list", "vertices-int", "list-ids", "mixed-ids", "list-length",
         "infinite-length", "window-int", "initial-int", "k-list", "infinite-k",
-        "zero-denominator"])
+        "zero-denominator", "k-fraction", "k-float", "k-string", "k-bool"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
     # each of these used to escape as a TypeError (a zero denominator: a
-    # ZeroDivisionError) traceback
+    # ZeroDivisionError) traceback, except a non-int k, which int(k) coerced:
+    # 2.5 to a width-2 run, True to width 1
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(graph))
     argv = ["embed", str(gpath), "--samples", "3"]
@@ -326,6 +331,6 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
 def test_well_formed_json_still_embeds(capsys, tmp_path):
     gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
     gpath.write_text(json.dumps(TRIANGLE))
-    cpath.write_text(json.dumps(dict(TRIANGLE_STEPS, k="2")))
+    cpath.write_text(json.dumps(TRIANGLE_STEPS))
     code, *_ = run(capsys, "embed", str(gpath), "--composition", str(cpath), "--samples", "3")
     assert code == 0

@@ -58,6 +58,11 @@ NON_TREES = {
     "triangle": [(0, 1, 1), (1, 2, 1), (0, 2, 1)],
 }
 
+# maps of the path 0-3 onto itself that send 3 outside the tree or leave it
+# out; each used to escape the checkers as a bare KeyError 9 or KeyError 3
+OFF_TARGET = {0: 0, 1: 1, 2: 2, 3: 9}
+UNMAPPED = {0: 0, 1: 1, 2: 2}
+
 
 @st.composite
 def weighted_trees(draw, max_n=24):
@@ -161,6 +166,13 @@ class TestNonContraction:
             found += len(expected)
         assert found > 50
 
+    @pytest.mark.parametrize("fmap", [OFF_TARGET, UNMAPPED], ids=["outside-target", "unmapped"])
+    def test_image_outside_the_target_rejected(self, fmap):
+        g = unit_path(4)
+        with pytest.raises(PreconditionFailed, match=r"every vertex of its source into its "
+                                                     r"target \(not 3\)"):
+            check_noncontraction(EmbeddingSample(g, g, fmap))
+
 
 class TestOneDistanceRun:
     @pytest.mark.parametrize("pairs", ["all", "edges"])
@@ -237,6 +249,16 @@ class TestSourceMetric:
 
 
 class TestEstimateDistortion:
+    @pytest.mark.parametrize("tally", ["samples", "outcomes"])
+    @pytest.mark.parametrize("fmap", [OFF_TARGET, UNMAPPED], ids=["outside-target", "unmapped"])
+    @pytest.mark.parametrize("pairs", ["all", "edges"])
+    def test_image_outside_the_target_rejected(self, pairs, fmap, tally):
+        g = unit_path(4)
+        outcome = None if tally == "samples" else (lambda rng: 0)
+        with pytest.raises(PreconditionFailed, match="does not map every vertex of the graph"):
+            estimate_distortion(g, lambda rng: EmbeddingSample(g, g, fmap), 3, seed=0,
+                                pairs=pairs, outcome=outcome)
+
     def test_identity_tree(self):
         t = unit_path(6)
         report = estimate_distortion(t, lambda rng: t, 50, seed=1)
@@ -510,6 +532,13 @@ class TestAverageEdgeStretch:
         with pytest.raises(PreconditionFailed, match="does not map"):
             average_edge_stretch(g, sample, require_noncontraction=require_noncontraction)
 
+    @pytest.mark.parametrize("require_noncontraction", [True, False])
+    def test_image_outside_the_target_rejected(self, require_noncontraction):
+        g = unit_path(4)
+        with pytest.raises(PreconditionFailed, match="of the source graph into its target"):
+            average_edge_stretch(g, EmbeddingSample(g, g, OFF_TARGET),
+                                 require_noncontraction=require_noncontraction)
+
     def test_one_distance_run_per_graph(self, monkeypatch):
         calls = []
         real = harness.shortest_path_metric
@@ -580,6 +609,11 @@ class TestWitnessVerifier:
         fmap = {v: v % 4 for v in g.vertices}
         with pytest.raises(PreconditionFailed):
             verify_lower_bound_witness(1, 16, EmbeddingSample(g, square, fmap))
+
+    def test_image_outside_the_target_rejected(self):
+        g = unit_path(4)
+        with pytest.raises(PreconditionFailed, match="of the source graph into its target"):
+            verify_lower_bound_witness(1, 16, EmbeddingSample(g, g, OFF_TARGET))
 
 
 class TestCloseToPath:
@@ -683,6 +717,11 @@ class TestCloseToPath:
         g = s.induced(range(4))
         with pytest.raises(HypothesisViolation, match="does not map every vertex of s"):
             check_close_to_P(s, 0, [{3}], [0], identity_sample(g, g), min_leg=1)
+
+    def test_image_outside_the_target_rejected(self):
+        g = unit_path(4)
+        with pytest.raises(HypothesisViolation, match="every vertex of s into its target"):
+            check_close_to_P(g, 0, [{3}], [0], EmbeddingSample(g, g, OFF_TARGET), min_leg=1)
 
     def test_cyclic_source_rejected(self):
         # a chord (2, 4) of length d(2, 4) = 2 changes no distance, so the

@@ -191,6 +191,15 @@ class TestCompositionSequences:
         with pytest.raises(BadSequence):
             LinearCompositionSequence(2, [0, 1], [(2, {3, 4})])
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", True, None])
+    def test_non_int_width_rejected(self, k):
+        # int(k) used to turn 2.5 into a width-2 sequence and True into width 1
+        with pytest.raises(BadSequence, match="must be an int"):
+            LinearCompositionSequence(k, [0, 1], [(2, {0, 2})])
+        data = composition_to_json(LinearCompositionSequence(2, [0, 1], [(2, {0, 2})]))
+        with pytest.raises(BadSequence, match="must be an int"):
+            composition_from_json(dict(data, k=k))
+
     def test_json_round_trip(self):
         seq = LinearCompositionSequence(2, [0, 1], [(2, {0, 2}), (3, {0, 3})])
         data = composition_to_json(seq)
