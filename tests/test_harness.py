@@ -114,6 +114,31 @@ class TestRootedTree:
         assert tree.pair_distances([(0, n - 1), (n - 1, 1), (7, 7)]) == [n - 1, n - 2, 0]
         assert tree.path(n - 1, 0) == list(range(n - 1, -1, -1))
 
+    def test_deep_spider_pairs(self):
+        # three legs of 1,000 below the root: far pairs climb every jump level,
+        # in O(log n) steps each where a parent-by-parent climb takes ~1,000
+        legs, n = 3, 1000
+        label = {(leg, i): 1 + leg * n + i for leg in range(legs) for i in range(n)}
+        edges = [(0 if i == 0 else label[leg, i - 1], label[leg, i], 1)
+                 for leg in range(legs) for i in range(n)]
+        tree = harness._RootedTree(build_metric_graph(range(legs * n + 1), edges), 1)
+        rng = random.Random(5)
+        ends = [(rng.randrange(legs), rng.randrange(n)) for _ in range(400)]
+        pairs = list(zip(ends, ends[1:]))
+        want = [abs(i - j) if a == b else i + j + 2 for (a, i), (b, j) in pairs]
+
+        class Reads(list):
+            count = 0
+
+            def __getitem__(self, i):
+                Reads.count += 1
+                return list.__getitem__(self, i)
+
+        tree.depth = Reads(tree.depth)
+        assert tree.pair_distances([(label[x], label[y]) for x, y in pairs]) == want
+        size = legs * n + 1
+        assert Reads.count <= 3 * size + 20 * math.log2(size) * len(pairs)
+
     def test_length_off_the_instance_scale(self):
         t = build_metric_graph(range(2), [(0, 1, Fraction(1, 3))])
         with pytest.raises(ValueError, match="instance scale"):
@@ -170,7 +195,7 @@ class TestNonContraction:
     def test_image_outside_the_target_rejected(self, fmap):
         g = unit_path(4)
         with pytest.raises(PreconditionFailed, match=r"every vertex of its source into its "
-                                                     r"target \(not 3\)"):
+                                                     r"target \(source vertex 3\)"):
             check_noncontraction(EmbeddingSample(g, g, fmap))
 
 
@@ -255,7 +280,8 @@ class TestEstimateDistortion:
     def test_image_outside_the_target_rejected(self, pairs, fmap, tally):
         g = unit_path(4)
         outcome = None if tally == "samples" else (lambda rng: 0)
-        with pytest.raises(PreconditionFailed, match="does not map every vertex of the graph"):
+        with pytest.raises(PreconditionFailed, match=r"does not map every vertex of the graph "
+                                                     r"into its target \(source vertex 3\)"):
             estimate_distortion(g, lambda rng: EmbeddingSample(g, g, fmap), 3, seed=0,
                                 pairs=pairs, outcome=outcome)
 
@@ -535,9 +561,19 @@ class TestAverageEdgeStretch:
     @pytest.mark.parametrize("require_noncontraction", [True, False])
     def test_image_outside_the_target_rejected(self, require_noncontraction):
         g = unit_path(4)
-        with pytest.raises(PreconditionFailed, match="of the source graph into its target"):
+        with pytest.raises(PreconditionFailed,
+                           match=r"of the source graph into its target \(source vertex 3\)"):
             average_edge_stretch(g, EmbeddingSample(g, g, OFF_TARGET),
                                  require_noncontraction=require_noncontraction)
+
+    def test_sample_source_checked_only_for_noncontraction(self):
+        # the sample's source has a vertex g lacks; only the sweep reads it
+        g, source = unit_path(3), unit_path(4)
+        sample = EmbeddingSample(source, source, {v: v for v in g.vertices})
+        assert average_edge_stretch(g, sample, require_noncontraction=False).mean_distance == 1
+        with pytest.raises(PreconditionFailed,
+                           match=r"of its source into its target \(source vertex 3\)"):
+            average_edge_stretch(g, sample)
 
     def test_one_distance_run_per_graph(self, monkeypatch):
         calls = []
@@ -612,7 +648,8 @@ class TestWitnessVerifier:
 
     def test_image_outside_the_target_rejected(self):
         g = unit_path(4)
-        with pytest.raises(PreconditionFailed, match="of the source graph into its target"):
+        with pytest.raises(PreconditionFailed,
+                           match=r"of the source graph into its target \(source vertex 3\)"):
             verify_lower_bound_witness(1, 16, EmbeddingSample(g, g, OFF_TARGET))
 
 
@@ -720,8 +757,17 @@ class TestCloseToPath:
 
     def test_image_outside_the_target_rejected(self):
         g = unit_path(4)
-        with pytest.raises(HypothesisViolation, match="every vertex of s into its target"):
+        with pytest.raises(HypothesisViolation,
+                           match=r"every vertex of s into its target \(source vertex 3\)"):
             check_close_to_P(g, 0, [{3}], [0], EmbeddingSample(g, g, OFF_TARGET), min_leg=1)
+
+    def test_sample_source_outside_s_rejected(self):
+        # s is mapped; the sweep also reads the sample's source, whose vertex 3 is not
+        s, source = unit_path(3), unit_path(4)
+        sample = EmbeddingSample(source, source, {v: v for v in s.vertices})
+        with pytest.raises(HypothesisViolation,
+                           match=r"every vertex of its source into its target \(source vertex 3\)"):
+            check_close_to_P(s, 0, [{2}], [0], sample, min_leg=1)
 
     def test_cyclic_source_rejected(self):
         # a chord (2, 4) of length d(2, 4) = 2 changes no distance, so the
