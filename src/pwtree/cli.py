@@ -92,9 +92,9 @@ def cmd_embed(args) -> int:
         # no witness supplied: only oracle-scale graphs may proceed
         try:
             pd = pathwidth.exact_path_decomposition(g)
-        except pathwidth.TooLarge:
+        except pathwidth.TooLarge as exc:
             print(
-                "error: graph too large to analyze without a composition file; "
+                f"error: cannot analyze the graph without a composition file ({exc}); "
                 "pass --composition",
                 file=sys.stderr,
             )
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,10 +16,11 @@ reads each edge's d_G from the composed metric's lengths.  The kernel stays
 for the source distances of all-pairs reports and of the checkers, since a
 source need not be a tree, and as the oracle of the bag sweep.  Distances in
 a target tree come from the harness's rooted-tree layer instead, which reads
-the tree's parent links: a tree sampled by `pwk` carries them (`_links`), and
-any other tree gets them from `spanning_links`, the one traversal, which
-also serves `is_tree` and the tree toolkit: `pathwidth._rooted` roots each
-tree once per call, and the peeling runs on that rooting's index lists.
+the tree's parent links: a tree sampled by `pwk` or `pw2` carries them
+(`_links`), and any other tree gets them from `spanning_links`, the one
+traversal, which also serves `is_tree` and the tree toolkit:
+`pathwidth._rooted` roots each tree once per call, and the peeling runs on
+that rooting's index lists.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import heapq
 import json
 import math
 from fractions import Fraction
-from typing import Iterable
 
 
 class GraphError(ValueError):
@@ -78,9 +78,10 @@ class MetricGraph:
     Instances are immutable after construction and safe to share across
     threads; the sorted adjacency lists are built on the first `neighbors`
     or `adjacency` call.  Use :func:`build_metric_graph` to construct with
-    validation.  A tree sampled by `pwk` also keeps, in `_links`, the
-    parent links it was realized from, for the harness's rooted-tree layer;
-    every other graph has None there.
+    validation.  A tree sampled by `pwk` or `pw2` also keeps, in `_links`,
+    the parent links it was realized from (`pw2._sampled_tree` is the one
+    function that sets them), for the harness's rooted-tree layer; every
+    other graph has None there.
     """
 
     __slots__ = ("_vertices", "_edges", "_adj", "_hash", "_links")
@@ -226,7 +227,7 @@ class DistanceMatrix:
 
 def shortest_path_metric(g: MetricGraph) -> DistanceMatrix:
     """Exact APSP: Dijkstra per source over lengths scaled to integers."""
-    scale = integer_scale([g])
+    scale = integer_scale(g)
     index = {v: i for i, v in enumerate(g.vertices)}
     adj = [[] for _ in g.vertices]
     for (u, v), length in g._edges.items():
@@ -369,13 +370,15 @@ def graph_to_json(g: MetricGraph) -> dict:
 def graph_from_json(data: dict) -> MetricGraph:
     """The graph of {"vertices": [...], "edges": [[u, v, length], ...]}.
 
-    A document of another shape (a list, a scalar vertex list, unhashable
-    or unorderable vertex ids, a list, an overflowing number or a zero
-    denominator as a length) raises GraphError."""
+    A document of another shape (a list, a missing key, a scalar vertex
+    list, unhashable or unorderable vertex ids, a list, an overflowing
+    number or a zero denominator as a length) raises GraphError."""
     try:
         return build_metric_graph(
             data["vertices"], [(u, v, l) for u, v, l in data["edges"]]
         )
+    except KeyError as exc:
+        raise GraphError(f"malformed graph JSON: missing key {exc}") from None
     except (TypeError, OverflowError, ZeroDivisionError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from None
 
@@ -391,12 +394,11 @@ def load_graph(path) -> MetricGraph:
         return graph_from_json(json.load(fh))
 
 
-def integer_scale(graphs: Iterable[MetricGraph]) -> int:
-    """Smallest positive integer turning every edge length into an integer."""
+def integer_scale(g: MetricGraph) -> int:
+    """Smallest positive integer turning every edge length of `g` into an integer."""
     scale = 1
-    for g in graphs:
-        for _, length in g.edges():
-            d = length.denominator
-            if scale % d:
-                scale = scale * d // math.gcd(scale, d)
+    for length in g._edges.values():
+        d = length.denominator
+        if scale % d:
+            scale = scale * d // math.gcd(scale, d)
     return scale

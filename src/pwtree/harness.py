@@ -8,9 +8,10 @@ index alone.  The estimate tallies equal samples and measures each
 distinct one once, weighted by its count.  Source distances come from
 `shortest_path_metric`, since a source need not be a tree; every target
 distance comes from the target tree's parent links (`_RootedTree`).  A
-tree sampled by `pwk` carries its links, so it is measured without a
-traversal; any other target gets them from one `graphs.spanning_links`
-call, the traversal that also serves `is_tree` and the tree toolkit.
+tree sampled by `pwk` or `pw2` carries its links, so it is measured
+without a traversal; any other target gets them from one
+`graphs.spanning_links` call, the traversal that also serves `is_tree`
+and the tree toolkit.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
         raise ValueError(f"unknown pairs mode {pairs!r}")
     # source distances stay integers in the scale of g until the report
     if pairs == "edges" and source_metric is not None:
-        scale = integer_scale([g])
+        scale = integer_scale(g)
         measured = _edge_distances(g, source_metric, scale)
     else:
         dm = shortest_path_metric(g)
@@ -340,9 +341,9 @@ def _accumulate(sums, sumsq, src_scaled, dists, count):
 class _RootedTree:
     """A tree as parent links over its vertices, numbered in sorted order.
 
-    The links come from one of two sources.  A tree sampled by `pwk`
-    carries them (`MetricGraph._links`: an order that lists every vertex
-    after its parent, the parents, the root being its own, and each
+    The links come from one of two sources.  A tree sampled by `pwk` or
+    `pw2` carries them (`MetricGraph._links`: an order that lists every
+    vertex after its parent, the parents, the root being its own, and each
     vertex's edge length to its parent as an integer over the plan's
     scale); they are rescaled to `scale`.  Every other tree, or a sampled
     one whose scale does not divide `scale`, gets them from the package's
@@ -465,7 +466,7 @@ class _RootedTree:
 
 def _tree_metric(t: MetricGraph) -> DistanceMatrix:
     """A tree's all-pairs distances in sorted vertex order, from its layer."""
-    scale = integer_scale([t])
+    scale = integer_scale(t)
     rows, pos = _RootedTree(t, scale).rows()
     for row in rows:  # in place, so one n x n table is alive at a time
         row[:] = [row[p] for p in pos]

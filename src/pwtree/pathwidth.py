@@ -203,7 +203,7 @@ def composed_graph(seq: LinearCompositionSequence) -> MetricGraph:
 def bag_distances(g: MetricGraph, seq: LinearCompositionSequence):
     """d_g between every two vertices that share a bag of `seq`, as scaled integers.
 
-    Returns ``(dists, scale)`` with ``scale = integer_scale([g])``.  `dists`
+    Returns ``(dists, scale)`` with ``scale = integer_scale(g)``.  `dists`
     maps every such pair, keyed by `edge_key` (these pairs are exactly the
     composed edges), to d_g times `scale`, or to None when the two are
     disconnected in `g`.
@@ -223,7 +223,7 @@ def bag_distances(g: MetricGraph, seq: LinearCompositionSequence):
     if set(seq.vertices) != set(g.vertices):
         raise BadSequence("sequence and graph disagree on the vertex set")
     composed = seq.composed_edges()
-    scale = integer_scale([g])
+    scale = integer_scale(g)
     scaled = {}
     for (u, v), length in g.edges():
         if (u, v) not in composed:
@@ -782,13 +782,16 @@ def composition_to_json(seq: LinearCompositionSequence) -> dict:
 
 def composition_from_json(data: dict) -> LinearCompositionSequence:
     """The sequence of {"k": k, "initial": [...], "steps": [{"new": v,
-    "window": [...]}, ...]}; a document of another shape raises BadSequence."""
+    "window": [...]}, ...]}; a document of another shape or with a missing
+    key raises BadSequence."""
     try:
         return LinearCompositionSequence(
             data["k"],
             data["initial"],
             [(s["new"], frozenset(s["window"])) for s in data["steps"]],
         )
+    except KeyError as exc:
+        raise BadSequence(f"malformed composition JSON: missing key {exc}") from None
     except TypeError as exc:
         raise BadSequence(f"malformed composition JSON: {exc}") from None
 

@@ -1,28 +1,33 @@
-"""Random spanning trees of width-2 composition graphs.
+"""Random spanning trees of width-2 composition graphs, and the plan and
+tree construction both samplers share.
 
 Each step attaches the new vertex to both ends of the current window edge
 and deletes one edge of the resulting triangle, biased toward keeping
 short edges.  The output is a spanning subtree carrying original lengths,
-so it never contracts any distance.
+so it never contracts any distance.  A step is a departure, as in `pwk`:
+one vertex leaves the window, attached by one edge to an anchor that stays.
+If the window stays on {u, v}, the new vertex x departs with anchors
+(u, v); if it slides, the endpoint that leaves departs with anchors (x,
+the endpoint that stays), so the new window edge always survives.
 
-Nothing but the coin flips depends on the sample, so `_plan` lists the
-steps once per (sequence, metric, tau) and keeps the last plan: every
-sample of a run reuses it.  A sample's only random choices are its drawn
-lengths, one per step (`draw_coins`): length 2, with probability p,
-deletes the step's victim and length 1 the other edge.  One step rule
-(`_realize`) turns the lengths into the tree, both for the sampler and
-for the exact enumerator, which realizes every draw of positive
-probability (`_distribution`, shared with `pwk`).
+`_plan` lists the departures once per (sequence, metric, tau) and keeps
+the last plan.  A sample's only random choices are its drawn lengths, one
+per step (`draw_coins`); length j keeps anchor j - 1 (`_realize`).  Both
+samplers build their plans with `_build_plan` and their trees, which carry
+their parent links (`_links`), with `_sampled_tree`; the exact enumerator
+realizes every draw of positive probability (`_distribution`).  Both check
+every realized sample for n - 1 edges.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
-from .graphs import MetricGraph, edge_key
+from .graphs import MetricGraph, edge_key, integer_scale
 from .pathwidth import LinearCompositionSequence
 
 DEFAULT_TAU = Fraction(12)
@@ -105,22 +110,107 @@ def _draw_lengths(steps, rng):
     return lengths
 
 
-def _distribution(steps, realize, g: MetricGraph, limit):
+class _Departure(NamedTuple):
+    """A vertex leaving the window, with its candidate edges to the vertices
+    that stay; drawn length j makes candidates 1..j eligible.  Vertices are
+    indices in sorted vertex order.  In `pwk` the candidates are sorted by
+    (length, edge) and an edge's code is its position among the sorted
+    composed edges, which hold every pair that shares a clique; `pw2` has
+    no codes."""
+    w: int
+    anchors: tuple     # each candidate's other endpoint
+    edges: tuple       # each candidate's (edge key, length)
+    scaled: tuple      # each candidate's length times the plan's scale
+    codes: tuple       # each candidate's edge code
+    moves: tuple       # per kept candidate: (position of x, code of anchor-x) for every other x
+    probs: tuple       # exact eligible-prefix probabilities, for the enumerator
+    thresholds: tuple  # their float thresholds, None where saturated at 1
+
+
+class _Plan(NamedTuple):
+    """Everything that does not depend on the sample.
+
+    The kept edge of a departing vertex leads to an anchor that departs
+    later or stays in the final clique (in `pw2`, the final window), so
+    every sample is one tree whose parent links differ only at the
+    departing vertices: `parent` and `scaled` hold the final clique's
+    spanning tree, rooted at its first vertex (its own parent), and `order`
+    lists every vertex after its parent: that clique from its root, then
+    the departures in reverse."""
+    departures: tuple
+    mst: tuple         # the final clique's spanning tree as (edge key, length)
+    order: tuple
+    parent: tuple
+    scaled: tuple      # per vertex, the length to its parent times `scale`
+    scale: int
+    cap: int           # pwk's rank cap
+    ncodes: int        # the number of edge codes: one per composed edge, in sorted order
+
+
+def _build_plan(g: MetricGraph, steps, mst, cap=0, ncodes=0) -> _Plan:
+    """The plan of `steps`, one (w, anchors, codes, moves, probs,
+    thresholds) per departure with w and its anchors as vertices, and of
+    `mst`, the edge keys of the final clique's spanning tree."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    scale = integer_scale(g)
+
+    def scaled(length):
+        return length.numerator * (scale // length.denominator)
+
+    departures = []
+    for w, anchors, *rest in steps:
+        edges = tuple((edge_key(w, x), g.length(w, x)) for x in anchors)
+        departures.append(_Departure(index[w], tuple(index[x] for x in anchors), edges,
+                                     tuple(scaled(length) for _, length in edges), *rest))
+    mst = tuple((e, g.length(*e)) for e in mst)
+    parent, to_parent = list(range(g.n)), [0] * g.n
+    order = [min(index[v] for e, _ in mst for v in e)]
+    for x in order:  # the clique's few vertices, from the root
+        for (a, b), length in mst:
+            ia, ib = index[a], index[b]
+            if x in (ia, ib) and ia + ib - x not in order:
+                y = ia + ib - x
+                parent[y], to_parent[y] = x, scaled(length)
+                order.append(y)
+    order += [d.w for d in reversed(departures)]
+    return _Plan(tuple(departures), mst, tuple(order), tuple(parent), tuple(to_parent), scale,
+                 cap, ncodes)
+
+
+def _sampled_tree(g, plan, kept):
+    """The tree of the kept candidates, carrying its parent links
+    (order, parent, scaled, scale) for the harness."""
+    parent, scaled = list(plan.parent), list(plan.scaled)
+    edges = {}
+    for d, i in zip(plan.departures, kept):
+        e, length = d.edges[i]
+        edges[e] = length
+        parent[d.w], scaled[d.w] = d.anchors[i], d.scaled[i]
+    edges.update(plan.mst)
+    tree = g.with_edges(edges)
+    if tree.m != tree.n - 1:
+        raise InvariantViolated(f"{tree.m} edges on {tree.n} vertices is not a tree")
+    tree._links = plan.order, parent, scaled, plan.scale
+    return tree
+
+
+def _distribution(plan, realize, g: MetricGraph, limit):
     """Exact output distribution of a sampler as [(tree, probability)].
 
-    Each step ends in (probs, thresholds), probs[j - 1] being the exact
-    P[the drawn length extends past j]; `realize` maps a list of drawn
-    lengths, one per step, to the sample's edges.  Every draw of positive
-    probability is realized once and the draws are merged by tree, so the
+    Each departure's probs[j - 1] is the exact P[the drawn length extends
+    past j]; `realize(plan, lengths)` maps a list of drawn lengths, one per
+    departure, to the kept candidates.  Every draw of positive probability
+    is realized once, as the kept edges and the final clique's spanning
+    tree, checked for n - 1 edges, and the draws are merged by tree, so the
     work is (draws x steps); more than `limit` draws raise TooManyOutcomes.
     A step with one positive-probability length draws it with probability
     1, so a draw's probability multiplies only the branching steps' ones.
     """
     options = []
-    for *_, probs, _ in steps:
+    for d in plan.departures:
         # P[length j] = P[reach j] * P[stop at j]; the last never extends
         reach, step = Fraction(1), []
-        for j, p in enumerate(probs + (0,), 1):
+        for j, p in enumerate(d.probs + (0,), 1):
             p_j, reach = reach * (1 - p), reach * p
             if p_j:
                 step.append((j, p_j))
@@ -130,13 +220,16 @@ def _distribution(steps, realize, g: MetricGraph, limit):
         raise TooManyOutcomes(f"{draws} positive-probability draws exceed the limit {limit}")
     lengths = [step[0][0] for step in options]
     branching = [i for i, step in enumerate(options) if len(step) > 1]
-    merged = {}
+    merged, closing = {}, [e for e, _ in plan.mst]
     for draw in product(*[options[i] for i in branching]):
         for i, (j, _) in zip(branching, draw):
             lengths[i] = j
-        key = frozenset(realize(lengths))
+        kept = realize(plan, lengths)
+        key = frozenset([d.edges[i][0] for d, i in zip(plan.departures, kept)] + closing)
+        if len(key) != g.n - 1:
+            raise InvariantViolated(f"{len(key)} edges on {g.n} vertices is not a tree")
         merged[key] = merged.get(key, Fraction(0)) + math.prod(p for _, p in draw)
-    result = [(_tree(g, key), prob) for key, prob in sorted(
+    result = [(g.with_edges({e: g.length(*e) for e in key}), prob) for key, prob in sorted(
         merged.items(), key=lambda item: sorted(item[0]))]
     if sum(p for _, p in result) != 1:
         raise InvariantViolated("enumerated probabilities do not sum to 1")
@@ -145,14 +238,11 @@ def _distribution(steps, realize, g: MetricGraph, limit):
 
 @lru_cache(maxsize=1)
 def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
-    """Everything that does not depend on the sample: (first edge, steps).
-
-    Each step is (added, (other, victim), window, (p,), (thr,)): the two
-    new edges, the edge deleted at drawn length 1 and the one deleted at
-    length 2, which has probability p, the next window's edge, which the
-    step must keep, and p's float threshold.  Every step draws, even at
-    p = 1.  A `tau` of None means DEFAULT_TAU.
-    """
+    """The departures of (sequence, metric, tau), each with its two anchors
+    and p = P[length 2], the probability of deleting the edge to the first
+    anchor, with p's float threshold: every step draws, even at p = 1.  The
+    final window's edge closes the tree.  A `tau` of None means
+    DEFAULT_TAU."""
     if seq.k != 2:
         raise WrongWidth(f"this construction needs k=2, got k={seq.k}")
     tau = check_tau(DEFAULT_TAU if tau is None else tau)
@@ -160,48 +250,35 @@ def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
     steps = []
     for x, retained in seq.steps:
         if retained == {u, v}:
-            deleted = edge_key(v, x), edge_key(u, x)
+            w, anchors = x, (u, v)
             risk = "same_window", g.length(u, x), g.length(v, x)
         else:
-            # the slid window edge always survives; the risk is between
-            # the opposite new edge and the old window edge
-            keep = u if v in retained else v
-            deleted = edge_key(u, v), edge_key(keep, x)
-            risk = "moved_window", g.length(keep, x), None, g.length(u, v)
+            # the window slides off w: the risk is between w's edge to x
+            # and the old window edge
+            w = u if v in retained else v
+            anchors = x, v if w == u else u
+            risk = "moved_window", g.length(w, x), None, g.length(u, v)
         try:
             p = pw2_deletion_probability(*risk, tau=tau)
         except DegenerateZero:
             p = Fraction(1, 2)
-        steps.append(((edge_key(u, x), edge_key(v, x)), deleted, edge_key(*retained),
-                      (p,), (float_threshold(p),)))
+        steps.append((w, anchors, (), (), (p,), (float_threshold(p),)))
         u, v = sorted(retained)
-    return edge_key(*seq.initial), tuple(steps)
-
-
-def _tree(g, edges):
-    return g.with_edges({e: g.length(*e) for e in edges})
+    return _build_plan(g, steps, [edge_key(u, v)])
 
 
 def _realize(plan, lengths):
-    """The step rule: each step adds its two edges and deletes the one its
-    drawn length names; the next window edge must survive."""
-    first, steps = plan
-    tree = {first}
-    for (added, deleted, window, _, _), j in zip(steps, lengths):
-        tree.update(added)
-        tree.discard(deleted[j - 1])
-        if window not in tree:
-            raise InvariantViolated(f"window edge {window!r} was deleted")
-    return tree
+    """The step rule: drawn length j keeps anchor j - 1."""
+    return [j - 1 for j in lengths]
 
 
 def draw_coins(seq: LinearCompositionSequence, g: MetricGraph, rng,
                tau=DEFAULT_TAU) -> bytes:
     """A sample's random choices: one byte per step, its drawn length, 2
-    where it deletes the step's victim and 1 where it deletes the other
-    edge.  Consumes `rng` exactly as `embed_pathwidth2` does, whose tree
-    is a function of the result."""
-    return bytes(_draw_lengths(_plan(seq, g, tau)[1], rng))
+    where it deletes the edge to the step's first anchor and 1 where it
+    keeps it.  Consumes `rng` exactly as `embed_pathwidth2` does, whose
+    tree is a function of the result."""
+    return bytes(_draw_lengths(_plan(seq, g, tau).departures, rng))
 
 
 def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
@@ -209,11 +286,11 @@ def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
     """Sample a random spanning tree of the composed graph of `seq`.
 
     `g` must be the reduced metric graph on the composed edge set; the
-    returned tree keeps the lengths of the edges it retains.  The sample
-    draws its lengths as `draw_coins` does, then applies the step rule.
-    """
+    returned tree keeps the lengths of the edges it retains and carries its
+    parent links.  The sample draws its lengths as `draw_coins` does, then
+    applies the step rule."""
     plan = _plan(seq, g, tau)
-    return _tree(g, _realize(plan, _draw_lengths(plan[1], rng)))
+    return _sampled_tree(g, plan, _realize(plan, _draw_lengths(plan.departures, rng)))
 
 
 def enumerate_pw2_distribution(seq: LinearCompositionSequence, g: MetricGraph,
@@ -222,5 +299,4 @@ def enumerate_pw2_distribution(seq: LinearCompositionSequence, g: MetricGraph,
 
     The sampler's step rule realized on every positive-probability draw;
     `limit` bounds the number of those draws."""
-    plan = _plan(seq, g, tau)
-    return _distribution(plan[1], partial(_realize, plan), g, limit)
+    return _distribution(_plan(seq, g, tau), _realize, g, limit)

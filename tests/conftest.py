@@ -1,17 +1,20 @@
 """Shared helpers: random trees, exhaustive tree enumeration, witnesses."""
 
+import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from pwtree.graphs import MetricGraph, build_metric_graph, shortest_path_metric
+from pwtree.graphs import MetricGraph, build_metric_graph, edge_key, shortest_path_metric
 from pwtree.pathwidth import (
     LinearCompositionSequence,
     composed_metric_graph,
     decomposition_to_composition,
     tree_path_decomposition,
 )
-from pwtree.harness import EmbeddingSample
+from pwtree.harness import EmbeddingSample, _RootedTree
+from pwtree.instances import random_pathwidth_graph, small_rational_lengths
 
 # edge lengths: zero, integers, and large or prime denominators
 LENGTHS = st.one_of(
@@ -128,3 +131,43 @@ def flatten_to_path(g: MetricGraph) -> EmbeddingSample:
         edges.append((a, b, d))
     target = build_metric_graph(order, edges)
     return EmbeddingSample(g, target, {v: v for v in order})
+
+
+@st.composite
+def mixed_instances(draw, widths=(2, 3, 4)):
+    """A random instance of one of `widths` on scattered vertex labels whose lengths
+    mix small rationals with small rationals times 2^j, j up to 40."""
+    k = draw(st.sampled_from(widths))
+    n = draw(st.integers(k + 1, k + 5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def length(r):
+        base = small_rational_lengths(r)
+        return base * 2 ** r.randint(1, 40) if r.random() < 0.5 else base
+
+    g, seq = random_pathwidth_graph(k, n, length, rng)
+    label = dict(zip(range(n), rng.sample(range(-99, 100), n)))
+    g = build_metric_graph(label.values(), [(label[u], label[v], d) for (u, v), d in g.edges()])
+    seq = LinearCompositionSequence(k, [label[v] for v in seq.initial],
+                                    [(label[v], {label[x] for x in w}) for v, w in seq.steps])
+    return g, seq
+
+
+def linked_edges(tree, metric, scale):
+    """The edges of a sampled tree's parent links, after checking that the
+    links list every vertex, carry the metric's lengths, and give the
+    harness the same distances at `scale` as a traversal of the tree."""
+    order, parent, scaled, own = tree._links
+    verts = tree.vertices
+    idx = range(len(verts))
+    assert sorted(order) == list(idx)
+    assert all(Fraction(scaled[x], own) == metric.length(verts[x], verts[parent[x]])
+               for x in order[1:])
+    linked = _RootedTree(tree, scale)
+    walked = _RootedTree(tree.with_edges(dict(tree.edges())), scale)
+    assert linked.order is order and walked.order[0] == 0
+    pairs = list(itertools.product(idx, idx))
+    assert linked.pair_distances(pairs) == walked.pair_distances(pairs)
+    (lrows, lpos), (wrows, wpos) = linked.rows(), walked.rows()
+    assert [lrows[i][lpos[j]] for i, j in pairs] == [wrows[i][wpos[j]] for i, j in pairs]
+    return {edge_key(verts[x], verts[parent[x]]) for x in order[1:]}

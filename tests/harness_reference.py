@@ -27,7 +27,7 @@ def reference_estimate(g, embedder, num_samples, seed, pairs="all"):
         measured = [(u, v, d) for u, v, d in dm.pairs() if d is not None]
     else:
         measured = [(u, v, dm.dist(u, v)) for (u, v), _ in g.edges()]
-    scale = integer_scale([g])
+    scale = integer_scale(g)
     src_scaled = [d.numerator * (scale // d.denominator) for _, _, d in measured]
     sums = [0] * len(measured)
     sumsq = [0] * len(measured)

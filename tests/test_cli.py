@@ -230,13 +230,13 @@ class TestTau:
         assert zero != run(capsys, *argv, "--tau", "12")[1]
         assert zero == run(capsys, *argv, "--tau", "0/7")[1]
 
-    def test_edges_mode_measures_sampled_trees_from_their_links(
-            self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("pairs", ["edges", "all"])
+    def test_sampled_trees_are_measured_from_their_links(
+            self, capsys, tmp_path, monkeypatch, pairs):
         # each distinct draw's tree carries the parent links it was sampled
-        # with: whatever the number of draws, no target is traversed and no
-        # adjacency is built.  The width-2 sampler's trees are traversed,
-        # once each, by the shared traversal and without an adjacency build
-        argv = self.generate(capsys, tmp_path)[:-2] + ["--pairs", "edges", "--tau", "1"]
+        # with, in both samplers: whatever the number of draws, no target is
+        # traversed and no adjacency is built
+        argv = self.generate(capsys, tmp_path)[:-2] + ["--pairs", pairs, "--tau", "1"]
         counts = dict.fromkeys(["traverse", "adjacency", "pwk", "pw2"], 0)
 
         def counting(name, fn):
@@ -258,7 +258,7 @@ class TestTau:
         assert realized[0] == 1 and realized[1] > 10
         assert counts["traverse"] == counts["adjacency"] == 0
         assert run(capsys, *argv, "--samples", "300", "--warmup")[0] == 0
-        assert counts["traverse"] == counts["pw2"] > 1 and counts["adjacency"] == 0
+        assert counts["pw2"] > 10 and counts["traverse"] == counts["adjacency"] == 0
 
     def test_plan_built_once_per_run(self, capsys, tmp_path, monkeypatch):
         argv = self.generate(capsys, tmp_path)
@@ -309,13 +309,18 @@ TRIANGLE_STEPS = {"k": 2, "initial": [0, 1], "steps": [{"new": 2, "window": [0, 
     (TRIANGLE, dict(TRIANGLE_STEPS, k=2.0)),
     (TRIANGLE, dict(TRIANGLE_STEPS, k="2")),
     (TRIANGLE, dict(TRIANGLE_STEPS, k=True)),
+    ({"vertices": [0, 1]}, TRIANGLE_STEPS),
+    (TRIANGLE, {"k": 2, "initial": [0, 1]}),
+    (TRIANGLE, dict(TRIANGLE_STEPS, steps=[{"window": [0, 2]}])),
 ], ids=["graph-list", "vertices-int", "list-ids", "mixed-ids", "list-length",
         "infinite-length", "window-int", "initial-int", "k-list", "infinite-k",
-        "zero-denominator", "k-fraction", "k-float", "k-string", "k-bool"])
+        "zero-denominator", "k-fraction", "k-float", "k-string", "k-bool",
+        "no-edges", "no-steps", "step-without-new"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
     # each of these used to escape as a TypeError (a zero denominator: a
     # ZeroDivisionError) traceback, except a non-int k, which int(k) coerced:
-    # 2.5 to a width-2 run, True to width 1
+    # 2.5 to a width-2 run, True to width 1.  A missing key printed the bare
+    # key, caught as a KeyError, which would also have hidden a program fault
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(graph))
     argv = ["embed", str(gpath), "--samples", "3"]
@@ -326,6 +331,20 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: malformed") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, reason", [
+    (0, "(empty graph)"), (21, "(21 vertices exceeds the oracle limit of 20)"),
+], ids=["empty", "too-large"])
+def test_embed_without_composition_names_why_it_cannot_analyze(capsys, tmp_path, n, reason):
+    # an empty graph used to be reported as too large
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"vertices": list(range(n)),
+                                 "edges": [[i, i + 1, 1] for i in range(n - 1)]}))
+    code, out, err = run(capsys, "embed", str(gpath), "--samples", "3")
+    assert code == 1 and out == ""
+    assert err == ("error: cannot analyze the graph without a composition file "
+                   f"{reason}; pass --composition\n")
 
 
 def test_well_formed_json_still_embeds(capsys, tmp_path):

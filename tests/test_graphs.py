@@ -341,4 +341,4 @@ class TestJson:
 
     def test_integer_scale(self):
         g = build_metric_graph([0, 1, 2], [(0, 1, "1/6"), (1, 2, "3/4")])
-        assert integer_scale([g]) == 12
+        assert integer_scale(g) == 12

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pwtree.graphs import is_tree, shortest_path_metric
+from conftest import linked_edges, mixed_instances
+from pwtree.graphs import edge_key, integer_scale, is_tree, shortest_path_metric
+from pwtree.harness import sample_rng
 from pwtree.instances import cycle, random_pathwidth_graph, small_rational_lengths
 from pwtree.pathwidth import LinearCompositionSequence, composed_metric_graph
 from pwtree.pw2 import (
@@ -14,7 +17,10 @@ from pwtree.pw2 import (
     NegativeTau,
     TooManyOutcomes,
     WrongWidth,
+    _draw_lengths,
     _plan,
+    _realize,
+    _sampled_tree,
     embed_pathwidth2,
     enumerate_pw2_distribution,
     float_threshold,
@@ -147,6 +153,88 @@ class TestEnumeration:
         for t, p in enumerate_pw2_distribution(seq, metric):
             freq = counts.get(frozenset(t.edge_keys()), 0) / n
             assert abs(freq - float(p)) < 0.05
+
+
+def reference_steps(seq, g, tau=DEFAULT_TAU):
+    """The literal width-2 step rule, which `pw2` runs as departures: each
+    step as (added, deleted, window, p), the two new edges, the edge
+    deleted at drawn length 1 and the one deleted at length 2, which has
+    probability p, and the next window's edge."""
+    u, v = sorted(seq.initial)
+    out = []
+    for x, retained in seq.steps:
+        if retained == {u, v}:
+            deleted = edge_key(v, x), edge_key(u, x)
+            risk = "same_window", g.length(u, x), g.length(v, x)
+        else:
+            # the slid window edge always survives; the risk is between
+            # the opposite new edge and the old window edge
+            leaves = u if v in retained else v
+            deleted = edge_key(u, v), edge_key(leaves, x)
+            risk = "moved_window", g.length(leaves, x), None, g.length(u, v)
+        try:
+            p = pw2_deletion_probability(*risk, tau=tau)
+        except DegenerateZero:
+            p = Fraction(1, 2)
+        out.append(((edge_key(u, x), edge_key(v, x)), deleted, edge_key(*retained), p))
+        u, v = sorted(retained)
+    return out
+
+
+def reference_realize(seq, g, lengths, tau=DEFAULT_TAU):
+    """The sample's edges for its drawn lengths by the set-based step rule:
+    each step adds its two edges and deletes the one its drawn length
+    names, and the next window edge must survive."""
+    tree = {edge_key(*seq.initial)}
+    for (added, deleted, window, _), j in zip(reference_steps(seq, g, tau), lengths):
+        tree.update(added)
+        tree.discard(deleted[j - 1])
+        assert window in tree, f"window edge {window!r} was deleted"
+    return tree
+
+
+class TestDepartures:
+    # each step is a departure: the tree it keeps must be the set-based step
+    # rule's, with its probabilities, and carry parent links that measure
+    # like a traversal of it
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=mixed_instances(widths=(2,)), mult=st.sampled_from([1, 6]),
+           tau=st.sampled_from([DEFAULT_TAU, Fraction(1), Fraction(0)]))
+    def test_every_draw_matches_the_edge_rule_and_a_traversal(self, instance, mult, tau):
+        g, seq = instance
+        metric = composed_metric_graph(g, seq)
+        plan = _plan(seq, metric, tau)
+        assert [d.probs for d in plan.departures] \
+            == [(p,) for *_, p in reference_steps(seq, metric, tau)]
+        scale = integer_scale(g) * mult
+        for lengths in itertools.product((1, 2), repeat=len(seq.steps)):
+            tree = _sampled_tree(metric, plan, _realize(plan, lengths))
+            assert linked_edges(tree, metric, scale) \
+                == reference_realize(seq, metric, lengths, tau) == tree.edge_keys()
+
+    def test_every_draw_of_cycles_matches_the_edge_rule(self):
+        for n in range(3, 13):
+            g, seq = cycle(n)
+            metric = composed_metric_graph(g, seq)
+            plan = _plan(seq, metric, DEFAULT_TAU)
+            for lengths in itertools.product((1, 2), repeat=len(seq.steps)):
+                tree = _sampled_tree(metric, plan, _realize(plan, lengths))
+                assert tree.edge_keys() == reference_realize(seq, metric, lengths)
+
+    def test_random_draws_of_larger_instances(self):
+        rng = random.Random(29)
+        for n in (20, 40, 60):
+            g, seq = random_pathwidth_graph(2, n, small_rational_lengths, rng)
+            metric = composed_metric_graph(g, seq)
+            plan = _plan(seq, metric, Fraction(1))
+            scale = integer_scale(g)
+            for i in range(30):
+                lengths = _draw_lengths(plan.departures, sample_rng(29, i))
+                tree = _sampled_tree(metric, plan, _realize(plan, lengths))
+                assert tree == embed_pathwidth2(seq, metric, sample_rng(29, i), Fraction(1))
+                assert linked_edges(tree, metric, scale) \
+                    == reference_realize(seq, metric, lengths, Fraction(1)) == tree.edge_keys()
 
 
 class TestFloatThreshold:

@@ -10,12 +10,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tree_metric_and_sequence
+from conftest import linked_edges, mixed_instances, tree_metric_and_sequence
 from pwk_reference import ReferenceState, keep, ranked_departures, realize, reference_embed
 import pwtree
 from pwtree import harness
 from pwtree.graphs import (
-    build_metric_graph, edge_key, integer_scale, is_tree, shortest_path_metric)
+    build_metric_graph, integer_scale, is_tree, shortest_path_metric)
 from pwtree.harness import sample_rng
 from pwtree.instances import cycle, phi, random_pathwidth_graph, small_rational_lengths
 from pwtree.pathwidth import (
@@ -225,8 +225,8 @@ class TestEdgeRank:
                     assert all(r <= cap for r in ranks)
 
     def test_cap_breach_raises_under_optimize(self):
-        # the cap and pw2's invariants are proof invariants, so their checks
-        # must survive `python -O`; pw2 is fed plans that break them
+        # the cap and the samplers' tree check are proof invariants, so their
+        # checks must survive `python -O`; pw2 is fed plans that break them
         code = textwrap.dedent("""
             import itertools
             import random
@@ -248,11 +248,9 @@ class TestEdgeRank:
                 _keep(ranks, d, 1, plan.cap)
             except InvariantViolated:
                 print("raised")
-            first, steps = pw2._plan(seq, metric, pw2.DEFAULT_TAU)
-            added, _, window, probs, thresholds = steps[0]
-            # a plan whose step deletes the next window edge at either length
-            pw2._plan = lambda *args: (first, ((added, (window, window), window, probs,
-                                                 thresholds),))
+            plan = pw2._plan(seq, metric, pw2.DEFAULT_TAU)
+            # a plan that loses the final window's edge: n - 2 edges at any draw
+            pw2._plan = lambda *args: plan._replace(mst=())
             try:
                 pw2.embed_pathwidth2(seq, metric, random.Random(0))
             except InvariantViolated:
@@ -264,14 +262,14 @@ class TestEdgeRank:
                                     outcome=lambda rng: pw2.draw_coins(seq, metric, rng))
             except InvariantViolated:
                 print("raised")
-            # the enumerator realizes its draws with the sampler's step rule
+            # the enumerator checks every draw it realizes
             try:
                 pw2.enumerate_pw2_distribution(seq, metric)
             except InvariantViolated:
                 print("raised")
             # per-step probabilities telescope to 1, so only an enumerator
             # that loses a draw breaks the sum
-            pw2._plan = lambda *args: (first, steps)
+            pw2._plan = lambda *args: plan
             pw2.product = lambda *options: itertools.islice(itertools.product(*options), 1, None)
             try:
                 pw2.enumerate_pw2_distribution(seq, metric)
@@ -367,26 +365,6 @@ class TestReference:
         assert samples >= 1000
 
 
-@st.composite
-def mixed_instances(draw):
-    """A random width-2/3/4 instance on scattered vertex labels whose lengths
-    mix small rationals with small rationals times 2^j, j up to 40."""
-    k = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.integers(k + 1, k + 5))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-
-    def length(r):
-        base = small_rational_lengths(r)
-        return base * 2 ** r.randint(1, 40) if r.random() < 0.5 else base
-
-    g, seq = random_pathwidth_graph(k, n, length, rng)
-    label = dict(zip(range(n), rng.sample(range(-99, 100), n)))
-    g = build_metric_graph(label.values(), [(label[u], label[v], d) for (u, v), d in g.edges()])
-    seq = LinearCompositionSequence(k, [label[v] for v in seq.initial],
-                                    [(label[v], {label[x] for x in w}) for v, w in seq.steps])
-    return g, seq
-
-
 class TestParentLinks:
     @settings(max_examples=40, deadline=None)
     @given(instance=mixed_instances(), mult=st.sampled_from([1, 6]))
@@ -397,25 +375,12 @@ class TestParentLinks:
         g, seq = instance
         metric = composed_metric_graph(g, seq)
         plan = _plan(seq, metric, None)
-        verts = metric.vertices
-        scale = integer_scale([g]) * mult
-        idx = range(len(verts))
-        pairs = list(itertools.product(idx, idx))
+        scale = integer_scale(g) * mult
         for lengths in itertools.product(*[range(1, len(d.anchors) + 1)
                                            for d in plan.departures]):
             tree = _sampled_tree(metric, plan, _realize(plan, lengths))
-            order, parent, scaled, own = tree._links
-            assert {edge_key(verts[x], verts[parent[x]]) for x in order[1:]} \
+            assert linked_edges(tree, metric, scale) \
                 == set(realize(plan, metric, lengths)) == tree.edge_keys()
-            assert all(Fraction(scaled[x], own) == metric.length(verts[x], verts[parent[x]])
-                       for x in order[1:])
-            linked = harness._RootedTree(tree, scale)
-            walked = harness._RootedTree(tree.with_edges(dict(tree.edges())), scale)
-            assert linked.order is order and walked.order[0] == 0
-            assert linked.pair_distances(pairs) == walked.pair_distances(pairs)
-            (lrows, lpos), (wrows, wpos) = linked.rows(), walked.rows()
-            assert ([lrows[i][lpos[j]] for i, j in pairs]
-                    == [wrows[i][wpos[j]] for i, j in pairs])
 
     def test_links_off_the_harness_scale_fall_back_to_a_traversal(self):
         # a scale the plan's does not divide measures the tree's own edges,

@@ -4,7 +4,8 @@ The package runs on the standard library alone: every absolute import in
 `src/pwtree` names a standard-library module (`sys.stdlib_module_names`,
 Python >= 3.10 as pyproject.toml requires).  It also holds no `assert`
 statement, since `python -O` strips them and the invariants the proof
-relies on must still be checked there."""
+relies on must still be checked there.  Exactly one function sets a tree's
+parent links (`MetricGraph._links`): the one both samplers share."""
 
 import ast
 import sys
@@ -32,6 +33,36 @@ def assert_lines(path):
     """Line of every assert statement in a source file."""
     return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
                   if isinstance(node, ast.Assert))
+
+
+def links_writers(path):
+    """(function, line) of every statement in a source file that sets a
+    `_links` attribute to anything but None, by assignment or `setattr`;
+    the function is None at module level."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            targets, value = [], None
+            if isinstance(child, ast.Assign):
+                targets, value = child.targets, child.value
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets, value = [child.target], child.value
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "setattr" and len(child.args) == 3):
+                targets, value = [child.args[1]], child.args[2]
+            sets = any((isinstance(n, ast.Attribute) and n.attr == "_links")
+                       or (isinstance(n, ast.Constant) and n.value == "_links")
+                       for t in targets for n in ast.walk(t))
+            if sets and not (isinstance(value, ast.Constant) and value.value is None):
+                found.append((func, child.lineno))
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return found
 
 
 def test_package_imports_only_the_standard_library():
@@ -64,3 +95,26 @@ def test_assert_guard_sees_every_assert(tmp_path):
                     "s = 'assert z'\n# assert w\n"
                     "def g():\n    for _ in []:\n        assert (1, 2)\n")
     assert assert_lines(path) == [1, 5, 10]
+
+
+def test_one_function_sets_tree_links():
+    # a second way to build sampled trees would set the links elsewhere
+    found = [(path.name, func) for path in package_files() for func, _ in links_writers(path)]
+    assert found == [("pw2.py", "_sampled_tree")]
+
+
+def test_links_guard_sees_every_form(tmp_path):
+    # assignment, chained, unpacked, annotated, augmented and setattr; the
+    # None that a constructor starts from, a plain name and a string are no
+    # links
+    path = tmp_path / "probe.py"
+    path.write_text("class G:\n    def __init__(self):\n        self._adj = self._links = None\n"
+                    "def build(t):\n    t._links = 1, 2\n"
+                    "def copy(a, b):\n    a._links, b._links = b._links, None\n"
+                    "def annotated(t):\n    t._links: tuple = ()\n"
+                    "def grow(t):\n    t._links += (3,)\n"
+                    "def hidden(t):\n    setattr(t, '_links', 4)\n"
+                    "_links = 5\ns = 't._links = 6'\nsetattr(G, '_adj', 7)\n"
+                    "x = G()\nx._links = 8\n")
+    assert links_writers(path) == [("build", 5), ("copy", 7), ("annotated", 9), ("grow", 11),
+                                   ("hidden", 13), (None, 18)]
