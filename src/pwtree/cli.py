@@ -113,19 +113,12 @@ def cmd_embed(args) -> int:
         if k != 2:
             print("error: --warmup requires a width-2 composition", file=sys.stderr)
             return 1
-        def embedder(rng):
-            return pw2.embed_pathwidth2(seq, metric, rng, tau)
-        def outcome(rng):
-            return pw2.draw_coins(seq, metric, rng, tau)
+        embed, draw = pw2.embed_pathwidth2, pw2.draw_coins
     else:
-        def embedder(rng):
-            return pwk.embed_pathwidthk(seq, metric, rng, tau)
-        def outcome(rng):
-            return pwk.draw_prefixes(seq, metric, rng, tau)
-
+        embed, draw = pwk.embed_pathwidthk, pwk.draw_prefixes
     report = harness.estimate_distortion(
-        g, embedder, args.samples, args.seed, pairs=args.pairs, source_metric=metric,
-        outcome=outcome,
+        g, lambda rng: embed(seq, metric, rng, tau), args.samples, args.seed,
+        pairs=args.pairs, source_metric=metric, outcome=lambda rng: draw(seq, metric, rng, tau),
     )
     bound = pwk.proven_bound(k)
     payload = report.to_json()

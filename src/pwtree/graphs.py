@@ -16,9 +16,9 @@ reads each edge's d_G from the composed metric's lengths.  The kernel stays
 for the source distances of all-pairs reports and of the checkers, since a
 source need not be a tree, and as the oracle of the bag sweep.  Distances in
 a target tree come from the harness's rooted-tree layer instead, which reads
-the tree's parent links: a tree sampled by `pwk` or `pw2` carries them
-(`_links`), and any other tree gets them from `spanning_links`, the one
-traversal, which also serves `is_tree` and the tree toolkit:
+the tree's parent links: a tree sampled or enumerated by `pwk` or `pw2`
+carries them (`_links`), and any other tree gets them from `spanning_links`,
+the one traversal, which also serves `is_tree` and the tree toolkit:
 `pathwidth._rooted` roots each tree once per call, and the peeling runs on
 that rooting's index lists.
 """
@@ -76,20 +76,19 @@ class MetricGraph:
     """Finite loop-free simple graph with exact non-negative edge lengths.
 
     Instances are immutable after construction and safe to share across
-    threads; the sorted adjacency lists are built on the first `neighbors`
-    or `adjacency` call.  Use :func:`build_metric_graph` to construct with
-    validation.  A tree sampled by `pwk` or `pw2` also keeps, in `_links`,
+    threads.  Use :func:`build_metric_graph` to construct with validation.
+    A tree sampled or enumerated by `pwk` or `pw2` also keeps, in `_links`,
     the parent links it was realized from (`pw2._sampled_tree` is the one
     function that sets them), for the harness's rooted-tree layer; every
     other graph has None there.
     """
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_hash", "_links")
+    __slots__ = ("_vertices", "_edges", "_hash", "_links")
 
     def __init__(self, vertices, edges):
         self._vertices = tuple(sorted(vertices))
         self._edges = dict(edges)
-        self._adj = self._hash = self._links = None
+        self._hash = self._links = None
 
     @property
     def vertices(self):
@@ -116,32 +115,17 @@ class MetricGraph:
     def length(self, u, v) -> Fraction:
         return self._edges[edge_key(u, v)]
 
-    def _adjacency(self):
-        if self._adj is None:
-            adj = {v: [] for v in self._vertices}
-            for (u, v), length in self._edges.items():
-                adj[u].append((v, length))
-                adj[v].append((u, length))
-            for v in adj:
-                adj[v].sort()
-            self._adj = adj
-        return self._adj
-
-    def neighbors(self, v):
-        return [u for u, _ in self._adjacency()[v]]
-
-    def adjacency(self, v):
-        return list(self._adjacency()[v])
-
     def __eq__(self, other):
         if not isinstance(other, MetricGraph):
             return NotImplemented
         return self._vertices == other._vertices and self._edges == other._edges
 
     def __hash__(self):
-        # cached: the embeddings' plan caches look the graph up once per sample
+        # cached: the embeddings' plan caches look the graph up once per
+        # sample.  Edge keys only, so no length is hashed: the enumerator
+        # merges its draws by tree, and equal graphs still hash equal
         if self._hash is None:
-            self._hash = hash((self._vertices, frozenset(self._edges.items())))
+            self._hash = hash((self._vertices, frozenset(self._edges)))
         return self._hash
 
     def __repr__(self):
@@ -371,12 +355,24 @@ def graph_from_json(data: dict) -> MetricGraph:
     """The graph of {"vertices": [...], "edges": [[u, v, length], ...]}.
 
     A document of another shape (a list, a missing key, a scalar vertex
-    list, unhashable or unorderable vertex ids, a list, an overflowing
-    number or a zero denominator as a length) raises GraphError."""
+    list, unhashable or unorderable vertex ids, an edge that is not a
+    triple, or a length that is a list, NaN, no rational, an overflowing
+    number or has a zero denominator) raises GraphError.  Each entry is
+    checked before the builder sees it, so the builder's own errors, such
+    as NegativeLength, pass through as they are."""
     try:
-        return build_metric_graph(
-            data["vertices"], [(u, v, l) for u, v, l in data["edges"]]
-        )
+        edges = []
+        for entry in data["edges"]:
+            if len(entry) != 3:
+                raise GraphError(f"malformed graph JSON: edge {entry!r} is not [u, v, length]")
+            u, v, length = entry
+            try:
+                Fraction(length)
+            except ValueError:  # NaN, or a string that is no rational
+                raise GraphError(f"malformed graph JSON: length {length!r} is not a rational"
+                                 ) from None
+            edges.append((u, v, length))
+        return build_metric_graph(data["vertices"], edges)
     except KeyError as exc:
         raise GraphError(f"malformed graph JSON: missing key {exc}") from None
     except (TypeError, OverflowError, ZeroDivisionError) as exc:

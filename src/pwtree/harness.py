@@ -8,8 +8,8 @@ index alone.  The estimate tallies equal samples and measures each
 distinct one once, weighted by its count.  Source distances come from
 `shortest_path_metric`, since a source need not be a tree; every target
 distance comes from the target tree's parent links (`_RootedTree`).  A
-tree sampled by `pwk` or `pw2` carries its links, so it is measured
-without a traversal; any other target gets them from one
+tree sampled or enumerated by `pwk` or `pw2` carries its links, so it is
+measured without a traversal; any other target gets them from one
 `graphs.spanning_links` call, the traversal that also serves `is_tree`
 and the tree toolkit.
 """
@@ -341,11 +341,11 @@ def _accumulate(sums, sumsq, src_scaled, dists, count):
 class _RootedTree:
     """A tree as parent links over its vertices, numbered in sorted order.
 
-    The links come from one of two sources.  A tree sampled by `pwk` or
-    `pw2` carries them (`MetricGraph._links`: an order that lists every
-    vertex after its parent, the parents, the root being its own, and each
-    vertex's edge length to its parent as an integer over the plan's
-    scale); they are rescaled to `scale`.  Every other tree, or a sampled
+    The links come from one of two sources.  A tree sampled or enumerated
+    by `pwk` or `pw2` carries them (`MetricGraph._links`: an order that
+    lists every vertex after its parent, the parents, the root being its
+    own, and each vertex's edge length to its parent as an integer over the
+    plan's scale); they are rescaled to `scale`.  Every other tree, or a sampled
     one whose scale does not divide `scale`, gets them from the package's
     one traversal, `graphs.spanning_links`, and each vertex's length to
     its parent is then scaled to `scale`.  One pass along the order then
@@ -465,8 +465,10 @@ class _RootedTree:
 
 
 def _tree_metric(t: MetricGraph) -> DistanceMatrix:
-    """A tree's all-pairs distances in sorted vertex order, from its layer."""
-    scale = integer_scale(t)
+    """A tree's all-pairs distances in sorted vertex order, from its layer,
+    over the scale of its parent links if it carries them (its plan's,
+    which every length of the tree divides) and its own scale otherwise."""
+    scale = integer_scale(t) if t._links is None else t._links[3]
     rows, pos = _RootedTree(t, scale).rows()
     for row in rows:  # in place, so one n x n table is alive at a time
         row[:] = [row[p] for p in pos]

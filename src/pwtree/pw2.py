@@ -14,9 +14,9 @@ the endpoint that stays), so the new window edge always survives.
 the last plan.  A sample's only random choices are its drawn lengths, one
 per step (`draw_coins`); length j keeps anchor j - 1 (`_realize`).  Both
 samplers build their plans with `_build_plan` and their trees, which carry
-their parent links (`_links`), with `_sampled_tree`; the exact enumerator
-realizes every draw of positive probability (`_distribution`).  Both check
-every realized sample for n - 1 edges.
+their parent links (`_links`), with `_sampled_tree`, which checks each for
+n - 1 edges; the exact enumerator realizes every draw of positive
+probability into a tree the same way (`_distribution`).
 """
 
 from __future__ import annotations
@@ -164,7 +164,8 @@ def _build_plan(g: MetricGraph, steps, mst, cap=0, ncodes=0) -> _Plan:
                                      tuple(scaled(length) for _, length in edges), *rest))
     mst = tuple((e, g.length(*e)) for e in mst)
     parent, to_parent = list(range(g.n)), [0] * g.n
-    order = [min(index[v] for e, _ in mst for v in e)]
+    # the root is the final clique's lowest vertex: the lowest that never departs
+    order = [min(set(range(g.n)).difference(d.w for d in departures))]
     for x in order:  # the clique's few vertices, from the root
         for (a, b), length in mst:
             ia, ib = index[a], index[b]
@@ -195,16 +196,17 @@ def _sampled_tree(g, plan, kept):
 
 
 def _distribution(plan, realize, g: MetricGraph, limit):
-    """Exact output distribution of a sampler as [(tree, probability)].
+    """Exact output distribution of a sampler as [(tree, probability)],
+    sorted by the trees' edge keys.
 
     Each departure's probs[j - 1] is the exact P[the drawn length extends
     past j]; `realize(plan, lengths)` maps a list of drawn lengths, one per
     departure, to the kept candidates.  Every draw of positive probability
-    is realized once, as the kept edges and the final clique's spanning
-    tree, checked for n - 1 edges, and the draws are merged by tree, so the
-    work is (draws x steps); more than `limit` draws raise TooManyOutcomes.
-    A step with one positive-probability length draws it with probability
-    1, so a draw's probability multiplies only the branching steps' ones.
+    is realized once, into a tree by `_sampled_tree` as a sample is, and
+    the draws are merged by tree, so the work is (draws x steps); more than
+    `limit` draws raise TooManyOutcomes.  A step with one positive-
+    probability length draws it with probability 1, so a draw's
+    probability multiplies only the branching steps' ones.
     """
     options = []
     for d in plan.departures:
@@ -220,17 +222,13 @@ def _distribution(plan, realize, g: MetricGraph, limit):
         raise TooManyOutcomes(f"{draws} positive-probability draws exceed the limit {limit}")
     lengths = [step[0][0] for step in options]
     branching = [i for i, step in enumerate(options) if len(step) > 1]
-    merged, closing = {}, [e for e, _ in plan.mst]
+    merged = {}
     for draw in product(*[options[i] for i in branching]):
         for i, (j, _) in zip(branching, draw):
             lengths[i] = j
-        kept = realize(plan, lengths)
-        key = frozenset([d.edges[i][0] for d, i in zip(plan.departures, kept)] + closing)
-        if len(key) != g.n - 1:
-            raise InvariantViolated(f"{len(key)} edges on {g.n} vertices is not a tree")
-        merged[key] = merged.get(key, Fraction(0)) + math.prod(p for _, p in draw)
-    result = [(g.with_edges({e: g.length(*e) for e in key}), prob) for key, prob in sorted(
-        merged.items(), key=lambda item: sorted(item[0]))]
+        tree = _sampled_tree(g, plan, realize(plan, lengths))
+        merged[tree] = merged.get(tree, Fraction(0)) + math.prod(p for _, p in draw)
+    result = sorted(merged.items(), key=lambda item: sorted(item[0].edge_keys()))
     if sum(p for _, p in result) != 1:
         raise InvariantViolated("enumerated probabilities do not sum to 1")
     return result

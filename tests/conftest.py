@@ -26,6 +26,23 @@ LENGTHS = st.one_of(
 )
 
 
+def adjacency(g: MetricGraph):
+    """{v: [(u, length), ...]}, each list sorted by neighbour: the reference
+    oracles' adjacency, which pwtree itself never builds."""
+    adj = {v: [] for v in g.vertices}
+    for (u, v), length in g.edges():
+        adj[u].append((v, length))
+        adj[v].append((u, length))
+    for nbrs in adj.values():
+        nbrs.sort()
+    return adj
+
+
+def neighbor_sets(g: MetricGraph):
+    """{v: the set of v's neighbours}."""
+    return {v: {u for u, _ in nbrs} for v, nbrs in adjacency(g).items()}
+
+
 def random_unit_tree(n, rng) -> MetricGraph:
     """Uniform-ish random labeled tree via random parent attachment."""
     edges = [(rng.randrange(v), v, 1) for v in range(1, n)]

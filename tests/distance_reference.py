@@ -9,9 +9,12 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
+from conftest import adjacency
 
-def dijkstra(g, source):
-    """{vertex: distance} for every vertex `source` reaches, itself at 0."""
+
+def dijkstra(adj, source):
+    """{vertex: distance} for every vertex `source` reaches over `adj`
+    (conftest's adjacency), itself at 0."""
     row = {source: Fraction(0)}
     heap = [(Fraction(0), source)]
     done = set()
@@ -20,7 +23,7 @@ def dijkstra(g, source):
         if v in done:
             continue
         done.add(v)
-        for u, length in g.adjacency(v):
+        for u, length in adj[v]:
             nd = d + length
             if u not in row or nd < row[u]:
                 row[u] = nd
@@ -30,9 +33,9 @@ def dijkstra(g, source):
 
 def reference_distances(g):
     """{(u, v): distance or None} over every ordered pair of vertices."""
-    out = {}
+    out, adj = {}, adjacency(g)
     for u in g.vertices:
-        row = dijkstra(g, u)
+        row = dijkstra(adj, u)
         for v in g.vertices:
             out[(u, v)] = row.get(v)
     return out

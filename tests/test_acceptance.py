@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    adjacency,
     all_trees_up_to,
     flatten_to_path,
     random_unit_tree,
@@ -288,9 +289,9 @@ def test_criterion_09_lower_bound_machinery():
             assert verdict.passed, verdict
         # a longer path inside the target
         start = min(smp.target.vertices)
-        walk = [start]
+        walk, adj = [start], adjacency(smp.target)
         while len(walk) < 6:
-            nbrs = [x for x in smp.target.neighbors(walk[-1]) if x not in walk]
+            nbrs = [x for x, _ in adj[walk[-1]] if x not in walk]
             if not nbrs:
                 break
             walk.append(nbrs[0])

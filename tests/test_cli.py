@@ -235,9 +235,9 @@ class TestTau:
             self, capsys, tmp_path, monkeypatch, pairs):
         # each distinct draw's tree carries the parent links it was sampled
         # with, in both samplers: whatever the number of draws, no target is
-        # traversed and no adjacency is built
+        # traversed
         argv = self.generate(capsys, tmp_path)[:-2] + ["--pairs", pairs, "--tau", "1"]
-        counts = dict.fromkeys(["traverse", "adjacency", "pwk", "pw2"], 0)
+        counts = dict.fromkeys(["traverse", "pwk", "pw2"], 0)
 
         def counting(name, fn):
             def wrapper(*args):
@@ -247,8 +247,6 @@ class TestTau:
 
         monkeypatch.setattr(harness, "spanning_links",
                             counting("traverse", harness.spanning_links))
-        monkeypatch.setattr(graphs.MetricGraph, "_adjacency",
-                            counting("adjacency", graphs.MetricGraph._adjacency))
         monkeypatch.setattr(pwk, "embed_pathwidthk", counting("pwk", pwk.embed_pathwidthk))
         monkeypatch.setattr(pw2, "embed_pathwidth2", counting("pw2", pw2.embed_pathwidth2))
         realized = []
@@ -256,9 +254,9 @@ class TestTau:
             assert run(capsys, *argv, "--samples", samples)[0] == 0
             realized.append(counts["pwk"])
         assert realized[0] == 1 and realized[1] > 10
-        assert counts["traverse"] == counts["adjacency"] == 0
+        assert counts["traverse"] == 0
         assert run(capsys, *argv, "--samples", "300", "--warmup")[0] == 0
-        assert counts["pw2"] > 10 and counts["traverse"] == counts["adjacency"] == 0
+        assert counts["pw2"] > 10 and counts["traverse"] == 0
 
     def test_plan_built_once_per_run(self, capsys, tmp_path, monkeypatch):
         argv = self.generate(capsys, tmp_path)
@@ -312,15 +310,22 @@ TRIANGLE_STEPS = {"k": 2, "initial": [0, 1], "steps": [{"new": 2, "window": [0, 
     ({"vertices": [0, 1]}, TRIANGLE_STEPS),
     (TRIANGLE, {"k": 2, "initial": [0, 1]}),
     (TRIANGLE, dict(TRIANGLE_STEPS, steps=[{"window": [0, 2]}])),
+    ({"vertices": [0, 1], "edges": [[0, 1]]}, None),
+    ({"vertices": [0, 1], "edges": [[0, 1, 1, 2]]}, None),
+    ({"vertices": [0, 1], "edges": [[0, 1, float("nan")]]}, None),  # JSON's NaN
+    ({"vertices": [0, 1], "edges": [[0, 1, "abc"]]}, None),
 ], ids=["graph-list", "vertices-int", "list-ids", "mixed-ids", "list-length",
         "infinite-length", "window-int", "initial-int", "k-list", "infinite-k",
         "zero-denominator", "k-fraction", "k-float", "k-string", "k-bool",
-        "no-edges", "no-steps", "step-without-new"])
+        "no-edges", "no-steps", "step-without-new", "short-edge", "long-edge",
+        "nan-length", "text-length"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
     # each of these used to escape as a TypeError (a zero denominator: a
     # ZeroDivisionError) traceback, except a non-int k, which int(k) coerced:
     # 2.5 to a width-2 run, True to width 1.  A missing key printed the bare
-    # key, caught as a KeyError, which would also have hidden a program fault
+    # key, caught as a KeyError, which would also have hidden a program fault.
+    # An edge of the wrong length, a NaN length and a length that is no
+    # rational printed a bare ValueError's message
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(graph))
     argv = ["embed", str(gpath), "--samples", "3"]
@@ -345,6 +350,20 @@ def test_embed_without_composition_names_why_it_cannot_analyze(capsys, tmp_path,
     assert code == 1 and out == ""
     assert err == ("error: cannot analyze the graph without a composition file "
                    f"{reason}; pass --composition\n")
+
+
+def test_one_vertex_instance_embeds(capsys, tmp_path):
+    # the plan rooted the tree at an edge of the final clique's spanning
+    # tree, and a one-vertex clique has none: this used to print
+    # "error: min() arg is an empty sequence" and exit 1
+    gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+    gpath.write_text(json.dumps({"vertices": [0], "edges": []}))
+    cpath.write_text(json.dumps({"k": 1, "initial": [0], "steps": []}))
+    code, out, err = run(capsys, "embed", str(gpath), "--composition", str(cpath),
+                         "--samples", "3")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["pairs"] == [] and report["noncontraction_ok"] and report["bound_ok"]
 
 
 def test_well_formed_json_still_embeds(capsys, tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import adjacency
 from pwtree import graphs, harness, instances, pathwidth
 from pwtree.graphs import is_tree, shortest_path_metric
 from pwtree.instances import (
@@ -33,7 +34,7 @@ class TestPhi:
     def test_counts_and_eccentricity(self):
         g = phi(3)
         assert g.n == 10
-        leaves = [v for v in g.vertices if len(g.neighbors(v)) == 1 and v != 0]
+        leaves = [v for v, nbrs in adjacency(g).items() if len(nbrs) == 1 and v != 0]
         assert len(leaves) == 3
         dm = shortest_path_metric(g)
         assert max(dm.dist(0, v) for v in g.vertices) == 3

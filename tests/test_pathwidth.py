@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pwtree
 import pwtree.pathwidth as pw
 import tree_pathwidth_reference as reference
-from conftest import LENGTHS, all_trees_up_to, random_unit_tree, tree_sequence
+from conftest import LENGTHS, all_trees_up_to, neighbor_sets, random_unit_tree, tree_sequence
 from pwtree.graphs import InfiniteDistance, build_metric_graph, is_tree, shortest_path_metric
 from pwtree.instances import phi, psi
 from pwtree.pathwidth import (
@@ -462,11 +462,11 @@ class TestAgainstReference:
         # every branch's width is the reference width of that component
         level, table = branch_table(t)
         assert level == reference.tree_pathwidth(t)
+        adj = neighbor_sets(t)
         for v in t.vertices:
-            comps = reference._split_components(
-                {x: set(t.neighbors(x)) for x in t.vertices}, t.vertices, v)
+            comps = reference._split_components(adj, t.vertices, v)
             want = {u: reference.tree_pathwidth(t.induced(c))
-                    for c in comps for u in t.neighbors(v) if u in c}
+                    for c in comps for u in adj[v] if u in c}
             assert dict(table[v]) == want
 
 
@@ -584,9 +584,10 @@ class TestTreeDecomposition:
         assert not hasattr(pw, "is_tree")
         assert not hasattr(pw, "_forest_components")
 
-    def test_toolkit_builds_no_adjacency(self, monkeypatch):
-        # the toolkit reads the rooting's index lists, never the graph's
-        # sorted (vertex, length) adjacency
+    def test_toolkit_builds_no_adjacency(self):
+        # the toolkit reads the rooting's index lists: a MetricGraph has no
+        # adjacency to build, and the toolkit matches the reference on
+        # freshly built graphs
         rng = random.Random(17)
         trees = [psi(2, 81), phi(4), unit_path(6)] + [
             random_unit_tree(rng.randint(2, 40), rng) for _ in range(30)]
@@ -595,11 +596,8 @@ class TestTreeDecomposition:
         peels = [reference.peel_path(t) for t, (level, _) in zip(trees, want) if level >= 2]
         fresh = [build_metric_graph(t.vertices, [(u, v, w) for (u, v), w in t.edges()])
                  for t in trees]
-
-        def refuse(self):
-            raise AssertionError("the tree toolkit built a MetricGraph adjacency")
-
-        monkeypatch.setattr(pw.MetricGraph, "_adjacency", refuse)
+        assert not [name for name in ("neighbors", "adjacency", "_adjacency", "_adj")
+                    if hasattr(pw.MetricGraph, name)]
         assert [(tree_pathwidth(t), tree_path_decomposition(t).bags) for t in fresh] == want
         assert [peel_path(t) for t, (level, _) in zip(fresh, want) if level >= 2] == peels
 

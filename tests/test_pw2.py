@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import linked_edges, mixed_instances
-from pwtree.graphs import edge_key, integer_scale, is_tree, shortest_path_metric
+from pwtree.graphs import (
+    build_metric_graph, edge_key, integer_scale, is_tree, shortest_path_metric)
 from pwtree.harness import sample_rng
 from pwtree.instances import cycle, random_pathwidth_graph, small_rational_lengths
 from pwtree.pathwidth import LinearCompositionSequence, composed_metric_graph
@@ -260,6 +261,24 @@ class TestPlan:
         assert _plan.cache_info().misses == 1
         embed_pathwidth2(seq, metric, random.Random(0), tau=Fraction(3))
         assert _plan.cache_info().misses == 2
+
+    def test_graphs_hash_by_edge_keys_and_compare_by_lengths(self):
+        # a graph hashes its vertices and edge keys, not its lengths: equal
+        # graphs hash equal, and one that differs only in a length is
+        # unequal, so it gets its own plan
+        g, seq = random_pathwidth_graph(2, 9, small_rational_lengths, random.Random(11))
+        metric = composed_metric_graph(g, seq)
+        copy = build_metric_graph(metric.vertices, [(*e, l) for e, l in metric.edges()])
+        e, length = metric.edges()[0]
+        longer = metric.with_edges({**dict(metric.edges()), e: length + 1})
+        assert copy == metric and hash(copy) == hash(metric)
+        assert longer != metric and longer.edge_keys() == metric.edge_keys()
+        _plan.cache_clear()
+        plans = [_plan(seq, graph, None) for graph in (metric, copy, longer)]
+        assert plans[1] is plans[0] and _plan.cache_info().misses == 2
+        lengths = [{**dict(plan.mst), **{e: l for d in plan.departures for e, l in d.edges}}
+                   for plan in plans]
+        assert lengths[0][e] == length and lengths[2][e] == length + 1
 
     def test_negative_tau_rejected(self):
         g, seq = cycle(6)

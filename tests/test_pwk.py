@@ -382,6 +382,44 @@ class TestParentLinks:
             assert linked_edges(tree, metric, scale) \
                 == set(realize(plan, metric, lengths)) == tree.edge_keys()
 
+    @staticmethod
+    def enumerated_trees():
+        """(g, metric, tree) for every tree that either enumerator lists on
+        cycles 3-10 and small random instances, at the default tau and 1."""
+        instances = [cycle(n) for n in range(3, 11)]
+        rng = random.Random(37)
+        instances += [random_pathwidth_graph(k, n, small_rational_lengths, rng)
+                      for k, n in ((2, 7), (2, 9), (2, 11), (3, 7), (3, 9), (4, 8))]
+        for g, seq in instances:
+            metric = composed_metric_graph(g, seq)
+            enumerators = [enumerate_pwk_distribution]
+            if seq.k == 2:
+                enumerators.append(pw2.enumerate_pw2_distribution)
+            for enumerate_distribution, tau in itertools.product(enumerators, (None, 1)):
+                for tree, _ in enumerate_distribution(seq, metric, tau):
+                    yield g, metric, tree
+
+    def test_enumerated_trees_carry_links_that_measure_like_a_traversal(self):
+        # the enumerators build every tree with the samplers' builder, so
+        # each listed tree carries the links a sample of its draw would
+        count = 0
+        for g, metric, tree in self.enumerated_trees():
+            for mult in (1, 6):
+                assert linked_edges(tree, metric, integer_scale(g) * mult) == tree.edge_keys()
+            count += 1
+        assert count > 500
+
+    def test_enumerated_trees_are_checked_from_their_links(self, monkeypatch):
+        # the exact non-contraction check measures an enumerated tree from
+        # its links, whatever scale the tree's own lengths have
+        traversals = []
+        real = harness.spanning_links
+        monkeypatch.setattr(harness, "spanning_links",
+                            lambda t: traversals.append(t) or real(t))
+        for g, _, tree in self.enumerated_trees():
+            assert harness.check_noncontraction(harness.identity_sample(g, tree)).ok
+        assert traversals == []
+
     def test_links_off_the_harness_scale_fall_back_to_a_traversal(self):
         # a scale the plan's does not divide measures the tree's own edges,
         # which may still fit it; one that does not fit raises as before
@@ -485,6 +523,15 @@ class TestEnumeration:
         metric = build_metric_graph([0, 1], [(0, 1, 1)])
         dist = enumerate_pwk_distribution(seq, metric)
         assert len(dist) == 1 and dist[0][1] == 1
+
+    def test_one_vertex_single_outcome(self):
+        # the final clique {0} has no spanning-tree edge to root the tree
+        # at; it used to raise "min() arg is an empty sequence"
+        seq = LinearCompositionSequence(1, [0], [])
+        metric = build_metric_graph([0], [])
+        dist = enumerate_pwk_distribution(seq, metric)
+        assert dist == [(metric, 1)] and dist[0][0]._links[:2] == ((0,), [0])
+        assert embed_pathwidthk(seq, metric, random.Random(0)) == metric
 
     def test_probabilities_sum_to_one(self):
         rng = random.Random(12)

@@ -5,7 +5,8 @@ The package runs on the standard library alone: every absolute import in
 Python >= 3.10 as pyproject.toml requires).  It also holds no `assert`
 statement, since `python -O` strips them and the invariants the proof
 relies on must still be checked there.  Exactly one function sets a tree's
-parent links (`MetricGraph._links`): the one both samplers share."""
+parent links (`MetricGraph._links`): the one both samplers share, which is
+also the only place in the samplers that builds a `MetricGraph`."""
 
 import ast
 import sys
@@ -35,33 +36,57 @@ def assert_lines(path):
                   if isinstance(node, ast.Assert))
 
 
-def links_writers(path):
-    """(function, line) of every statement in a source file that sets a
-    `_links` attribute to anything but None, by assignment or `setattr`;
-    the function is None at module level."""
-    found = []
-
+def nodes_by_function(path):
+    """(function, node) for every node of a source file, in depth-first
+    order, with the innermost function that holds the node (a function's
+    own node counts as inside it); the function is None at module level."""
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            targets, value = [], None
-            if isinstance(child, ast.Assign):
-                targets, value = child.targets, child.value
-            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
-                targets, value = [child.target], child.value
-            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                  and child.func.id == "setattr" and len(child.args) == 3):
-                targets, value = [child.args[1]], child.args[2]
-            sets = any((isinstance(n, ast.Attribute) and n.attr == "_links")
-                       or (isinstance(n, ast.Constant) and n.value == "_links")
-                       for t in targets for n in ast.walk(t))
-            if sets and not (isinstance(value, ast.Constant) and value.value is None):
-                found.append((func, child.lineno))
-            visit(child, func)
+                inner = child.name
+            else:
+                inner = func
+            yield inner, child
+            yield from visit(child, inner)
 
-    visit(ast.parse(path.read_text(), str(path)), None)
+    return visit(ast.parse(path.read_text(), str(path)), None)
+
+
+def links_writers(path):
+    """(function, line) of every statement in a source file that sets a
+    `_links` attribute to anything but None, by assignment or `setattr`."""
+    found = []
+    for func, node in nodes_by_function(path):
+        targets, value = [], None
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets, value = [node.target], node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and len(node.args) == 3):
+            targets, value = [node.args[1]], node.args[2]
+        sets = any((isinstance(n, ast.Attribute) and n.attr == "_links")
+                   or (isinstance(n, ast.Constant) and n.value == "_links")
+                   for t in targets for n in ast.walk(t))
+        if sets and not (isinstance(value, ast.Constant) and value.value is None):
+            found.append((func, node.lineno))
+    return found
+
+
+# the calls that make a new MetricGraph, by plain or dotted name
+GRAPH_BUILDERS = {"MetricGraph", "build_metric_graph", "with_edges", "induced"}
+
+
+def graph_builders(path):
+    """(function, line) of every call in a source file that builds a
+    `MetricGraph` (`GRAPH_BUILDERS`)."""
+    found = []
+    for func, node in nodes_by_function(path):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in GRAPH_BUILDERS:
+                found.append((func, node.lineno))
     return found
 
 
@@ -101,6 +126,33 @@ def test_one_function_sets_tree_links():
     # a second way to build sampled trees would set the links elsewhere
     found = [(path.name, func) for path in package_files() for func, _ in links_writers(path)]
     assert found == [("pw2.py", "_sampled_tree")]
+
+
+def test_one_function_builds_the_samplers_trees():
+    # the enumerator used to build its trees a second way, without links:
+    # every tree either sampler returns or lists comes from one builder
+    found = [(path.name, func) for path in package_files() if path.name in ("pw2.py", "pwk.py")
+             for func, _ in graph_builders(path)]
+    assert found == [("pw2.py", "_sampled_tree")]
+
+
+def test_builder_guard_sees_every_form(tmp_path):
+    # a constructor by plain and dotted name, the validated builder, both
+    # copying methods, in a nested function and at module level; a string,
+    # a bare reference and another method build nothing
+    path = tmp_path / "probe.py"
+    path.write_text("from .graphs import MetricGraph\nfrom . import graphs\n"
+                    "def direct(v):\n    return MetricGraph(v, {})\n"
+                    "def dotted(v):\n    return graphs.MetricGraph(v, {})\n"
+                    "def copied(g):\n    return g.with_edges({})\n"
+                    "def built(v):\n    return graphs.build_metric_graph(v, [])\n"
+                    "def nested(g):\n    def inner():\n        return g.induced([0])\n"
+                    "    return inner\n"
+                    "trees = [g.with_edges(e) for g, e in []]\n"
+                    "s = 'g.with_edges({})'\nh = MetricGraph\n"
+                    "def other(g):\n    return g.edges()\n")
+    assert graph_builders(path) == [("direct", 4), ("dotted", 6), ("copied", 8), ("built", 10),
+                                    ("inner", 13), (None, 15)]
 
 
 def test_links_guard_sees_every_form(tmp_path):

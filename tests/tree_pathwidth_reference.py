@@ -7,9 +7,10 @@ pathwidth 1), and `peel_path` splits the tree at every vertex to find its
 heavy branches.  It runs in about O(n^3) and serves the tests as the
 oracle for the labels, `peel_path` and `tree_path_decomposition`.  Its
 pathwidth-1 bags come from its own caterpillar decomposition, which walks
-the spine on the tree's `MetricGraph` adjacency.
+the spine on the tree's neighbour sets (conftest's `neighbor_sets`).
 """
 
+from conftest import neighbor_sets
 from pwtree.graphs import MetricGraph, is_tree
 from pwtree.pathwidth import (
     NotATree,
@@ -22,7 +23,7 @@ from pwtree.pathwidth import (
 def tree_pathwidth(t: MetricGraph) -> int:
     if not is_tree(t):
         raise NotATree("tree_pathwidth requires a tree")
-    adj = {v: set(t.neighbors(v)) for v in t.vertices}
+    adj = neighbor_sets(t)
     return _tree_pw(adj, frozenset(t.vertices), {})
 
 
@@ -90,7 +91,7 @@ def peel_path(t: MetricGraph):
     level = tree_pathwidth(t)
     if level < 2:
         raise PathwidthTooLow(f"pathwidth {level} tree has no peel path")
-    adj = {v: set(t.neighbors(v)) for v in t.vertices}
+    adj = neighbor_sets(t)
     memo = {}
     whole = frozenset(t.vertices)
 
@@ -113,7 +114,7 @@ def peel_path(t: MetricGraph):
 
 
 def _forest_components(t: MetricGraph, removed):
-    adj = {v: set(t.neighbors(v)) for v in t.vertices}
+    adj = neighbor_sets(t)
     remaining = set(t.vertices) - removed
     comps = []
     while remaining:
@@ -185,11 +186,11 @@ def tree_path_decomposition(t: MetricGraph) -> PathDecomposition:
     if level == 1:
         return _caterpillar_decomposition(t)
     path, components = peel_path(t)
-    attach = {}
+    attach, adj = {}, neighbor_sets(t)
     path_set = set(path)
     for comp in components:
         for v in comp.vertices:
-            for u in t.neighbors(v):
+            for u in adj[v]:
                 if u in path_set:
                     attach.setdefault(u, []).append(comp)
     bags = []
@@ -205,7 +206,7 @@ def tree_path_decomposition(t: MetricGraph) -> PathDecomposition:
 
 
 def _caterpillar_decomposition(t: MetricGraph) -> PathDecomposition:
-    adj = {v: set(t.neighbors(v)) for v in t.vertices}
+    adj = neighbor_sets(t)
     if t.n <= 2:
         return PathDecomposition([frozenset(t.vertices)])
     spine = sorted(v for v in t.vertices if len(adj[v]) >= 2)
