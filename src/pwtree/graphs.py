@@ -355,27 +355,38 @@ def graph_from_json(data: dict) -> MetricGraph:
     """The graph of {"vertices": [...], "edges": [[u, v, length], ...]}.
 
     A document of another shape (a list, a missing key, a scalar vertex
-    list, unhashable or unorderable vertex ids, an edge that is not a
-    triple, or a length that is a list, NaN, no rational, an overflowing
-    number or has a zero denominator) raises GraphError.  Each entry is
-    checked before the builder sees it, so the builder's own errors, such
-    as NegativeLength, pass through as they are."""
+    list, unhashable or unorderable vertex ids, a boolean vertex id,
+    endpoint or length, an edge that is not a triple, or a length that is
+    a list, NaN, no rational, an overflowing number or has a zero
+    denominator) raises GraphError.  Each entry is checked before the
+    builder sees it, so the builder's own errors, such as NegativeLength,
+    pass through as they are."""
     try:
+        vertices = data["vertices"]
+        # bool is an int subclass, and True == 1 would merge with vertex 1
+        for v in vertices:
+            if isinstance(v, bool):
+                raise GraphError(f"malformed graph JSON: vertex {v!r} is a boolean")
         edges = []
         for entry in data["edges"]:
             if len(entry) != 3:
                 raise GraphError(f"malformed graph JSON: edge {entry!r} is not [u, v, length]")
+            if any(isinstance(x, bool) for x in entry):
+                raise GraphError(f"malformed graph JSON: edge {entry!r} holds a boolean")
             u, v, length = entry
             try:
                 Fraction(length)
             except ValueError:  # NaN, or a string that is no rational
                 raise GraphError(f"malformed graph JSON: length {length!r} is not a rational"
                                  ) from None
+            except ZeroDivisionError:  # Fraction("1/0")
+                raise GraphError(f"malformed graph JSON: length {length!r} of edge {entry!r} "
+                                 "has a zero denominator") from None
             edges.append((u, v, length))
-        return build_metric_graph(data["vertices"], edges)
+        return build_metric_graph(vertices, edges)
     except KeyError as exc:
         raise GraphError(f"malformed graph JSON: missing key {exc}") from None
-    except (TypeError, OverflowError, ZeroDivisionError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from None
 
 

@@ -234,6 +234,7 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
 
     index = {v: i for i, v in enumerate(g.vertices)}
     pair_idx = [(index[u], index[v]) for u, v, _ in measured]
+    identity = list(range(g.n))
     sums = [0] * len(measured)
     sumsq = [0] * len(measured)
     violations = 0
@@ -256,11 +257,13 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
             # names the vertex; the lookup above is the only per-sample check
             _check_mapped(sample, g.vertices, "the graph")
             raise
+        # every sampler maps each vertex to itself, at its own index
+        ends = pair_idx if img == identity else [(img[a], img[b]) for a, b in pair_idx]
         if pairs == "all":
             rows, pos = tree.rows()
-            dists = [rows[img[a]][pos[img[b]]] for a, b in pair_idx]
+            dists = [rows[a][pos[b]] for a, b in ends]
         else:
-            dists = tree.pair_distances([(img[a], img[b]) for a, b in pair_idx])
+            dists = tree.pair_distances(ends)
         violations += _accumulate(sums, sumsq, src_scaled, dists, count)
 
     stats = []

@@ -128,7 +128,8 @@ class _Departure(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """Everything that does not depend on the sample.
+    """Everything that does not depend on the sample, and pwk's table of
+    the step rule's transitions that samples have reached (`memo`).
 
     The kept edge of a departing vertex leads to an anchor that departs
     later or stays in the final clique (in `pw2`, the final window), so
@@ -145,9 +146,10 @@ class _Plan(NamedTuple):
     scale: int
     cap: int           # pwk's rank cap
     ncodes: int        # the number of edge codes: one per composed edge, in sorted order
+    memo: tuple        # pwk's transition table, mutable and read by `pwk._realize` alone
 
 
-def _build_plan(g: MetricGraph, steps, mst, cap=0, ncodes=0) -> _Plan:
+def _build_plan(g: MetricGraph, steps, mst, cap=0, ncodes=0, memo=()) -> _Plan:
     """The plan of `steps`, one (w, anchors, codes, moves, probs,
     thresholds) per departure with w and its anchors as vertices, and of
     `mst`, the edge keys of the final clique's spanning tree."""
@@ -175,7 +177,7 @@ def _build_plan(g: MetricGraph, steps, mst, cap=0, ncodes=0) -> _Plan:
                 order.append(y)
     order += [d.w for d in reversed(departures)]
     return _Plan(tuple(departures), mst, tuple(order), tuple(parent), tuple(to_parent), scale,
-                 cap, ncodes)
+                 cap, ncodes, memo)
 
 
 def _sampled_tree(g, plan, kept):

@@ -13,15 +13,21 @@ Only the ranks depend on the sample, so a plan of the departures
 of a run reuses it.  The plan gives each candidate edge an integer code.
 A sample's only random choices are its prefix lengths, one per departure,
 drawn against the plan's float thresholds (`draw_prefixes`).  `_realize`
-applies the one step rule (`_keep`, on ranks keyed by edge codes) per
-departure with those lengths and returns each departure's kept candidate.
+returns each departure's kept candidate for those lengths by the one step
+rule (`_keep`, on ranks keyed by edge codes), memoised per departure in a
+transition table that the cached plan holds (`_Plan.memo`) and that
+`_realize` alone reads and fills: `_keep` runs once per reachable
+transition, not once per sample and departure.  The table makes a plan
+unsafe to realize from two threads at once.
+
 The plan and the tree come from the functions shared with `pw2`
 (`pw2._build_plan`, `pw2._sampled_tree`): a departing vertex hangs from
 its anchor, which departs later or stays in the final clique, so the tree
 carries its parent links and the harness measures it from them.  The exact
 enumerator realizes every draw of positive probability, weighted by the
 plan's exact probabilities (`pw2._distribution`).  The rank cap C(k+1, 2)
-is checked at every step and a breach raises `InvariantViolated`.
+is checked on every transition a sample reaches, and a breach raises
+`InvariantViolated` and is never stored.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 
 from .graphs import MetricGraph, edge_key, minimum_spanning_tree
 from .pathwidth import LinearCompositionSequence
@@ -69,8 +76,10 @@ def prefix_thresholds(probs):
 @lru_cache(maxsize=1)
 def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
     """The plan of (sequence, metric, tau); it is cached and shared, so it
-    is all tuples.  Each departure's candidates are sorted by (length,
-    edge), and the final clique's spanning tree is its minimum one."""
+    is all tuples but for the transition table (`memo`), which `_realize`
+    alone reads and fills.  Each departure's candidates are sorted by
+    (length, edge), and the final clique's spanning tree is its minimum
+    one."""
     tau = check_tau(4 * seq.k if tau is None else tau)
     composed = sorted(seq.composed_edges())
     for a, b in composed:
@@ -90,8 +99,30 @@ def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
                       probs, prefix_thresholds(probs)))
         window = retained
     # the last step's clique is final: its departure never happens
-    return _build_plan(g, steps[:-1], minimum_spanning_tree(g, clique),
-                       comb(seq.k + 1, 2), len(composed))
+    steps = steps[:-1]
+    # a departure reads the codes of its clique's edges; those it shares with
+    # the departure before are the window's edges, whose ranks are the state
+    # the sample brings to it, and the others, to the new vertex, start at 0
+    reads = [frozenset(codes).union(c for move in moves for _, c in move)
+             for _, _, codes, moves, *_ in steps]
+    before = [frozenset()] + reads
+    live = tuple(tuple(now & then) for now, then in zip(reads + [frozenset()], before))
+    fresh = tuple(tuple(now - then) for now, then in zip(reads, before))
+    # the running rank list; per departure its transitions, its next states
+    # interned, its live and fresh codes and the reader of the next state's
+    # ranks; the stride of the state ids
+    memo = ([0] * len(composed), tuple({} for _ in steps), tuple({} for _ in steps), live, fresh,
+            tuple(_reader(codes) for codes in live[1:]), seq.k + 1)
+    return _build_plan(g, steps, minimum_spanning_tree(g, clique),
+                       comb(seq.k + 1, 2), len(composed), memo)
+
+
+def _reader(codes):
+    """The function that reads a rank list at `codes` into a tuple: one C
+    call where `itemgetter` returns a tuple, for two codes or more."""
+    if len(codes) > 1:
+        return itemgetter(*codes)
+    return lambda ranks: tuple([ranks[c] for c in codes])
 
 
 def _keep(ranks, departure, j, cap):
@@ -119,10 +150,36 @@ def _keep(ranks, departure, j, cap):
 
 
 def _realize(plan, lengths):
-    """The kept candidate of every departure for its prefix lengths: the
-    step rule once per departure."""
-    ranks, cap = [0] * plan.ncodes, plan.cap
-    return [_keep(ranks, d, j, cap) for d, j in zip(plan.departures, lengths)]
+    """The kept candidate of every departure for its prefix lengths.
+
+    The step rule reads a sample's past only through its state, the ranks
+    of the window's edges (`live`), so each departure keeps its
+    transitions, (state id, length) -> (kept candidate, next state id,
+    next state), in the plan's memo, and `_keep` runs once per transition
+    a sample reaches.  A state id is a multiple of k + 1 (`stride`) and a
+    length is at most k, so their sum keys the transition.  A miss writes
+    the state into the running rank list, zeroes the edges to the new
+    vertex (`fresh`), runs `_keep` and interns the next state; a
+    transition that breaks the cap raises there and is never stored.  The
+    memo is this function's alone."""
+    ranks, tables, interned, live, fresh, read, stride = plan.memo
+    departures, cap = plan.departures, plan.cap
+    kept, s, state, held = [], 0, (), None
+    for t, j in enumerate(lengths):
+        hit = tables[t].get(s + j)
+        if hit is None:
+            for c in fresh[t]:
+                ranks[c] = 0
+            if state is not held:  # else the last miss left this state in the list
+                for c, r in zip(live[t], state):
+                    ranks[c] = r
+            i = _keep(ranks, departures[t], j, cap)
+            held = read[t](ranks)
+            ids = interned[t]
+            hit = tables[t][s + j] = i, ids.setdefault(held, len(ids) * stride), held
+        i, s, state = hit
+        kept.append(i)
+    return kept
 
 
 def draw_prefixes(seq: LinearCompositionSequence, g: MetricGraph, rng,

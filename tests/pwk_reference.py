@@ -13,6 +13,9 @@ instances only.
 tuples, ranks in a dict keyed by edge and each departing vertex's edges
 popped when it leaves; ``pwtree.pwk`` runs the same rule on integer edge
 codes, and the tests check that both keep the same edges.
+`realize_by_steps` is ``pwtree.pwk._keep`` run once per departure on one
+rank list, without the transition table that ``pwtree.pwk._realize``
+keeps; the tests check that both keep the same candidates.
 """
 
 from fractions import Fraction
@@ -20,7 +23,8 @@ from itertools import combinations
 
 from pwtree.graphs import edge_key, minimum_spanning_tree
 from pwtree.pwk import (
-    InvariantViolated, MissingLength, eligible_probs, prefix_thresholds, sample_prefix_length)
+    InvariantViolated, MissingLength, _keep, eligible_probs, prefix_thresholds,
+    sample_prefix_length)
 
 
 class ReferenceState:
@@ -210,3 +214,10 @@ def realize(plan, g, lengths):
     return ([keep(ranks, w, ranked, j, plan.cap)
              for (w, ranked), j in zip(ranked_departures(plan, g), lengths)]
             + [e for e, _ in plan.mst])
+
+
+def realize_by_steps(plan, lengths):
+    """The kept candidate of every departure of a ``pwtree.pwk`` plan: the
+    step rule `_keep` once per departure, on ranks that start at 0."""
+    ranks = [0] * plan.ncodes
+    return [_keep(ranks, d, j, plan.cap) for d, j in zip(plan.departures, lengths)]

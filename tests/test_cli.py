@@ -314,18 +314,23 @@ TRIANGLE_STEPS = {"k": 2, "initial": [0, 1], "steps": [{"new": 2, "window": [0, 
     ({"vertices": [0, 1], "edges": [[0, 1, 1, 2]]}, None),
     ({"vertices": [0, 1], "edges": [[0, 1, float("nan")]]}, None),  # JSON's NaN
     ({"vertices": [0, 1], "edges": [[0, 1, "abc"]]}, None),
+    ({"vertices": [0, 1, True], "edges": [[0, 1, 1]]}, None),
+    ({"vertices": [0, 1], "edges": [[0, True, 1]]}, None),
+    ({"vertices": [0, 1], "edges": [[0, 1, True]]}, None),
 ], ids=["graph-list", "vertices-int", "list-ids", "mixed-ids", "list-length",
         "infinite-length", "window-int", "initial-int", "k-list", "infinite-k",
         "zero-denominator", "k-fraction", "k-float", "k-string", "k-bool",
         "no-edges", "no-steps", "step-without-new", "short-edge", "long-edge",
-        "nan-length", "text-length"])
+        "nan-length", "text-length", "vertex-bool", "endpoint-bool", "length-bool"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
     # each of these used to escape as a TypeError (a zero denominator: a
     # ZeroDivisionError) traceback, except a non-int k, which int(k) coerced:
     # 2.5 to a width-2 run, True to width 1.  A missing key printed the bare
     # key, caught as a KeyError, which would also have hidden a program fault.
     # An edge of the wrong length, a NaN length and a length that is no
-    # rational printed a bare ValueError's message
+    # rational printed a bare ValueError's message.  A JSON true loaded
+    # silently: as a length of 1, as an endpoint equal to vertex 1, and as a
+    # vertex id that merged with vertex 1
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(graph))
     argv = ["embed", str(gpath), "--samples", "3"]
@@ -336,6 +341,16 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: malformed") and err.count("\n") == 1
+
+
+def test_zero_denominator_length_names_its_edge(capsys, tmp_path):
+    # it printed the bare ZeroDivisionError text: "Fraction(1, 0)"
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"vertices": [0, 1, 2], "edges": [[0, 1, 1], [1, 2, "1/0"]]}))
+    code, out, err = run(capsys, "pathwidth", str(gpath))
+    assert code == 1 and out == ""
+    assert err == ("error: malformed graph JSON: length '1/0' of edge [1, 2, '1/0'] "
+                   "has a zero denominator\n")
 
 
 @pytest.mark.parametrize("n, reason", [

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import linked_edges, mixed_instances, tree_metric_and_sequence
-from pwk_reference import ReferenceState, keep, ranked_departures, realize, reference_embed
+from pwk_reference import (
+    ReferenceState, keep, ranked_departures, realize, realize_by_steps, reference_embed)
 import pwtree
-from pwtree import harness
+from pwtree import harness, pwk
 from pwtree.graphs import (
     build_metric_graph, integer_scale, is_tree, shortest_path_metric)
 from pwtree.harness import sample_rng
@@ -29,6 +30,7 @@ from pwtree.pwk import (
     MissingLength,
     NegativeTau,
     TooManyOutcomes,
+    _draw_lengths,
     _keep,
     _plan,
     _realize,
@@ -52,6 +54,17 @@ def run_reference(seq, metric, rng):
     for v, w in seq.steps[1:]:
         state.random_step(v, w, rng)
     return state
+
+
+def run_optimized(code):
+    """The standard output of `code` run under `python -O`, which must exit 0."""
+    src = os.path.dirname(os.path.dirname(pwtree.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 class TestEligibleProbs:
@@ -276,13 +289,7 @@ class TestEdgeRank:
             except InvariantViolated:
                 print("raised")
         """)
-        src = os.path.dirname(os.path.dirname(pwtree.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-O", "-c", code],
-                             capture_output=True, text=True, env=env, timeout=60)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["raised"] * 5
+        assert run_optimized(code).split() == ["raised"] * 5
 
 
 class TestStepTransition:
@@ -431,6 +438,86 @@ class TestParentLinks:
         assert harness._RootedTree(tree, 2).pair_distances([(1, 2)]) == [3]
         with pytest.raises(ValueError, match="instance scale"):
             harness._RootedTree(tree, 3)
+
+
+def wide_lengths(rng):
+    """A small rational length times 2^j, j <= 40: prefix probabilities
+    far below 1 even at the default tau."""
+    return small_rational_lengths(rng) * 2 ** rng.randint(0, 40)
+
+
+def cold_plan(seq, metric, tau):
+    """A new plan, whose transition table is empty."""
+    _plan.cache_clear()
+    return _plan(seq, metric, tau)
+
+
+def stored_transitions(plan):
+    return sum(len(table) for table in plan.memo[1])
+
+
+class TestTransitionTable:
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.sampled_from([2, 3, 4]), extra=st.integers(1, 30),
+           sampler=st.sampled_from([small_rational_lengths, wide_lengths]),
+           tau=st.sampled_from([None, 1, 0]), seed=st.integers(0, 2 ** 32))
+    def test_kept_candidates_match_the_step_by_step_rule(self, k, extra, sampler, tau, seed):
+        # the table keeps what the rule run on every departure keeps: on a
+        # cold plan, again on the warm one, and on a cold one fed the
+        # samples in another order; drawn lengths and lengths from the
+        # whole admissible range, which reach states no draw does
+        rng = random.Random(seed)
+        g, seq = random_pathwidth_graph(k, k + extra, sampler, rng)
+        metric = composed_metric_graph(g, seq)
+        plan = cold_plan(seq, metric, tau)
+        draws = [_draw_lengths(plan.departures, sample_rng(seed, i)) for i in range(20)]
+        draws += [[rng.randint(1, len(d.anchors)) for d in plan.departures] for _ in range(20)]
+        want = [realize_by_steps(plan, lengths) for lengths in draws]
+        assert [_realize(plan, lengths) for lengths in draws] == want
+        assert [_realize(plan, lengths) for lengths in draws] == want
+        order = list(range(len(draws)))
+        rng.shuffle(order)
+        plan = cold_plan(seq, metric, tau)
+        assert [_realize(plan, draws[i]) for i in order] == [want[i] for i in order]
+
+    def test_keep_runs_once_per_reachable_transition(self, monkeypatch):
+        # the rule ran once per departure and sample: 50,900 times for
+        # these 100 samples of 509 departures
+        g, seq = random_pathwidth_graph(2, 512, small_rational_lengths, random.Random(17))
+        metric = composed_metric_graph(g, seq)
+        plan = cold_plan(seq, metric, None)
+        calls = []
+        real = pwk._keep
+        monkeypatch.setattr(pwk, "_keep", lambda *args: calls.append(args[2]) or real(*args))
+        trees = [embed_pathwidthk(seq, metric, sample_rng(17, i)) for i in range(100)]
+        assert len(plan.departures) == 509 and len({frozenset(t.edge_keys()) for t in trees}) > 1
+        assert len(calls) == stored_transitions(plan) <= 2 * len(plan.departures)
+        # a warm plan runs it no more
+        embed_pathwidthk(seq, metric, sample_rng(17, 0))
+        assert len(calls) == stored_transitions(plan)
+
+    def test_cap_breach_on_a_miss_raises_under_optimize(self):
+        # a breach is found on a miss, before its transition is stored, so
+        # the same draw raises again, under `python -O` too; the plan's
+        # cap is lowered to 1, which the second departure's ranks reach
+        code = textwrap.dedent("""
+            import sys
+            from pwtree.instances import cycle
+            from pwtree.pathwidth import composed_metric_graph
+            from pwtree.pwk import InvariantViolated, _plan, _realize
+            if __debug__:
+                sys.exit("asserts are live")
+            g, seq = cycle(6)
+            metric = composed_metric_graph(g, seq)
+            plan = _plan(seq, metric, None)._replace(cap=1)
+            lengths = [2] * len(plan.departures)
+            for _ in range(2):
+                try:
+                    _realize(plan, lengths)
+                except InvariantViolated:
+                    print("raised", sum(len(table) for table in plan.memo[1]))
+        """)
+        assert run_optimized(code).splitlines() == ["raised 1", "raised 1"]
 
 
 class TestDraws:

@@ -6,7 +6,9 @@ Python >= 3.10 as pyproject.toml requires).  It also holds no `assert`
 statement, since `python -O` strips them and the invariants the proof
 relies on must still be checked there.  Exactly one function sets a tree's
 parent links (`MetricGraph._links`): the one both samplers share, which is
-also the only place in the samplers that builds a `MetricGraph`."""
+also the only place in the samplers that builds a `MetricGraph`.  Exactly
+one function touches the width-k plan's mutable transition table
+(`_Plan.memo`): `pwk._realize`, which reads and fills it."""
 
 import ast
 import sys
@@ -69,6 +71,26 @@ def links_writers(path):
                    or (isinstance(n, ast.Constant) and n.value == "_links")
                    for t in targets for n in ast.walk(t))
         if sets and not (isinstance(value, ast.Constant) and value.value is None):
+            found.append((func, node.lineno))
+    return found
+
+
+def memo_touches(path):
+    """(function, line) of every node in a source file that reads or sets
+    a `memo` attribute: by attribute, by a `getattr`, `setattr` or
+    `delattr` call naming it, or as a keyword argument (`_replace`)."""
+    found = []
+    for func, node in nodes_by_function(path):
+        if isinstance(node, ast.Attribute):
+            touches = node.attr == "memo"
+        elif isinstance(node, ast.Call):
+            named = (isinstance(node.func, ast.Name)
+                     and node.func.id in ("getattr", "setattr", "delattr") and len(node.args) > 1
+                     and isinstance(node.args[1], ast.Constant) and node.args[1].value == "memo")
+            touches = named or any(kw.arg == "memo" for kw in node.keywords)
+        else:
+            touches = False
+        if touches:
             found.append((func, node.lineno))
     return found
 
@@ -170,3 +192,26 @@ def test_links_guard_sees_every_form(tmp_path):
                     "x = G()\nx._links = 8\n")
     assert links_writers(path) == [("build", 5), ("copy", 7), ("annotated", 9), ("grow", 11),
                                    ("hidden", 13), (None, 18)]
+
+
+def test_one_function_touches_the_transition_table():
+    # the plan is cached and shared, so its one mutable part has one owner
+    found = {(path.name, func) for path in package_files() for func, _ in memo_touches(path)}
+    assert found == {("pwk.py", "_realize")}
+
+
+def test_memo_guard_sees_every_form(tmp_path):
+    # a read, a write, the three attribute calls and a keyword, at module
+    # level too; a field declaration, a plain name, a string and another
+    # attribute touch nothing
+    path = tmp_path / "probe.py"
+    path.write_text("class P:\n    memo: tuple\n"
+                    "def read(plan):\n    return plan.memo[0]\n"
+                    "def write(plan):\n    plan.memo = ()\n"
+                    "def named(plan):\n    return getattr(plan, 'memo')\n"
+                    "def hidden(plan):\n    setattr(plan, 'memo', 1)\n    delattr(plan, 'memo')\n"
+                    "def swapped(plan):\n    return plan._replace(memo=())\n"
+                    "memo = ()\ns = 'plan.memo'\nx = P().memos\n"
+                    "y = P().memo\n")
+    assert memo_touches(path) == [("read", 4), ("write", 6), ("named", 8), ("hidden", 10),
+                                  ("hidden", 11), ("swapped", 13), (None, 17)]
