@@ -354,22 +354,26 @@ def graph_to_json(g: MetricGraph) -> dict:
 def graph_from_json(data: dict) -> MetricGraph:
     """The graph of {"vertices": [...], "edges": [[u, v, length], ...]}.
 
-    A document of another shape (a list, a missing key, a scalar vertex
-    list, unhashable or unorderable vertex ids, a boolean vertex id,
-    endpoint or length, an edge that is not a triple, or a length that is
-    a list, NaN, no rational, an overflowing number or has a zero
-    denominator) raises GraphError.  Each entry is checked before the
-    builder sees it, so the builder's own errors, such as NegativeLength,
-    pass through as they are."""
+    A document of another shape (a list, a missing key, a vertex or edge
+    list that is not an array, unhashable or unorderable vertex ids, a
+    boolean vertex id, endpoint or length, an edge that is not an array of
+    three, or a length that is a list, NaN, no rational, an overflowing
+    number or has a zero denominator) raises GraphError.  Each entry is
+    checked before the builder sees it, so the builder's own errors, such
+    as NegativeLength, pass through as they are."""
     try:
-        vertices = data["vertices"]
+        vertices, entries = data["vertices"], data["edges"]
+        # a string or an object would be read as its characters or its keys
+        for key, value in (("vertices", vertices), ("edges", entries)):
+            if not isinstance(value, list):
+                raise GraphError(f"malformed graph JSON: {key} {value!r} is not an array")
         # bool is an int subclass, and True == 1 would merge with vertex 1
         for v in vertices:
             if isinstance(v, bool):
                 raise GraphError(f"malformed graph JSON: vertex {v!r} is a boolean")
         edges = []
-        for entry in data["edges"]:
-            if len(entry) != 3:
+        for entry in entries:
+            if not isinstance(entry, list) or len(entry) != 3:
                 raise GraphError(f"malformed graph JSON: edge {entry!r} is not [u, v, length]")
             if any(isinstance(x, bool) for x in entry):
                 raise GraphError(f"malformed graph JSON: edge {entry!r} holds a boolean")

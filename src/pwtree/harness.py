@@ -500,18 +500,17 @@ def average_edge_stretch(g: MetricGraph, sample: EmbeddingSample,
             _check_mapped(sample, sample.source.vertices, "its source")
         if not _noncontraction(sample, shortest_path_metric(sample.source), dm_t):
             raise PreconditionFailed("sample contracts some distance")
-    total = Fraction(0)
-    ratio = Fraction(0)
-    counted = 0
+    # target distances as integers over the tree's scale; one Fraction each at the end
+    total, ratio, counted = 0, Fraction(0), 0
     for (u, v), length in g.edges():
-        d = dm_t.dist(sample.image(u), sample.image(v))
+        d = dm_t.scaled(sample.image(u), sample.image(v))
         total += d
         if length > 0:
             ratio += d / length
             counted += 1
     return AverageStretch(
-        mean_distance=total / g.m,
-        mean_ratio=(ratio / counted) if counted else None,
+        mean_distance=Fraction(total, dm_t.scale * g.m),
+        mean_ratio=ratio / (dm_t.scale * counted) if counted else None,
         edges_total=g.m,
         edges_in_ratio=counted,
     )

@@ -782,18 +782,31 @@ def composition_to_json(seq: LinearCompositionSequence) -> dict:
 
 def composition_from_json(data: dict) -> LinearCompositionSequence:
     """The sequence of {"k": k, "initial": [...], "steps": [{"new": v,
-    "window": [...]}, ...]}; a document of another shape or with a missing
-    key raises BadSequence."""
+    "window": [...]}, ...]}; a document of another shape, with a missing
+    key, an `initial`, `steps` or `window` that is not an array, or a
+    boolean vertex raises BadSequence."""
     try:
-        return LinearCompositionSequence(
-            data["k"],
-            data["initial"],
-            [(s["new"], frozenset(s["window"])) for s in data["steps"]],
-        )
+        initial = _json_array(data["initial"], "initial")
+        steps = [(s["new"], _json_array(s["window"], "window"))
+                 for s in _json_array(data["steps"], "steps")]
+        # bool is an int subclass, and True == 1 would alias vertex 1
+        for v in initial + [x for new, window in steps for x in (new, *window)]:
+            if isinstance(v, bool):
+                raise BadSequence(f"malformed composition JSON: vertex {v!r} is a boolean")
+        return LinearCompositionSequence(data["k"], initial,
+                                         [(v, frozenset(window)) for v, window in steps])
     except KeyError as exc:
         raise BadSequence(f"malformed composition JSON: missing key {exc}") from None
     except TypeError as exc:
         raise BadSequence(f"malformed composition JSON: {exc}") from None
+
+
+def _json_array(value, key):
+    """`value`, which must be a JSON array: a string or an object would be
+    read as its characters or its keys."""
+    if not isinstance(value, list):
+        raise BadSequence(f"malformed composition JSON: {key} {value!r} is not an array")
+    return value
 
 
 def dump_composition(seq, path):

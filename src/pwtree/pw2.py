@@ -114,15 +114,13 @@ class _Departure(NamedTuple):
     """A vertex leaving the window, with its candidate edges to the vertices
     that stay; drawn length j makes candidates 1..j eligible.  Vertices are
     indices in sorted vertex order.  In `pwk` the candidates are sorted by
-    (length, edge) and an edge's code is its position among the sorted
-    composed edges, which hold every pair that shares a clique; `pw2` has
-    no codes."""
+    (length, edge), and a state lays out the clique's edges as `pwk._keep`
+    reads them; `pw2` has no states."""
     w: int
     anchors: tuple     # each candidate's other endpoint
     edges: tuple       # each candidate's (edge key, length)
     scaled: tuple      # each candidate's length times the plan's scale
-    codes: tuple       # each candidate's edge code
-    moves: tuple       # per kept candidate: (position of x, code of anchor-x) for every other x
+    out: tuple         # per rank of the next state, its slot in this one's
     probs: tuple       # exact eligible-prefix probabilities, for the enumerator
     thresholds: tuple  # their float thresholds, None where saturated at 1
 
@@ -145,14 +143,13 @@ class _Plan(NamedTuple):
     scaled: tuple      # per vertex, the length to its parent times `scale`
     scale: int
     cap: int           # pwk's rank cap
-    ncodes: int        # the number of edge codes: one per composed edge, in sorted order
     memo: tuple        # pwk's transition table, mutable and read by `pwk._realize` alone
 
 
-def _build_plan(g: MetricGraph, steps, mst, cap=0, ncodes=0, memo=()) -> _Plan:
-    """The plan of `steps`, one (w, anchors, codes, moves, probs,
-    thresholds) per departure with w and its anchors as vertices, and of
-    `mst`, the edge keys of the final clique's spanning tree."""
+def _build_plan(g: MetricGraph, steps, mst, cap=0, memo=()) -> _Plan:
+    """The plan of `steps`, one (w, anchors, out, probs, thresholds) per
+    departure with w and its anchors as vertices, and of `mst`, the edge
+    keys of the final clique's spanning tree."""
     index = {v: i for i, v in enumerate(g.vertices)}
     scale = integer_scale(g)
 
@@ -177,7 +174,7 @@ def _build_plan(g: MetricGraph, steps, mst, cap=0, ncodes=0, memo=()) -> _Plan:
                 order.append(y)
     order += [d.w for d in reversed(departures)]
     return _Plan(tuple(departures), mst, tuple(order), tuple(parent), tuple(to_parent), scale,
-                 cap, ncodes, memo)
+                 cap, memo)
 
 
 def _sampled_tree(g, plan, kept):
@@ -262,7 +259,7 @@ def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
             p = pw2_deletion_probability(*risk, tau=tau)
         except DegenerateZero:
             p = Fraction(1, 2)
-        steps.append((w, anchors, (), (), (p,), (float_threshold(p),)))
+        steps.append((w, anchors, (), (p,), (float_threshold(p),)))
         u, v = sorted(retained)
     return _build_plan(g, steps, [edge_key(u, v)])
 

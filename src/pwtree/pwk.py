@@ -10,15 +10,16 @@ therefore never contracts.
 
 Only the ranks depend on the sample, so a plan of the departures
 (`_plan`) is built once per (sequence, metric, tau) and kept: every sample
-of a run reuses it.  The plan gives each candidate edge an integer code.
-A sample's only random choices are its prefix lengths, one per departure,
-drawn against the plan's float thresholds (`draw_prefixes`).  `_realize`
-returns each departure's kept candidate for those lengths by the one step
-rule (`_keep`, on ranks keyed by edge codes), memoised per departure in a
-transition table that the cached plan holds (`_Plan.memo`) and that
-`_realize` alone reads and fills: `_keep` runs once per reachable
-transition, not once per sample and departure.  The table makes a plan
-unsafe to realize from two threads at once.
+of a run reuses it.  A sample's only random choices are its prefix
+lengths, one per departure, drawn against the plan's float thresholds
+(`draw_prefixes`).  The step rule (`_keep`) is a pure function of a
+departure's state, the ranks of its clique's C(k+1, 2) edges, and its
+length: it returns the kept candidate and the next departure's state.
+`_realize` folds it over a sample's lengths from the all-zero state,
+memoised per departure in a transition table that the cached plan holds
+(`_Plan.memo`) and that `_realize` alone reads and fills: `_keep` runs
+once per reachable transition, not once per sample and departure.  The
+table makes a plan unsafe to realize from two threads at once.
 
 The plan and the tree come from the functions shared with `pw2`
 (`pw2._build_plan`, `pw2._sampled_tree`): a departing vertex hangs from
@@ -35,8 +36,8 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
-from operator import itemgetter
 
 from .graphs import MetricGraph, edge_key, minimum_spanning_tree
 from .pathwidth import LinearCompositionSequence
@@ -81,102 +82,90 @@ def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
     (length, edge), and the final clique's spanning tree is its minimum
     one."""
     tau = check_tau(4 * seq.k if tau is None else tau)
-    composed = sorted(seq.composed_edges())
-    for a, b in composed:
+    for a, b in sorted(seq.composed_edges()):
         if not g.has_edge(a, b):
             raise MissingLength(f"composed edge ({a!r}, {b!r}) absent from the metric")
-    code = {e: i for i, e in enumerate(composed)}
-    steps = []
+    steps, layouts = [], []
     clique = window = frozenset(seq.initial)
     for v, retained in seq.steps:
         clique = window | {v}
         (w,) = clique - retained
         xs = sorted(retained, key=lambda x: (g.length(w, x), edge_key(w, x)))
         probs = tuple(eligible_probs([g.length(w, x) for x in xs], tau))
-        steps.append((w, xs, tuple(code[edge_key(w, x)] for x in xs),
-                      tuple(tuple((i, code[edge_key(a, x)]) for i, x in enumerate(xs) if x != a)
-                            for a in xs),
-                      probs, prefix_thresholds(probs)))
+        steps.append([w, xs, probs, prefix_thresholds(probs)])
+        layouts.append([edge_key(w, x) for x in xs]
+                       + [edge_key(a, b) for a, b in combinations(xs, 2)])
         window = retained
-    # the last step's clique is final: its departure never happens
-    steps = steps[:-1]
-    # a departure reads the codes of its clique's edges; those it shares with
-    # the departure before are the window's edges, whose ranks are the state
-    # the sample brings to it, and the others, to the new vertex, start at 0
-    reads = [frozenset(codes).union(c for move in moves for _, c in move)
-             for _, _, codes, moves, *_ in steps]
-    before = [frozenset()] + reads
-    live = tuple(tuple(now & then) for now, then in zip(reads + [frozenset()], before))
-    fresh = tuple(tuple(now - then) for now, then in zip(reads, before))
-    # the running rank list; per departure its transitions, its next states
-    # interned, its live and fresh codes and the reader of the next state's
-    # ranks; the stride of the state ids
-    memo = ([0] * len(composed), tuple({} for _ in steps), tuple({} for _ in steps), live, fresh,
-            tuple(_reader(codes) for codes in live[1:]), seq.k + 1)
-    return _build_plan(g, steps, minimum_spanning_tree(g, clique),
-                       comb(seq.k + 1, 2), len(composed), memo)
+    # the last step's clique is final: its departure never happens, and the
+    # state after the last departure holds the pairs of its candidates
+    del steps[-1:], layouts[-1:]
+    layouts.append(layouts[-1][seq.k:] if layouts else [])
+    for step, now, then in zip(steps, layouts, layouts[1:]):
+        # an edge of the next clique is a pair of this one's candidates, or
+        # one to the new vertex, which reads the zero past this state's end
+        slot = {e: i for i, e in enumerate(now)}
+        step.insert(2, tuple(slot.get(e, len(now)) for e in then))
+    # per departure its transitions and its next states interned; the
+    # start state, a zero per clique edge, whose count is also the rank cap
+    edges = comb(seq.k + 1, 2)
+    memo = tuple({} for _ in steps), tuple({} for _ in steps), (0,) * edges
+    return _build_plan(g, steps, minimum_spanning_tree(g, clique), edges, memo)
 
 
-def _reader(codes):
-    """The function that reads a rank list at `codes` into a tuple: one C
-    call where `itemgetter` returns a tuple, for two codes or more."""
-    if len(codes) > 1:
-        return itemgetter(*codes)
-    return lambda ranks: tuple([ranks[c] for c in codes])
+def _pair(k, a, b):
+    """The slot of the edge between candidates a < b in a state of width k."""
+    return k + a * (2 * k - a - 1) // 2 + b - a - 1
 
 
-def _keep(ranks, departure, j, cap):
+def _keep(state, departure, j, cap):
     """The step rule: the departing vertex leaves the clique keeping one of
-    its first `j` candidate edges; returns the kept candidate's position.
+    its first `j` candidate edges; returns the kept candidate's position
+    and the next departure's state.
 
-    `ranks` holds a risk counter per edge code.  The kept edge has the
-    largest rank among the eligible ones, ties going to the first.  Every
-    eligible edge's rank goes up by one, and the ranks of the departing
-    vertex's edges move to the kept edge's other endpoint (the anchor),
-    where the vertex now hangs: each reaches the anchor's edge to the same
-    endpoint unless that edge's rank is already higher.  The departed
-    edges are never read again, so their counters are left as they are."""
-    old = [ranks[c] for c in departure.codes]
-    top = max(old[:j])
+    `state` holds a risk counter per edge of the departure's clique: its
+    candidate edges in order, then each pair of candidates (`_pair`).  The
+    kept edge has the largest rank among the eligible ones, ties going to
+    the first.  Every eligible edge's rank goes up by one, and the ranks of
+    the departing vertex's edges move to the kept edge's other endpoint
+    (the anchor), where the vertex now hangs: each reaches the anchor's
+    edge to the same endpoint unless that edge's rank is already higher.
+    The next state reads the window's edges from this one (`out`).  The
+    rule changes none of its arguments, so `_realize` may keep the states
+    it passes and gets back."""
+    top = max(state[:j])
     if top >= cap:
-        i = next(i for i in range(j) if old[i] >= cap)
+        i = next(i for i in range(j) if state[i] >= cap)
         raise InvariantViolated(f"rank of {departure.edges[i][0]!r} would pass its cap {cap}")
-    best = old.index(top)
-    for i, to in departure.moves[best]:
-        bumped = old[i] + (i < j)
-        if bumped > ranks[to]:
-            ranks[to] = bumped
-    return best
+    best, k = state.index(top), len(departure.anchors)
+    ranks = [*state, 0]
+    for i in range(k):
+        if i != best:
+            to = _pair(k, i, best) if i < best else _pair(k, best, i)
+            bumped = state[i] + (i < j)
+            if bumped > ranks[to]:
+                ranks[to] = bumped
+    return best, tuple([ranks[o] for o in departure.out])
 
 
 def _realize(plan, lengths):
     """The kept candidate of every departure for its prefix lengths.
 
-    The step rule reads a sample's past only through its state, the ranks
-    of the window's edges (`live`), so each departure keeps its
-    transitions, (state id, length) -> (kept candidate, next state id,
-    next state), in the plan's memo, and `_keep` runs once per transition
-    a sample reaches.  A state id is a multiple of k + 1 (`stride`) and a
-    length is at most k, so their sum keys the transition.  A miss writes
-    the state into the running rank list, zeroes the edges to the new
-    vertex (`fresh`), runs `_keep` and interns the next state; a
-    transition that breaks the cap raises there and is never stored.  The
-    memo is this function's alone."""
-    ranks, tables, interned, live, fresh, read, stride = plan.memo
-    departures, cap = plan.departures, plan.cap
-    kept, s, state, held = [], 0, (), None
+    The step rule reads a sample's past only through its state, so each
+    departure keeps its transitions, (state id, length) -> (kept
+    candidate, next state id, next state), in the plan's memo, and `_keep`
+    runs once per transition a sample reaches.  A state id is a multiple of
+    one more than a state's C(k+1, 2) ranks and a length is at most k, so
+    their sum keys the transition; a transition that breaks the cap raises
+    in `_keep` and is never stored.  The memo is this function's alone."""
+    tables, interned, state = plan.memo
+    departures, cap, stride = plan.departures, plan.cap, len(state) + 1
+    kept, s = [], 0
     for t, j in enumerate(lengths):
         hit = tables[t].get(s + j)
         if hit is None:
-            for c in fresh[t]:
-                ranks[c] = 0
-            if state is not held:  # else the last miss left this state in the list
-                for c, r in zip(live[t], state):
-                    ranks[c] = r
-            i = _keep(ranks, departures[t], j, cap)
-            held = read[t](ranks)
+            i, after = _keep(state, departures[t], j, cap)
             ids = interned[t]
-            hit = tables[t][s + j] = i, ids.setdefault(held, len(ids) * stride), held
+            hit = tables[t][s + j] = i, ids.setdefault(after, len(ids) * stride), after
         i, s, state = hit
         kept.append(i)
     return kept

@@ -11,11 +11,12 @@ instances only.
 
 `keep` and `realize` are the per-edge step rule as it reads on edge
 tuples, ranks in a dict keyed by edge and each departing vertex's edges
-popped when it leaves; ``pwtree.pwk`` runs the same rule on integer edge
-codes, and the tests check that both keep the same edges.
-`realize_by_steps` is ``pwtree.pwk._keep`` run once per departure on one
-rank list, without the transition table that ``pwtree.pwk._realize``
-keeps; the tests check that both keep the same candidates.
+popped when it leaves; ``pwtree.pwk`` runs the same rule on states, one
+rank per edge of a departure's clique, and the tests check that both keep
+the same edges.  `realize_by_steps` is ``pwtree.pwk._keep`` folded over
+the departures from the zero state, without the transition table that
+``pwtree.pwk._realize`` keeps; the tests check that both keep the same
+candidates.  `state_edges` names the edge of every rank of those states.
 """
 
 from fractions import Fraction
@@ -216,8 +217,31 @@ def realize(plan, g, lengths):
             + [e for e, _ in plan.mst])
 
 
+def zero_state(plan):
+    """The state of a ``pwtree.pwk`` plan's first departure: every rank 0."""
+    k = len(plan.departures[0].anchors) if plan.departures else 0
+    return (0,) * (k * (k + 1) // 2)
+
+
 def realize_by_steps(plan, lengths):
     """The kept candidate of every departure of a ``pwtree.pwk`` plan: the
-    step rule `_keep` once per departure, on ranks that start at 0."""
-    ranks = [0] * plan.ncodes
-    return [_keep(ranks, d, j, plan.cap) for d, j in zip(plan.departures, lengths)]
+    step rule `_keep` folded over the departures from the zero state."""
+    kept, state = [], zero_state(plan)
+    for d, j in zip(plan.departures, lengths):
+        i, state = _keep(state, d, j, plan.cap)
+        kept.append(i)
+    return kept
+
+
+def state_edges(plan, g):
+    """Per departure of a ``pwtree.pwk`` plan on `g`, the edges whose ranks
+    the state after it holds, in the state's order: the next departure's
+    candidate edges, then each pair of its candidates; after the last
+    departure, the pairs of its own candidates."""
+    verts = g.vertices
+
+    def pairs(d):
+        return [edge_key(verts[a], verts[b]) for a, b in combinations(d.anchors, 2)]
+
+    layouts = [[e for e, _ in d.edges] + pairs(d) for d in plan.departures[1:]]
+    return layouts + [pairs(d) for d in plan.departures[-1:]]

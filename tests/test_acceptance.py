@@ -156,7 +156,8 @@ def test_criterion_04_outputs_are_low_pathwidth_trees():
 
 def test_criterion_05_rank_cap_never_exceeded():
     # the step rule raises InvariantViolated on a breach; this sweep also
-    # watches the counters directly after every step, across widths
+    # watches every counter of the state directly after every step, the
+    # last one included, across widths
     rng = random.Random(501)
     for k in (2, 3, 4):
         cap = (k + 1) * k // 2
@@ -165,10 +166,11 @@ def test_criterion_05_rank_cap_never_exceeded():
             metric = composed_metric_graph(g, seq)
             plan = _plan(seq, metric, None)
             assert plan.cap == cap
-            ranks = [0] * plan.ncodes
+            state = (0,) * cap
             for d in plan.departures:
-                _keep(ranks, d, sample_prefix_length(d.thresholds, rng), cap)
-                assert all(r <= cap for r in ranks)
+                _, state = _keep(state, d, sample_prefix_length(d.thresholds, rng), cap)
+                assert all(r <= cap for r in state)
+            assert len(state) == k * (k - 1) // 2
 
 
 def test_criterion_06_no_size_growth():

@@ -289,6 +289,8 @@ def test_usage_error_exit_code(capsys):
 
 TRIANGLE = {"vertices": [0, 1, 2], "edges": [[0, 1, 1], [1, 2, "1/2"], [0, 2, 1]]}
 TRIANGLE_STEPS = {"k": 2, "initial": [0, 1], "steps": [{"new": 2, "window": [0, 2]}]}
+LETTERS = {"vertices": ["a", "b", "c"], "edges": [["a", "b", 1], ["b", "c", 1], ["a", "c", 1]]}
+LETTER_STEPS = {"k": 2, "initial": ["a", "b"], "steps": [{"new": "c", "window": ["a", "c"]}]}
 
 
 @pytest.mark.parametrize("graph, composition", [
@@ -317,11 +319,26 @@ TRIANGLE_STEPS = {"k": 2, "initial": [0, 1], "steps": [{"new": 2, "window": [0, 
     ({"vertices": [0, 1, True], "edges": [[0, 1, 1]]}, None),
     ({"vertices": [0, 1], "edges": [[0, True, 1]]}, None),
     ({"vertices": [0, 1], "edges": [[0, 1, True]]}, None),
+    ({"vertices": "ab", "edges": []}, None),
+    ({"vertices": {"0": 1, "1": 2}, "edges": []}, None),
+    ({"vertices": ["a", "b"], "edges": "ab1"}, None),
+    ({"vertices": [0, 1], "edges": {"0": [0, 1, 1]}}, None),
+    ({"vertices": ["0", "1"], "edges": [{"0": 0, "1": 1, "2": 0}]}, None),
+    (TRIANGLE, dict(TRIANGLE_STEPS, steps=[{"new": 2, "window": [0, True]}])),
+    (TRIANGLE, dict(TRIANGLE_STEPS, initial=[0, True])),
+    (TRIANGLE, dict(TRIANGLE_STEPS, steps=[{"new": True, "window": [0, 1]}])),
+    (LETTERS, dict(LETTER_STEPS, initial="ab")),
+    (LETTERS, dict(LETTER_STEPS, steps=[{"new": "c", "window": "ac"}])),
+    (LETTERS, dict(LETTER_STEPS, steps={"0": {"new": "c", "window": ["a", "c"]}})),
+    (LETTERS, dict(LETTER_STEPS, steps="c")),
 ], ids=["graph-list", "vertices-int", "list-ids", "mixed-ids", "list-length",
         "infinite-length", "window-int", "initial-int", "k-list", "infinite-k",
         "zero-denominator", "k-fraction", "k-float", "k-string", "k-bool",
         "no-edges", "no-steps", "step-without-new", "short-edge", "long-edge",
-        "nan-length", "text-length", "vertex-bool", "endpoint-bool", "length-bool"])
+        "nan-length", "text-length", "vertex-bool", "endpoint-bool", "length-bool",
+        "vertices-string", "vertices-object", "edges-string", "edges-object", "edge-object",
+        "window-bool", "initial-bool", "new-bool", "initial-string", "window-string",
+        "steps-object", "steps-string"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
     # each of these used to escape as a TypeError (a zero denominator: a
     # ZeroDivisionError) traceback, except a non-int k, which int(k) coerced:
@@ -330,7 +347,9 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
     # An edge of the wrong length, a NaN length and a length that is no
     # rational printed a bare ValueError's message.  A JSON true loaded
     # silently: as a length of 1, as an endpoint equal to vertex 1, and as a
-    # vertex id that merged with vertex 1
+    # vertex id that merged with vertex 1, also in a composition.  A string
+    # or an object where an array belongs was read as its characters or its
+    # keys: "ab" as the vertices a and b
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(graph))
     argv = ["embed", str(gpath), "--samples", "3"]

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import linked_edges, mixed_instances, tree_metric_and_sequence
 from pwk_reference import (
-    ReferenceState, keep, ranked_departures, realize, realize_by_steps, reference_embed)
+    ReferenceState, keep, ranked_departures, realize, realize_by_steps, reference_embed,
+    state_edges, zero_state)
 import pwtree
 from pwtree import harness, pwk
 from pwtree.graphs import (
@@ -195,32 +196,35 @@ class TestEdgeRank:
         g, seq = cycle(5)
         metric = composed_metric_graph(g, seq)
         plan = _plan(seq, metric, None)
-        ranks = [0] * plan.ncodes
         d = plan.departures[0]
-        _keep(ranks, d, sample_prefix_length(d.thresholds, random.Random(0)), plan.cap)
-        assert any(r >= 1 for r in ranks)
+        _, state = _keep(zero_state(plan), d, sample_prefix_length(d.thresholds,
+                                                                    random.Random(0)), plan.cap)
+        assert any(r >= 1 for r in state)
 
     def test_classrank_matches_bruteforce(self):
         # the step rule's per-edge counters equal the reference's per-pair
         # ranks maximized over canonical paths, after every step, both on
-        # edge tuples and on the plan's edge codes
+        # edge tuples and on every rank of the plan's states
         rng = random.Random(9)
         checked = 0
         for _ in range(25):
             g, seq, metric = random_instance(2, 10, rng)
             plan = _plan(seq, metric, None)
-            code = {e: i for i, e in enumerate(sorted(seq.composed_edges()))}
             state = ReferenceState(seq, metric)
-            by_edge, by_code = {}, [0] * plan.ncodes
-            for d, (w, ranked), (v, window) in zip(
-                    plan.departures, ranked_departures(plan, metric), seq.steps[1:]):
+            by_edge, by_slot = {}, zero_state(plan)
+            for d, (w, ranked), edges, (v, window) in zip(
+                    plan.departures, ranked_departures(plan, metric),
+                    state_edges(plan, metric), seq.steps[1:]):
                 j = state.random_step(v, window, rng)
                 kept = keep(by_edge, w, ranked, j, plan.cap)
-                assert d.edges[_keep(by_code, d, j, plan.cap)][0] == kept
+                i, by_slot = _keep(by_slot, d, j, plan.cap)
+                assert d.edges[i][0] == kept
                 want = state.clique_edge_ranks()
                 assert {e: by_edge.get(e, 0) for e in state.clique_edges()} == want
-                assert {e: by_code[code[e]] for e in state.clique_edges()} == want
+                held = dict(zip(edges, by_slot, strict=True))
+                assert {e: held.get(e, 0) for e in state.clique_edges()} == want
                 assert set(by_edge) <= set(state.clique_edges())
+                assert set(held) <= set(state.clique_edges())
                 checked += len(by_edge)
         assert checked > 100
 
@@ -232,10 +236,10 @@ class TestEdgeRank:
                 g, seq, metric = random_instance(k, n, rng)
                 plan = _plan(seq, metric, None)
                 assert plan.cap == cap
-                ranks = [0] * plan.ncodes
+                state = zero_state(plan)
                 for d in plan.departures:
-                    _keep(ranks, d, sample_prefix_length(d.thresholds, rng), cap)
-                    assert all(r <= cap for r in ranks)
+                    _, state = _keep(state, d, sample_prefix_length(d.thresholds, rng), cap)
+                    assert all(r <= cap for r in state)
 
     def test_cap_breach_raises_under_optimize(self):
         # the cap and the samplers' tree check are proof invariants, so their
@@ -255,10 +259,9 @@ class TestEdgeRank:
             metric = composed_metric_graph(g, seq)
             plan = _plan(seq, metric, None)
             d = plan.departures[0]
-            ranks = [0] * plan.ncodes
-            ranks[d.codes[0]] = plan.cap
+            state = (plan.cap,) + (0,) * (plan.cap - 1)
             try:
-                _keep(ranks, d, 1, plan.cap)
+                _keep(state, d, 1, plan.cap)
             except InvariantViolated:
                 print("raised")
             plan = pw2._plan(seq, metric, pw2.DEFAULT_TAU)
@@ -348,7 +351,7 @@ class TestStepTransition:
         g, seq = cycle(5)
         metric = composed_metric_graph(g, seq)
         plan = _plan(seq, metric, None)
-        assert _keep([0] * plan.ncodes, plan.departures[0], 2, plan.cap) == 0
+        assert _keep(zero_state(plan), plan.departures[0], 2, plan.cap)[0] == 0
         (w, ranked), *_ = ranked_departures(plan, metric)
         assert keep({}, w, ranked, 2, plan.cap) == ranked[0][0]
         state = ReferenceState(seq, metric)
@@ -453,7 +456,7 @@ def cold_plan(seq, metric, tau):
 
 
 def stored_transitions(plan):
-    return sum(len(table) for table in plan.memo[1])
+    return sum(len(table) for table in plan.memo[0])
 
 
 class TestTransitionTable:
@@ -515,7 +518,7 @@ class TestTransitionTable:
                 try:
                     _realize(plan, lengths)
                 except InvariantViolated:
-                    print("raised", sum(len(table) for table in plan.memo[1]))
+                    print("raised", sum(len(table) for table in plan.memo[0]))
         """)
         assert run_optimized(code).splitlines() == ["raised 1", "raised 1"]
 

@@ -8,7 +8,9 @@ relies on must still be checked there.  Exactly one function sets a tree's
 parent links (`MetricGraph._links`): the one both samplers share, which is
 also the only place in the samplers that builds a `MetricGraph`.  Exactly
 one function touches the width-k plan's mutable transition table
-(`_Plan.memo`): `pwk._realize`, which reads and fills it."""
+(`_Plan.memo`): `pwk._realize`, which reads and fills it.  The width-k
+step rule `pwk._keep` is a pure function of its arguments: it stores only
+into names it binds itself, never into one of its parameters."""
 
 import ast
 import sys
@@ -93,6 +95,31 @@ def memo_touches(path):
         if touches:
             found.append((func, node.lineno))
     return found
+
+
+def _root(node):
+    """The name a subscript or attribute chain starts from, or None."""
+    while isinstance(node, (ast.Subscript, ast.Attribute, ast.Starred)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def parameter_stores(path, name):
+    """Sorted lines of every store in the function `name` of a source file
+    into one of its parameters: a subscript or attribute store or
+    deletion, or an augmented assignment, whose root is a parameter; None
+    if the file defines no such function."""
+    for func in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.name == name:
+            a = func.args
+            params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                      if p is not None}
+            return sorted({node.lineno for node in ast.walk(func)
+                           if (isinstance(node, ast.AugAssign) and _root(node.target) in params)
+                           or (isinstance(node, (ast.Subscript, ast.Attribute))
+                               and isinstance(node.ctx, (ast.Store, ast.Del))
+                               and _root(node) in params)})
+    return None
 
 
 # the calls that make a new MetricGraph, by plain or dotted name
@@ -215,3 +242,34 @@ def test_memo_guard_sees_every_form(tmp_path):
                     "y = P().memo\n")
     assert memo_touches(path) == [("read", 4), ("write", 6), ("named", 8), ("hidden", 10),
                                   ("hidden", 11), ("swapped", 13), (None, 17)]
+
+
+def test_the_step_rule_stores_into_no_parameter():
+    # `_realize` interns the states `_keep` is given and returns: a rule
+    # that wrote into one would change a state the table already holds
+    (path,) = [path for path in package_files() if path.name == "pwk.py"]
+    assert parameter_stores(path, "_keep") == []
+
+
+def test_parameter_guard_sees_every_store(tmp_path):
+    # subscript, attribute, nested, sliced and unpacked stores, a deletion
+    # and augmented assignments, into positional, starred and keyword
+    # parameters; stores into its own names, reads of its parameters and
+    # another function's stores are none
+    path = tmp_path / "probe.py"
+    path.write_text("def _keep(state, d, j, *rest, cap=1):\n"
+                    "    state[0] = 1\n"
+                    "    d.out = ()\n"
+                    "    d.edges[0][1] = 2\n"
+                    "    del state[1:]\n"
+                    "    state[0] += 1\n"
+                    "    j += 1\n"
+                    "    a, rest[0] = 1, 2\n"
+                    "    cap.x += 1\n"
+                    "    ranks = [*state, 0]\n"
+                    "    ranks[0] = state[0]\n"
+                    "    ranks += [d.out]\n"
+                    "    return ranks\n"
+                    "def other(state):\n    state[0] = 1\n")
+    assert parameter_stores(path, "_keep") == [2, 3, 4, 5, 6, 7, 8, 9]
+    assert parameter_stores(path, "missing") is None
