@@ -6,12 +6,12 @@ standard errors and sampling.  Per-sample random streams are derived from
 of how samples are scheduled, and a sample can be drawn again from its
 index alone.  The estimate tallies equal samples and measures each
 distinct one once, weighted by its count.  Source distances come from
-`shortest_path_metric`, since a source need not be a tree; every target
-distance comes from the target tree's parent links (`_RootedTree`).  A
-tree sampled or enumerated by `pwk` or `pw2` carries its links, so it is
-measured without a traversal; any other target gets them from one
-`graphs.spanning_links` call, the traversal that also serves `is_tree`
-and the tree toolkit.
+`shortest_path_metric`, since a source need not be a tree; every tree
+distance, of a target or of the tree `s` of `check_close_to_P`, comes
+from the tree's parent links (`_RootedTree`).  A tree sampled or
+enumerated by `pwk` or `pw2` carries its links, so it is measured without
+a traversal; any other tree gets them from one `graphs.spanning_links`
+call, the traversal that also serves `is_tree` and the tree toolkit.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def check_noncontraction(sample: EmbeddingSample) -> NonContractionVerdict:
     PreconditionFailed."""
     _check_mapped(sample, sample.source.vertices, "its source")
     return _noncontraction(sample, shortest_path_metric(sample.source),
-                           _tree_metric(sample.target))
+                           _tree_metric(_RootedTree(sample.target, 1)))
 
 
 def _check_mapped(sample, vertices, where, error=PreconditionFailed):
@@ -203,7 +203,8 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     its length there, and no all-pairs run is made; a metric that lacks an
     edge of `g`, or gives one a length above its length in `g` or off the
     scale of `g`, raises BadSourceMetric.  "all" ignores `source_metric`.
-    Means are exact rationals; only stderr is floating point.
+    Means are exact rationals, also for a target tree whose lengths are off
+    the scale of `g`; only stderr is floating point.
 
     Equal samples are tallied, and each distinct one is measured once and
     weighted by its count; the sums are exact integers, so the report is
@@ -220,7 +221,8 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
         raise ValueError("need at least one sample")
     if pairs not in ("all", "edges"):
         raise ValueError(f"unknown pairs mode {pairs!r}")
-    # source distances stay integers in the scale of g until the report
+    # distances stay integers over one scale until the report: that of g,
+    # or the finer one of a target tree with lengths off it
     if pairs == "edges" and source_metric is not None:
         scale = integer_scale(g)
         measured = _edge_distances(g, source_metric, scale)
@@ -251,6 +253,11 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
                     for first, count in firsts)
     for sample, count in distinct:
         tree = _RootedTree(sample.target, scale)
+        if tree.scale != scale:  # a finer tree: every integer so far moves to its scale
+            f, scale = tree.scale // scale, tree.scale
+            sums[:] = [x * f for x in sums]
+            sumsq[:] = [x * f * f for x in sumsq]
+            src_scaled[:] = [d * f for d in src_scaled]
         try:
             img = [tree.index[sample.fmap[v]] for v in g.vertices]
         except KeyError:
@@ -271,7 +278,8 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     best = None
     best_pair = None
     n = num_samples
-    for j, (u, v, d_src) in enumerate(measured):
+    for j, (u, v, _) in enumerate(measured):
+        d_src = src_scaled[j]
         mean_d = Fraction(sums[j], n * scale)
         if d_src == 0:
             zero_pairs.append(((u, v), mean_d))
@@ -281,7 +289,7 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
         # integers until one correctly rounded division, so nothing cancels
         # or overflows
         spread = n * sumsq[j] - sums[j] * sums[j]
-        stderr = math.sqrt(spread / (n ** 3 * src_scaled[j] ** 2))
+        stderr = math.sqrt(spread / (n ** 3 * d_src ** 2))
         stats.append(PairStat((u, v), Fraction(d_src, scale), mean_d, mean_stretch, stderr))
         if best is None or mean_stretch > best:
             best, best_pair = mean_stretch, (u, v)
@@ -348,16 +356,16 @@ class _RootedTree:
     by `pwk` or `pw2` carries them (`MetricGraph._links`: an order that
     lists every vertex after its parent, the parents, the root being its
     own, and each vertex's edge length to its parent as an integer over the
-    plan's scale); they are rescaled to `scale`.  Every other tree, or a sampled
-    one whose scale does not divide `scale`, gets them from the package's
-    one traversal, `graphs.spanning_links`, and each vertex's length to
-    its parent is then scaled to `scale`.  One pass along the order then
-    gives each vertex's `depth` and root distance `dist`, times `scale`.
-    A graph that is not a tree raises PreconditionFailed, and a length off
-    `scale` raises ValueError.
+    plan's scale), and they are always read.  Every other tree gets them
+    from the package's one traversal, `graphs.spanning_links`, with each
+    vertex's length to its parent over the tree's own `integer_scale`.
+    The tree is measured at `scale`, the lcm of the caller's scale and the
+    links' own, so every length fits it; one pass along the order gives
+    each vertex's `depth` and root distance `dist`, times `scale`.  A graph
+    that is not a tree raises PreconditionFailed.
     """
 
-    __slots__ = ("vertices", "index", "order", "parent", "depth", "dist")
+    __slots__ = ("vertices", "index", "order", "parent", "depth", "dist", "scale")
 
     def __init__(self, t: MetricGraph, scale: int):
         verts = t.vertices
@@ -365,26 +373,25 @@ class _RootedTree:
         if t.m != n - 1:
             raise PreconditionFailed(f"{t!r} is not a tree")
         index = {v: i for i, v in enumerate(verts)}
-        if t._links is not None and scale % t._links[3] == 0:
+        if t._links is not None:
             order, parent, to_parent, own = t._links
-            mult = scale // own
         else:
             _, order, parent = spanning_links(t)
             if len(order) != n:
                 raise PreconditionFailed(f"{t!r} is not a tree")
-            to_parent, mult = [0] * n, 1
+            own, to_parent = integer_scale(t), [0] * n
             for x in order[1:]:
                 length = t.length(verts[x], verts[parent[x]])
-                if scale % length.denominator:
-                    raise ValueError("target tree length does not fit the instance scale")
-                to_parent[x] = length.numerator * (scale // length.denominator)
+                to_parent[x] = length.numerator * (own // length.denominator)
+        scale = math.lcm(scale, own)
+        mult = scale // own
         depth = [0] * n
         dist = [0] * n
         for x in order[1:]:
             p = parent[x]
             depth[x] = depth[p] + 1
             dist[x] = dist[p] + to_parent[x] * mult
-        self.vertices, self.index = verts, index
+        self.vertices, self.index, self.scale = verts, index, scale
         self.order, self.parent, self.depth, self.dist = order, parent, depth, dist
 
     def rows(self):
@@ -467,15 +474,12 @@ class _RootedTree:
         return [self.vertices[i] for i in head + [x] + tail[::-1]]
 
 
-def _tree_metric(t: MetricGraph) -> DistanceMatrix:
-    """A tree's all-pairs distances in sorted vertex order, from its layer,
-    over the scale of its parent links if it carries them (its plan's,
-    which every length of the tree divides) and its own scale otherwise."""
-    scale = integer_scale(t) if t._links is None else t._links[3]
-    rows, pos = _RootedTree(t, scale).rows()
+def _tree_metric(tree: _RootedTree) -> DistanceMatrix:
+    """A rooted tree's all-pairs distances in sorted vertex order, over its scale."""
+    rows, pos = tree.rows()
     for row in rows:  # in place, so one n x n table is alive at a time
         row[:] = [row[p] for p in pos]
-    return DistanceMatrix(t.vertices, rows, scale)
+    return DistanceMatrix(tree.vertices, rows, tree.scale)
 
 
 # --- averaged edge stretch --------------------------------------------------
@@ -494,7 +498,7 @@ def average_edge_stretch(g: MetricGraph, sample: EmbeddingSample,
     if g.m == 0:
         raise EmptyEdgeSet("the source graph has no edges")
     _check_mapped(sample, g.vertices, "the source graph")
-    dm_t = _tree_metric(sample.target)
+    dm_t = _tree_metric(_RootedTree(sample.target, 1))
     if require_noncontraction:
         if sample.source is not g:
             _check_mapped(sample, sample.source.vertices, "its source")
@@ -592,9 +596,13 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
     """
     L = Fraction(min_leg)
     _check_mapped(sample, s.vertices, "s", HypothesisViolation)
-    # one all-pairs run on the source: s's serves it when they are equal
-    dm_s = shortest_path_metric(s)
-    dm_t = _tree_metric(sample.target)
+    # s is a tree by hypothesis: one rooting gives its distances and its legs
+    try:
+        s_tree = _RootedTree(s, 1)
+    except PreconditionFailed as exc:
+        raise HypothesisViolation("s is not a tree") from exc
+    dm_s = _tree_metric(s_tree)
+    dm_t = _tree_metric(_RootedTree(sample.target, 1))
     if sample.source == s:
         dm_src = dm_s
     else:
@@ -602,10 +610,6 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
         dm_src = shortest_path_metric(sample.source)
     if not _noncontraction(sample, dm_src, dm_t):
         raise HypothesisViolation("sample contracts some distance")
-    try:
-        s_tree = _RootedTree(s, dm_s.scale)
-    except PreconditionFailed as exc:
-        raise HypothesisViolation("s is not a tree") from exc
     if root not in s_tree.index:
         raise HypothesisViolation(f"root {root!r} is not a vertex of s")
     subtrees = [set(t) for t in subtrees]

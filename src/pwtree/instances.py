@@ -6,6 +6,7 @@ equal parameters always produce byte-identical graphs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .graphs import (
@@ -65,7 +66,7 @@ def psi_truncated(i: int, m, branches) -> MetricGraph:
     if branches is None:
         keep = top
     else:
-        keep = _ceil_frac(Fraction(branches))
+        keep = math.ceil(Fraction(branches))
         if not 1 <= keep <= top:
             raise BadTruncation(f"cannot keep {keep} of {top} root branches")
     edges = []
@@ -89,10 +90,6 @@ def _psi_branch(i, m, exponent, root, edges, counter):
         # the leaf becomes the root of the next-level spider on parameter sqrt(m)
         for _ in range(ceil_root(m, 2 ** (exponent + 1))):
             _psi_branch(i - 1, m, exponent + 1, prev, edges, counter)
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def cycle(n: int, lengths=None):

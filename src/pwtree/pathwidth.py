@@ -357,10 +357,15 @@ def decomposition_to_composition(pd: PathDecomposition, g: MetricGraph) -> Linea
 
     The composed graph of the result contains `g` as a subgraph, and the
     round trip through composition_to_decomposition has the same width.
+    A width-0 decomposition, of a graph without edges, is read at width 1,
+    the least a sequence has: a path through the sorted vertices.
     """
     norm = normalize_decomposition(pd, g)
     bags = norm.bags
     k = norm.width
+    if k == 0:
+        verts = sorted(g.vertices)
+        return LinearCompositionSequence(1, verts[:1], [(v, {v}) for v in verts[1:]])
     if len(bags) == 1:
         ordered = sorted(bags[0])
         v1, initial = ordered[-1], ordered[:-1]

@@ -287,6 +287,28 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["embed", "g.json", "--samples", "abc"], "argument --samples: invalid int value: 'abc'"),
+    (["embed"], "the following arguments are required: graph"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["embed", "g.json", "--pairs", "some"], "argument --pairs: invalid choice: 'some'"),
+], ids=["bad-int", "no-graph", "unknown-command", "bad-choice"])
+def test_parse_errors_exit_1(capsys, argv, message):
+    # argparse exits 2 on these, the code pwtree keeps for a violated property
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.startswith("usage: pwtree") and message in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["embed", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: pwtree")
+
+
 TRIANGLE = {"vertices": [0, 1, 2], "edges": [[0, 1, 1], [1, 2, "1/2"], [0, 2, 1]]}
 TRIANGLE_STEPS = {"k": 2, "initial": [0, 1], "steps": [{"new": 2, "window": [0, 2]}]}
 LETTERS = {"vertices": ["a", "b", "c"], "edges": [["a", "b", 1], ["b", "c", 1], ["a", "c", 1]]}
@@ -384,6 +406,28 @@ def test_embed_without_composition_names_why_it_cannot_analyze(capsys, tmp_path,
     assert code == 1 and out == ""
     assert err == ("error: cannot analyze the graph without a composition file "
                    f"{reason}; pass --composition\n")
+
+
+def test_width_0_graph_without_composition(capsys, tmp_path):
+    # pathwidth reports 0 for these; embed used to exit 1 with
+    # "error: k must be positive", naming a k nobody gave.  One vertex now
+    # gets the report of the explicit width-1 composition, and more than
+    # one the error of any disconnected input
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    one.write_text(json.dumps({"vertices": [0], "edges": []}))
+    two.write_text(json.dumps({"vertices": [0, 1], "edges": []}))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({"k": 1, "initial": [0], "steps": []}))
+    for path in (one, two):
+        code, out, _ = run(capsys, "pathwidth", str(path))
+        assert code == 0 and json.loads(out)["pathwidth"] == 0
+    code, out, err = run(capsys, "embed", str(one), "--samples", "3")
+    assert code == 0 and err == ""
+    assert out == run(capsys, "embed", str(one), "--composition", str(cpath),
+                      "--samples", "3")[1]
+    code, out, err = run(capsys, "embed", str(two), "--samples", "3")
+    assert code == 1 and out == ""
+    assert err == "error: 0 and 1 are disconnected in the input\n"
 
 
 def test_one_vertex_instance_embeds(capsys, tmp_path):

@@ -85,6 +85,7 @@ class TestRootedTree:
         # mult > 1 puts the tree on a finer instance scale than its own
         dm = shortest_path_metric(t)
         tree = harness._RootedTree(t, dm.scale * mult)
+        assert tree.scale == dm.scale * mult
         verts = t.vertices
         idx = range(len(verts))
         rows, pos = tree.rows()
@@ -92,7 +93,8 @@ class TestRootedTree:
         want = [dm.scaled(verts[i], verts[j]) * mult for i, j in pairs]
         assert [rows[i][pos[j]] for i, j in pairs] == want
         assert tree.pair_distances(pairs) == want
-        assert list(harness._tree_metric(t).scaled_pairs()) == list(dm.scaled_pairs())
+        own = harness._tree_metric(harness._RootedTree(t, 1))
+        assert own.scale == dm.scale and list(own.scaled_pairs()) == list(dm.scaled_pairs())
         for a, b in itertools.product(verts, verts):
             path = tree.path(a, b)
             assert (path[0], path[-1]) == (a, b)
@@ -139,10 +141,14 @@ class TestRootedTree:
         size = legs * n + 1
         assert Reads.count <= 3 * size + 20 * math.log2(size) * len(pairs)
 
-    def test_length_off_the_instance_scale(self):
-        t = build_metric_graph(range(2), [(0, 1, Fraction(1, 3))])
-        with pytest.raises(ValueError, match="instance scale"):
-            harness._RootedTree(t, 2)
+    @pytest.mark.parametrize("scale, lcm", [(1, 3), (2, 6), (3, 3), (6, 6)])
+    def test_measured_at_the_lcm_of_both_scales(self, scale, lcm):
+        # a length off the caller's scale refines the tree's scale instead
+        # of failing: the caller reads the scale it got from the tree
+        t = build_metric_graph(range(3), [(0, 1, Fraction(1, 3)), (1, 2, 1)])
+        tree = harness._RootedTree(t, scale)
+        assert tree.scale == lcm
+        assert tree.pair_distances([(0, 1), (0, 2)]) == [lcm // 3, lcm * 4 // 3]
 
 
 class TestNonContraction:
@@ -410,6 +416,45 @@ class TestEstimateDistortion:
         g, _ = cycle(4)
         assert instance_hash(g) == instance_hash(g)
         assert instance_hash(g) != instance_hash(unit_path(4))
+
+
+class TestOffScaleTargets:
+    """Target trees whose lengths are off the scale of g: the estimator moves
+    its integers to the finer scale a tree reports."""
+
+    G = unit_path(3)
+    T = build_metric_graph(range(3), [(0, 1, Fraction(4, 3)), (1, 2, 1)])
+    WANT = {"all": {(0, 1): Fraction(4, 3), (0, 2): Fraction(7, 3), (1, 2): 1},
+            "edges": {(0, 1): Fraction(4, 3), (1, 2): 1}}
+
+    @pytest.mark.parametrize("tally", ["samples", "outcomes"])
+    @pytest.mark.parametrize("pairs", ["all", "edges"])
+    def test_unit_path_with_a_third(self, pairs, tally):
+        # check_noncontraction accepts this sample; the estimator used to
+        # raise "target tree length does not fit the instance scale"
+        g, t = self.G, self.T
+        assert check_noncontraction(identity_sample(g, t)).ok
+        outcome = None if tally == "samples" else (lambda rng: 0)
+        report = estimate_distortion(g, lambda rng: t, 3, 0, pairs=pairs, outcome=outcome)
+        assert {s.pair: s.mean_distance for s in report.pair_stats} == self.WANT[pairs]
+        assert all(s.source_distance == s.pair[1] - s.pair[0] for s in report.pair_stats)
+        assert report.noncontraction_ok and report.max_mean_stretch == Fraction(4, 3)
+        assert report.to_json() == reference_estimate(g, lambda rng: t, 3, 0, pairs).to_json()
+
+    @pytest.mark.parametrize("tally", ["samples", "outcomes"])
+    @pytest.mark.parametrize("pairs", ["all", "edges"])
+    def test_scale_refined_mid_run(self, pairs, tally):
+        # trees on scales 1, 3, 2 and 10 in random order: each finer one
+        # rescales the sums, sums of squares and source distances so far
+        g = build_metric_graph(range(4), [(0, 1, 1), (1, 2, Fraction(1, 2)), (2, 3, 2)])
+        trees = [g, g.with_edges({(0, 1): Fraction(4, 3), (1, 2): Fraction(1, 2), (2, 3): 2}),
+                 g.with_edges({(0, 1): 1, (1, 2): 1, (2, 3): 2}),
+                 g.with_edges({(0, 1): Fraction(6, 5), (1, 2): Fraction(1, 2), (2, 3): 3})]
+        embedder = lambda rng: trees[rng.randrange(len(trees))]  # noqa: E731
+        outcome = None if tally == "samples" else (lambda rng: rng.randrange(len(trees)))
+        report = estimate_distortion(g, embedder, 40, 5, pairs=pairs, outcome=outcome)
+        assert report.to_json() == reference_estimate(g, embedder, 40, 5, pairs).to_json()
+        assert any(s.stderr > 0 for s in report.pair_stats)
 
 
 def scripted(samples):
@@ -695,17 +740,24 @@ class TestCloseToPath:
         with pytest.raises(HypothesisViolation):
             check_close_to_P(g, 0, arms, [0], sample, min_leg=10)
 
-    def test_one_distance_run_per_graph(self, monkeypatch):
-        # s's matrix serves the non-contraction check; the target's distances
-        # come from its rooted-tree layer
+    def test_no_distance_run_on_s(self, monkeypatch):
+        # s is a tree: one rooting gives its distances, which also serve the
+        # non-contraction check when s is the sample's source, and its legs;
+        # only a source other than s gets an all-pairs run
         calls = []
         real = harness.shortest_path_metric
         monkeypatch.setattr(harness, "shortest_path_metric",
                             lambda g: calls.append(g) or real(g))
+        rooted = counting_trees(monkeypatch)
         g, arms = self.spider_setup()
         sample = flatten_to_path(g)
-        check_close_to_P(g, 0, arms, sorted(g.vertices)[:8], sample, min_leg=2)
-        assert calls == [g]
+        path = sorted(g.vertices)[:8]
+        check_close_to_P(g, 0, arms, path, sample, min_leg=2)
+        assert calls == [] and rooted == [g, sample.target]
+        shorter = g.with_edges({e: length / 2 for e, length in g.edges()})
+        check_close_to_P(g, 0, arms, path, EmbeddingSample(shorter, sample.target, sample.fmap),
+                         min_leg=2)
+        assert calls == [shorter]
 
     def test_contraction_reported_before_hypotheses(self):
         # a contracting sample with a too-short leg fails on the contraction

@@ -368,6 +368,16 @@ class TestRoundTrip:
     def test_single_bag(self):
         self.check(complete(3), PathDecomposition([{0, 1, 2}]))
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_width_0_is_read_at_width_1(self, n):
+        # a sequence has width at least 1: an edgeless graph gets a path
+        # through its sorted vertices, whose composed edges join them
+        g = build_metric_graph(range(n), [])
+        seq = decomposition_to_composition(PathDecomposition([{v} for v in range(n)]), g)
+        assert (seq.k, seq.initial) == (1, (0,))
+        assert seq.steps == tuple((v, frozenset({v})) for v in range(1, n))
+        assert composed_graph(seq).edge_keys() == {(v - 1, v) for v in range(1, n)}
+
     @given(st.integers(0, 2**30))
     @settings(max_examples=30, deadline=None)
     def test_random_trees(self, seed):

@@ -430,17 +430,23 @@ class TestParentLinks:
             assert harness.check_noncontraction(harness.identity_sample(g, tree)).ok
         assert traversals == []
 
-    def test_links_off_the_harness_scale_fall_back_to_a_traversal(self):
-        # a scale the plan's does not divide measures the tree's own edges,
-        # which may still fit it; one that does not fit raises as before
+    def test_links_off_the_harness_scale_are_read_at_the_lcm(self, monkeypatch):
+        # a scale the plan's does not divide still reads the links, with no
+        # traversal, and measures at the lcm of the two scales
+        traversals = []
+        real = harness.spanning_links
+        monkeypatch.setattr(harness, "spanning_links",
+                            lambda t: traversals.append(t) or real(t))
         metric = build_metric_graph(range(3), [(0, 1, Fraction(1, 2)), (0, 2, 1),
                                                (1, 2, Fraction(4, 3))])
         seq = LinearCompositionSequence(2, [0, 1], [(2, {0, 2})])
         tree = embed_pathwidthk(seq, metric, random.Random(0))
         assert tree._links[3] == 6 and tree.edge_keys() == {(0, 1), (0, 2)}
-        assert harness._RootedTree(tree, 2).pair_distances([(1, 2)]) == [3]
-        with pytest.raises(ValueError, match="instance scale"):
-            harness._RootedTree(tree, 3)
+        for scale, lcm in ((2, 6), (3, 6), (4, 12), (6, 6)):
+            rooted = harness._RootedTree(tree, scale)
+            assert rooted.order is tree._links[0] and rooted.scale == lcm
+            assert rooted.pair_distances([(1, 2)]) == [lcm * 3 // 2]
+        assert traversals == []
 
 
 def wide_lengths(rng):
