@@ -282,6 +282,15 @@ def is_tree(g: MetricGraph) -> bool:
     return g.n >= 1 and g.m == g.n - 1 and is_connected(g)
 
 
+def find(parent, v):
+    """The root of v in the union-find forest `parent` (a dict or list
+    of parents, a root its own), halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 def minimum_spanning_tree(g: MetricGraph, subset=None):
     """Minimum spanning tree edges of the induced subgraph on `subset`.
 
@@ -296,16 +305,9 @@ def minimum_spanning_tree(g: MetricGraph, subset=None):
         (length, e) for e, length in g.edges() if e[0] in subset and e[1] in subset
     )
     parent = {v: v for v in subset}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     chosen = []
     for _, (u, v) in candidates:
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[ru] = rv
             chosen.append((u, v))
@@ -355,22 +357,28 @@ def graph_from_json(data: dict) -> MetricGraph:
     """The graph of {"vertices": [...], "edges": [[u, v, length], ...]}.
 
     A document of another shape (a list, a missing key, a vertex or edge
-    list that is not an array, unhashable or unorderable vertex ids, a
-    boolean vertex id, endpoint or length, an edge that is not an array of
-    three, or a length that is a list, NaN, no rational, an overflowing
-    number or has a zero denominator) raises GraphError.  Each entry is
-    checked before the builder sees it, so the builder's own errors, such
-    as NegativeLength, pass through as they are."""
+    list that is not an array, unhashable, unorderable or repeated vertex
+    ids, 1 and 1.0 being one id, a boolean vertex id, endpoint or length,
+    an edge that is not an array of three, or a length that is a list,
+    NaN, no rational, an overflowing number or has a zero denominator)
+    raises GraphError.  Each entry is checked before the builder sees it,
+    so the builder's own errors, such as NegativeLength, pass through as
+    they are."""
     try:
         vertices, entries = data["vertices"], data["edges"]
         # a string or an object would be read as its characters or its keys
         for key, value in (("vertices", vertices), ("edges", entries)):
             if not isinstance(value, list):
                 raise GraphError(f"malformed graph JSON: {key} {value!r} is not an array")
-        # bool is an int subclass, and True == 1 would merge with vertex 1
+        # bool is an int subclass, and True == 1 would merge with vertex 1,
+        # as 1.0 or a second 1 would
+        seen = set()
         for v in vertices:
             if isinstance(v, bool):
                 raise GraphError(f"malformed graph JSON: vertex {v!r} is a boolean")
+            if v in seen:
+                raise GraphError(f"malformed graph JSON: vertex {v!r} repeats an earlier one")
+            seen.add(v)
         edges = []
         for entry in entries:
             if not isinstance(entry, list) or len(entry) != 3:
@@ -407,9 +415,4 @@ def load_graph(path) -> MetricGraph:
 
 def integer_scale(g: MetricGraph) -> int:
     """Smallest positive integer turning every edge length of `g` into an integer."""
-    scale = 1
-    for length in g._edges.values():
-        d = length.denominator
-        if scale % d:
-            scale = scale * d // math.gcd(scale, d)
-    return scale
+    return math.lcm(*(length.denominator for length in g._edges.values()))

@@ -614,7 +614,6 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
         raise HypothesisViolation(f"root {root!r} is not a vertex of s")
     subtrees = [set(t) for t in subtrees]
     seen = set()
-    first_steps = {}
     for i, sub in enumerate(subtrees):
         if not sub or root in sub:
             raise HypothesisViolation(f"subtree {i} is empty or contains the root")
@@ -623,6 +622,9 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
         if sub & seen:
             raise HypothesisViolation(f"subtree {i} overlaps another subtree")
         seen |= sub
+    # every leg is checked against all the subtrees, whatever their order
+    first_steps = {}
+    for i, sub in enumerate(subtrees):
         entry = min(sub, key=lambda v: (dm_s.dist(root, v), v))
         if dm_s.dist(root, entry) < L:
             raise HypothesisViolation(f"leg to subtree {i} is shorter than {L}")

@@ -12,6 +12,7 @@ from fractions import Fraction
 from .graphs import (
     MetricGraph,
     build_metric_graph,
+    find,
     shortest_path_metric,  # not called here; bench/tracer.py wraps it in every importer
 )
 from .pathwidth import LinearCompositionSequence, bag_distances
@@ -139,16 +140,9 @@ def random_pathwidth_graph(k: int, n: int, length_sampler, rng):
     composed = sorted(seq.composed_edges())
     rng.shuffle(composed)
     parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     kept = []
     for u, v in composed:
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[ru] = rv
             kept.append((u, v))

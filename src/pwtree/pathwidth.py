@@ -11,7 +11,9 @@ branches from that branch table and removes a simple path from the
 rooting's index lists, dropping every remaining component's pathwidth by
 one; recursive peeling on those lists builds an optimal decomposition.
 Checks that a constructed decomposition is valid at the width the proof
-promises raise BrokenInvariant, also under ``python -O``.  Distances
+promises raise BrokenInvariant, also under ``python -O``.  A composition
+sequence's steps are read by one walk, `departures`, which the composed
+edges, the bags and both samplers' plans all come from.  Distances
 between vertices sharing a bag of a composition come from a forward and
 a backward sweep over its bags (`bag_distances`), in O(n k^3) time.
 """
@@ -129,13 +131,21 @@ class LinearCompositionSequence:
     def vertices(self):
         return tuple(self.initial) + tuple(v for v, _ in self.steps)
 
+    def departures(self):
+        """The one walk over the steps: per step (x, window, w, retained), the
+        new vertex, the window it joins, the one vertex of the clique
+        window + x that the retained window drops, and the retained window."""
+        window = frozenset(self.initial)
+        for x, retained in self.steps:
+            (w,) = (window | {x}) - retained
+            yield x, window, w, retained
+            window = retained
+
     def composed_edges(self):
         """Edge keys of the composed graph (clique + all attachments)."""
         edges = {edge_key(u, v) for u, v in combinations(self.initial, 2)}
-        window = frozenset(self.initial)
-        for v, new_window in self.steps:
-            edges.update(edge_key(v, u) for u in window)
-            window = new_window
+        for x, window, _, _ in self.departures():
+            edges.update(edge_key(x, u) for u in window)
         return edges
 
     def __repr__(self):
@@ -183,14 +193,8 @@ def validate_path_decomposition(g: MetricGraph, pd: PathDecomposition) -> int:
 
 def composition_to_decomposition(seq: LinearCompositionSequence) -> PathDecomposition:
     """Bags are the per-step cliques (previous window + new vertex)."""
-    if not seq.steps:
-        return PathDecomposition([frozenset(seq.initial)])
-    bags = []
-    window = frozenset(seq.initial)
-    for v, new_window in seq.steps:
-        bags.append(window | {v})
-        window = new_window
-    return PathDecomposition(bags)
+    bags = [window | {x} for x, window, _, _ in seq.departures()]
+    return PathDecomposition(bags or [frozenset(seq.initial)])
 
 
 def composed_graph(seq: LinearCompositionSequence) -> MetricGraph:

@@ -4,11 +4,12 @@ tree construction both samplers share.
 Each step attaches the new vertex to both ends of the current window edge
 and deletes one edge of the resulting triangle, biased toward keeping
 short edges.  The output is a spanning subtree carrying original lengths,
-so it never contracts any distance.  A step is a departure, as in `pwk`:
-one vertex leaves the window, attached by one edge to an anchor that stays.
-If the window stays on {u, v}, the new vertex x departs with anchors
-(u, v); if it slides, the endpoint that leaves departs with anchors (x,
-the endpoint that stays), so the new window edge always survives.
+so it never contracts any distance.  A step is a departure of the walk
+both samplers share (`_departures`, which raises MissingLength for a
+metric without every composed edge): one vertex w leaves the window,
+attached by one edge to an anchor that stays.  If the new vertex x
+departs, its anchors are the sorted window; if the window slides, they
+are x and the endpoint that stays, so the new window edge always survives.
 
 `_plan` lists the departures once per (sequence, metric, tau) and keeps
 the last plan.  A sample's only random choices are its drawn lengths, one
@@ -49,6 +50,10 @@ class NegativeTau(ValueError):
     pass
 
 
+class MissingLength(ValueError):
+    pass
+
+
 class InvariantViolated(RuntimeError):
     """A property the analysis proves was found broken."""
 
@@ -64,24 +69,21 @@ def check_tau(tau) -> Fraction:
 def pw2_deletion_probability(case: str, len_uw, len_vw, len_uv=None, tau=DEFAULT_TAU):
     """Probability of deleting the edge to the first window endpoint.
 
-    ``same_window``: len_uw / (len_uw + len_vw).
-    ``moved_window`` (window slid to the other endpoint): the deletion is
-    capped, min(1, tau * len_uw / (len_uw + len_uv)).
-    Raises DegenerateZero when the denominator vanishes; callers treat
-    that as a fair coin since every distance involved is then zero.
+    One ratio, len_uw over itself plus the other candidate edge: len_vw
+    where the window stays (``same_window``), the old window edge len_uv
+    where it slid to the other endpoint (``moved_window``), and there the
+    deletion is capped, min(1, tau * ratio).  Raises DegenerateZero when
+    the denominator vanishes; callers treat that as a fair coin since
+    every distance involved is then zero.
     """
+    if case not in ("same_window", "moved_window"):
+        raise ValueError(f"unknown case {case!r}")
     len_uw = Fraction(len_uw)
-    if case == "same_window":
-        denom = len_uw + Fraction(len_vw)
-        if denom == 0:
-            raise DegenerateZero("both candidate edges have length zero")
-        return len_uw / denom
-    if case == "moved_window":
-        denom = len_uw + Fraction(len_uv)
-        if denom == 0:
-            raise DegenerateZero("both candidate edges have length zero")
-        return min(Fraction(1), Fraction(tau) * len_uw / denom)
-    raise ValueError(f"unknown case {case!r}")
+    denom = len_uw + Fraction(len_vw if case == "same_window" else len_uv)
+    if denom == 0:
+        raise DegenerateZero("both candidate edges have length zero")
+    ratio = len_uw / denom
+    return ratio if case == "same_window" else min(Fraction(1), Fraction(tau) * ratio)
 
 
 def float_threshold(p) -> float:
@@ -144,6 +146,15 @@ class _Plan(NamedTuple):
     scale: int
     cap: int           # pwk's rank cap
     memo: tuple        # pwk's transition table, mutable and read by `pwk._realize` alone
+
+
+def _departures(seq: LinearCompositionSequence, g: MetricGraph):
+    """Both samplers' walk, `seq.departures()`, once `g` is known to hold
+    every composed edge."""
+    for a, b in sorted(seq.composed_edges()):
+        if not g.has_edge(a, b):
+            raise MissingLength(f"composed edge ({a!r}, {b!r}) absent from the metric")
+    return seq.departures()
 
 
 def _build_plan(g: MetricGraph, steps, mst, cap=0, memo=()) -> _Plan:
@@ -243,25 +254,18 @@ def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
     if seq.k != 2:
         raise WrongWidth(f"this construction needs k=2, got k={seq.k}")
     tau = check_tau(DEFAULT_TAU if tau is None else tau)
-    u, v = sorted(seq.initial)
-    steps = []
-    for x, retained in seq.steps:
-        if retained == {u, v}:
-            w, anchors = x, (u, v)
-            risk = "same_window", g.length(u, x), g.length(v, x)
-        else:
-            # the window slides off w: the risk is between w's edge to x
-            # and the old window edge
-            w = u if v in retained else v
-            anchors = x, v if w == u else u
-            risk = "moved_window", g.length(w, x), None, g.length(u, v)
+    steps, final = [], seq.initial
+    for x, window, w, final in _departures(seq, g):
+        # after a slide, w's edge to the end that stays is the old window edge
+        anchors = sorted(window) if w == x else (x, *(window - {w}))
+        near, far = (g.length(w, a) for a in anchors)
+        case = "same_window" if w == x else "moved_window"
         try:
-            p = pw2_deletion_probability(*risk, tau=tau)
+            p = pw2_deletion_probability(case, near, far, far, tau)
         except DegenerateZero:
             p = Fraction(1, 2)
         steps.append((w, anchors, (), (p,), (float_threshold(p),)))
-        u, v = sorted(retained)
-    return _build_plan(g, steps, [edge_key(u, v)])
+    return _build_plan(g, steps, [edge_key(*final)])
 
 
 def _realize(plan, lengths):

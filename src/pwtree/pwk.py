@@ -9,12 +9,13 @@ minimum spanning tree, yielding a tree that inherits original lengths and
 therefore never contracts.
 
 Only the ranks depend on the sample, so a plan of the departures
-(`_plan`) is built once per (sequence, metric, tau) and kept: every sample
-of a run reuses it.  A sample's only random choices are its prefix
-lengths, one per departure, drawn against the plan's float thresholds
-(`draw_prefixes`).  The step rule (`_keep`) is a pure function of a
-departure's state, the ranks of its clique's C(k+1, 2) edges, and its
-length: it returns the kept candidate and the next departure's state.
+(`_plan`, over the walk both samplers share, `pw2._departures`) is built
+once per (sequence, metric, tau) and kept: every sample of a run reuses
+it.  A sample's only random choices are its prefix lengths, one per
+departure, drawn against the plan's float thresholds (`draw_prefixes`).
+The step rule (`_keep`) is a pure function of a departure's state, the
+ranks of its clique's C(k+1, 2) edges, and its length: it returns the
+kept candidate and the next departure's state.
 `_realize` folds it over a sample's lengths from the all-zero state,
 memoised per departure in a transition table that the cached plan holds
 (`_Plan.memo`) and that `_realize` alone reads and fills: `_keep` runs
@@ -41,14 +42,11 @@ from math import comb
 
 from .graphs import MetricGraph, edge_key, minimum_spanning_tree
 from .pathwidth import LinearCompositionSequence
-# errors, the draw rule and the plan and tree construction of pw2, re-exported here
+# errors, the walk, the draw rule and the plan and tree construction of pw2, re-exported here
 from .pw2 import (  # noqa: F401
-    InvariantViolated, NegativeTau, TooManyOutcomes, _build_plan, _distribution, _draw_lengths,
-    _sampled_tree, check_tau, float_threshold, sample_prefix_length)
-
-
-class MissingLength(ValueError):
-    pass
+    InvariantViolated, MissingLength, NegativeTau, TooManyOutcomes, _build_plan, _departures,
+    _distribution, _draw_lengths, _sampled_tree, check_tau, float_threshold,
+    sample_prefix_length)
 
 
 def proven_bound(k) -> Fraction:
@@ -82,20 +80,14 @@ def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
     (length, edge), and the final clique's spanning tree is its minimum
     one."""
     tau = check_tau(4 * seq.k if tau is None else tau)
-    for a, b in sorted(seq.composed_edges()):
-        if not g.has_edge(a, b):
-            raise MissingLength(f"composed edge ({a!r}, {b!r}) absent from the metric")
-    steps, layouts = [], []
-    clique = window = frozenset(seq.initial)
-    for v, retained in seq.steps:
+    steps, layouts, clique = [], [], frozenset(seq.initial)
+    for v, window, w, retained in _departures(seq, g):
         clique = window | {v}
-        (w,) = clique - retained
         xs = sorted(retained, key=lambda x: (g.length(w, x), edge_key(w, x)))
         probs = tuple(eligible_probs([g.length(w, x) for x in xs], tau))
         steps.append([w, xs, probs, prefix_thresholds(probs)])
         layouts.append([edge_key(w, x) for x in xs]
                        + [edge_key(a, b) for a, b in combinations(xs, 2)])
-        window = retained
     # the last step's clique is final: its departure never happens, and the
     # state after the last departure holds the pairs of its candidates
     del steps[-1:], layouts[-1:]

@@ -353,6 +353,8 @@ LETTER_STEPS = {"k": 2, "initial": ["a", "b"], "steps": [{"new": "c", "window": 
     (LETTERS, dict(LETTER_STEPS, steps=[{"new": "c", "window": "ac"}])),
     (LETTERS, dict(LETTER_STEPS, steps={"0": {"new": "c", "window": ["a", "c"]}})),
     (LETTERS, dict(LETTER_STEPS, steps="c")),
+    ({"vertices": [0, 1, 0], "edges": [[0, 1, 1]]}, None),
+    ({"vertices": [0, 1, 1.0], "edges": [[0, 1, 1]]}, None),
 ], ids=["graph-list", "vertices-int", "list-ids", "mixed-ids", "list-length",
         "infinite-length", "window-int", "initial-int", "k-list", "infinite-k",
         "zero-denominator", "k-fraction", "k-float", "k-string", "k-bool",
@@ -360,7 +362,7 @@ LETTER_STEPS = {"k": 2, "initial": ["a", "b"], "steps": [{"new": "c", "window": 
         "nan-length", "text-length", "vertex-bool", "endpoint-bool", "length-bool",
         "vertices-string", "vertices-object", "edges-string", "edges-object", "edge-object",
         "window-bool", "initial-bool", "new-bool", "initial-string", "window-string",
-        "steps-object", "steps-string"])
+        "steps-object", "steps-string", "repeated-vertex", "repeated-vertex-float"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
     # each of these used to escape as a TypeError (a zero denominator: a
     # ZeroDivisionError) traceback, except a non-int k, which int(k) coerced:
@@ -371,7 +373,8 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path, graph, composition):
     # silently: as a length of 1, as an endpoint equal to vertex 1, and as a
     # vertex id that merged with vertex 1, also in a composition.  A string
     # or an object where an array belongs was read as its characters or its
-    # keys: "ab" as the vertices a and b
+    # keys: "ab" as the vertices a and b.  A repeated vertex, also as 1 and
+    # 1.0, merged into one
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(graph))
     argv = ["embed", str(gpath), "--samples", "3"]

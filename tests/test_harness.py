@@ -785,6 +785,15 @@ class TestCloseToPath:
         with pytest.raises(HypothesisViolation, match=message):
             check_close_to_P(s, 0, subtrees, [0], identity_sample(s, s), min_leg=1)
 
+    @pytest.mark.parametrize("subtrees", [[{5}, {1, 4}], [{1, 4}, {5}]], ids=["after", "before"])
+    def test_leg_through_a_subtree_rejected_in_any_order(self, subtrees):
+        # the leg 0-3-4-5 runs through the subtree {1, 4}; each leg used to be
+        # checked only against the subtrees listed up to its own, so listing
+        # {5} first passed
+        s = build_metric_graph(range(6), [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (4, 5, 1)])
+        with pytest.raises(HypothesisViolation, match="passes through a subtree"):
+            check_close_to_P(s, 0, subtrees, [0], identity_sample(s, s), min_leg=1)
+
     @pytest.mark.parametrize("root, subtrees, path, message", [
         (9, [{3}], [0], "root 9 is not a vertex of s"),
         (0, [{3}, {9}], [0], "subtree 1 leaves the vertex set"),

@@ -177,6 +177,14 @@ class TestCompositionSequences:
         assert validate_path_decomposition(composed_graph(seq), pd) == 2
         assert FOUR_CYCLE.edge_keys() <= composed_graph(seq).edge_keys()
 
+    def test_departures(self):
+        # the window stays on {0, 1} (2 departs), then slides to {1, 3}
+        # (0 departs), then to {3, 4} (1 departs)
+        seq = LinearCompositionSequence(2, [0, 1], [(2, {0, 1}), (3, {1, 3}), (4, {3, 4})])
+        assert list(seq.departures()) == [
+            (2, {0, 1}, 2, {0, 1}), (3, {0, 1}, 0, {1, 3}), (4, {1, 3}, 1, {3, 4})]
+        assert list(LinearCompositionSequence(2, [0, 1], []).departures()) == []
+
     def test_zero_steps(self):
         seq = LinearCompositionSequence(3, [0, 1, 2], [])
         pd = composition_to_decomposition(seq)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import linked_edges, mixed_instances
+from pwtree import pwk
 from pwtree.graphs import (
     build_metric_graph, edge_key, integer_scale, is_tree, shortest_path_metric)
 from pwtree.harness import sample_rng
@@ -15,6 +16,7 @@ from pwtree.pathwidth import LinearCompositionSequence, composed_metric_graph
 from pwtree.pw2 import (
     DEFAULT_TAU,
     DegenerateZero,
+    MissingLength,
     NegativeTau,
     TooManyOutcomes,
     WrongWidth,
@@ -22,6 +24,7 @@ from pwtree.pw2 import (
     _plan,
     _realize,
     _sampled_tree,
+    draw_coins,
     embed_pathwidth2,
     enumerate_pw2_distribution,
     float_threshold,
@@ -85,6 +88,20 @@ class TestEmbed:
             embed_pathwidth2(seq, None, random.Random(0))
         with pytest.raises(WrongWidth):
             enumerate_pw2_distribution(seq, None)
+
+    @pytest.mark.parametrize("embed, draw, enumerate_", [
+        (embed_pathwidth2, draw_coins, enumerate_pw2_distribution),
+        (pwk.embed_pathwidthk, pwk.draw_prefixes, pwk.enumerate_pwk_distribution),
+    ], ids=["pw2", "pwk"])
+    def test_missing_length(self, embed, draw, enumerate_):
+        # the raw cycle lacks the chords the composition adds; pw2 used to
+        # raise a bare KeyError (0, 2) from its plan
+        g, seq = cycle(5)
+        for call in (lambda: embed(seq, g, random.Random(0)),
+                     lambda: draw(seq, g, random.Random(0)), lambda: enumerate_(seq, g)):
+            with pytest.raises(MissingLength, match=r"^composed edge \(0, 2\) absent from"):
+                call()
+        assert pwk.MissingLength is MissingLength
 
     def test_samples_are_spanning_trees(self):
         g, seq = cycle(7)

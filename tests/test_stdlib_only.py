@@ -10,7 +10,9 @@ also the only place in the samplers that builds a `MetricGraph`.  Exactly
 one function touches the width-k plan's mutable transition table
 (`_Plan.memo`): `pwk._realize`, which reads and fills it.  The width-k
 step rule `pwk._keep` is a pure function of its arguments: it stores only
-into names it binds itself, never into one of its parameters."""
+into names it binds itself, never into one of its parameters.  Neither
+sampler reads a composition's `steps`: both walk it by `departures`, the
+one walk over its windows."""
 
 import ast
 import sys
@@ -95,6 +97,22 @@ def memo_touches(path):
         if touches:
             found.append((func, node.lineno))
     return found
+
+
+def steps_reads(path):
+    """Sorted lines of every read of a `steps` attribute in a source file,
+    by attribute or by a `getattr` call naming it."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute):
+            reads = node.attr == "steps"
+        else:
+            reads = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == "getattr" and len(node.args) > 1
+                     and isinstance(node.args[1], ast.Constant) and node.args[1].value == "steps")
+        if reads:
+            lines.add(node.lineno)
+    return sorted(lines)
 
 
 def _root(node):
@@ -242,6 +260,29 @@ def test_memo_guard_sees_every_form(tmp_path):
                     "y = P().memo\n")
     assert memo_touches(path) == [("read", 4), ("write", 6), ("named", 8), ("hidden", 10),
                                   ("hidden", 11), ("swapped", 13), (None, 17)]
+
+
+def test_the_samplers_walk_only_departures():
+    # each sampler's plan used to keep its own walk over the steps' windows,
+    # and the two had drifted: only pwk checked the metric first
+    found = [(path.name, line) for path in package_files() if path.name in ("pw2.py", "pwk.py")
+             for line in steps_reads(path)]
+    assert found == []
+
+
+def test_steps_guard_sees_every_read(tmp_path):
+    # a read in a loop, in a nested function, by getattr and at module
+    # level; a plain name, a string, another attribute and the walk itself
+    # read none
+    path = tmp_path / "probe.py"
+    path.write_text("def plan(seq):\n    for x, w in seq.steps:\n        pass\n"
+                    "def count(seq):\n    def inner():\n        return len(seq.steps)\n"
+                    "    return inner\n"
+                    "def named(seq):\n    return getattr(seq, 'steps')\n"
+                    "first = SEQ.steps[0]\n"
+                    "steps = []\ns = 'seq.steps'\nx = seq.step\n"
+                    "def walk(seq):\n    return list(seq.departures())\n")
+    assert steps_reads(path) == [2, 6, 9, 10]
 
 
 def test_the_step_rule_stores_into_no_parameter():
