@@ -13,14 +13,15 @@ pairs that share a bag of a composition are needed, `pathwidth.bag_distances`
 gives the same integers in O(n k^3): it feeds `composed_metric_graph` and the
 random generator's length reduction, and edges-mode `estimate_distortion`
 reads each edge's d_G from the composed metric's lengths.  The kernel stays
-for the source distances of all-pairs reports and of the checkers, since a
-source need not be a tree, and as the oracle of the bag sweep.  Distances in
-a target tree come from the harness's rooted-tree layer instead, which reads
-the tree's parent links: a tree sampled or enumerated by `pwk` or `pw2`
-carries them (`_links`), and any other tree gets them from `spanning_links`,
-the one traversal, which also serves `is_tree` and the tree toolkit:
-`pathwidth._rooted` roots each tree once per call, and the peeling runs on
-that rooting's index lists.
+for the source distances of all-pairs reports and of the checkers when the
+source is not a tree (it has a cycle or is disconnected), and as the oracle
+of the bag sweep.  Distances in a tree, a target or a source with
+m = n - 1 that is connected, come from the harness's rooted-tree layer
+instead, which reads the tree's parent links: a tree sampled or enumerated
+by `pwk` or `pw2` carries them (`_links`), and any other tree gets them
+from `spanning_links`, the one traversal, which also serves `is_tree` and
+the tree toolkit: `pathwidth._rooted` roots each tree once per call, and
+the peeling runs on that rooting's index lists.
 """
 
 from __future__ import annotations
@@ -181,6 +182,11 @@ class DistanceMatrix:
     @property
     def vertices(self):
         return self._vertices
+
+    @property
+    def rows(self):
+        """The scaled rows, in vertex order; for reading only."""
+        return self._rows
 
     def scaled(self, u, v):
         """Distance between u and v times `scale`, an int, or None if disconnected."""

@@ -5,13 +5,16 @@ standard errors and sampling.  Per-sample random streams are derived from
 (seed, sample index), so reports are bit-for-bit reproducible regardless
 of how samples are scheduled, and a sample can be drawn again from its
 index alone.  The estimate tallies equal samples and measures each
-distinct one once, weighted by its count.  Source distances come from
-`shortest_path_metric`, since a source need not be a tree; every tree
-distance, of a target or of the tree `s` of `check_close_to_P`, comes
-from the tree's parent links (`_RootedTree`).  A tree sampled or
-enumerated by `pwk` or `pw2` carries its links, so it is measured without
-a traversal; any other tree gets them from one `graphs.spanning_links`
-call, the traversal that also serves `is_tree` and the tree toolkit.
+distinct one once, weighted by its count.  Every tree distance, of a
+target, of the tree `s` of `check_close_to_P`, or of a source that is a
+tree, comes from the tree's parent links (`_RootedTree`).  A tree sampled
+or enumerated by `pwk` or `pw2` carries its links, so it is measured
+without a traversal; any other tree gets them from one
+`graphs.spanning_links` call, the traversal that also serves `is_tree`
+and the tree toolkit.  Every reader of a source's all-pairs distances
+goes through `_source_metric`, which roots a source with m = n - 1 that
+is connected and gives any other source, a graph with a cycle or a
+disconnected one, to `shortest_path_metric`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import le
 from typing import Optional
 
 from .graphs import (
@@ -91,7 +96,7 @@ def check_noncontraction(sample: EmbeddingSample) -> NonContractionVerdict:
     A source vertex that the sample does not map into its target raises
     PreconditionFailed."""
     _check_mapped(sample, sample.source.vertices, "its source")
-    return _noncontraction(sample, shortest_path_metric(sample.source),
+    return _noncontraction(sample, _source_metric(sample.source),
                            _tree_metric(_RootedTree(sample.target, 1)))
 
 
@@ -106,16 +111,41 @@ def _check_mapped(sample, vertices, where, error=PreconditionFailed):
 
 
 def _noncontraction(sample, dm_s, dm_t) -> NonContractionVerdict:
+    """The violations of `sample` over the source distances `dm_s` and the
+    target distances `dm_t`, pair by pair in the order of `scaled_pairs`.
+
+    Under the identity map onto a target on the same vertices, row i of
+    both matrices covers the pairs (i, j > i), and a row is compared as a
+    whole; only a row with a violation or an infinite source distance is
+    scanned pair by pair."""
     s_scale, t_scale = dm_s.scale, dm_t.scale
+    verts = dm_s.vertices
     violations = []
-    # scaled integers compared across the two scales; Fractions only for
-    # output.  The target is a tree, so every d_t is finite
-    for u, v, d_s in dm_s.scaled_pairs():
-        d_t = dm_t.scaled(sample.image(u), sample.image(v))
-        if d_s is None:
-            violations.append((u, v, None, Fraction(d_t, t_scale)))
-        elif d_t * s_scale < d_s * t_scale:
-            violations.append((u, v, Fraction(d_s, s_scale), Fraction(d_t, t_scale)))
+
+    def scan(pairs):
+        # scaled integers compared across the two scales; Fractions only
+        # for output.  The target is a tree, so every d_t is finite
+        for u, v, d_s, d_t in pairs:
+            if d_s is None:
+                violations.append((u, v, None, Fraction(d_t, t_scale)))
+            elif d_t * s_scale < d_s * t_scale:
+                violations.append((u, v, Fraction(d_s, s_scale), Fraction(d_t, t_scale)))
+
+    def clean(tail_s, tail_t):
+        if None in tail_s:
+            return False
+        if s_scale == t_scale:
+            return all(map(le, tail_s, tail_t))
+        return all(d_s * t_scale <= d_t * s_scale for d_s, d_t in zip(tail_s, tail_t))
+
+    if verts == dm_t.vertices and all(sample.image(v) == v for v in verts):
+        for i, (row_s, row_t) in enumerate(zip(dm_s.rows, dm_t.rows)):
+            tail_s, tail_t = row_s[i + 1:], row_t[i + 1:]
+            if not clean(tail_s, tail_t):
+                scan(zip(repeat(verts[i]), verts[i + 1:], tail_s, tail_t))
+    else:
+        scan((u, v, d_s, dm_t.scaled(sample.image(u), sample.image(v)))
+             for u, v, d_s in dm_s.scaled_pairs())
     return NonContractionVerdict(not violations, violations)
 
 
@@ -197,7 +227,8 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     measured: "all" finite-distance pairs, or just the original "edges",
     each against d_G of its endpoints (not its raw length, which may exceed
     d_G on a non-reduced graph).  The source distances come from
-    one all-pairs run on `g`, except in edges mode with `source_metric`:
+    one all-pairs run on `g` (`_source_metric`: a rooting when `g` is a
+    tree), except in edges mode with `source_metric`:
     a graph on the vertex set of `g` whose length on every edge of `g` is
     d_G, such as `composed_metric_graph(g, seq)`.  Each edge's d_G is then
     its length there, and no all-pairs run is made; a metric that lacks an
@@ -227,7 +258,7 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
         scale = integer_scale(g)
         measured = _edge_distances(g, source_metric, scale)
     else:
-        dm = shortest_path_metric(g)
+        dm = _source_metric(g)
         scale = dm.scale
         if pairs == "all":
             measured = [(u, v, d) for u, v, d in dm.scaled_pairs() if d is not None]
@@ -482,6 +513,18 @@ def _tree_metric(tree: _RootedTree) -> DistanceMatrix:
     return DistanceMatrix(tree.vertices, rows, tree.scale)
 
 
+def _source_metric(g: MetricGraph) -> DistanceMatrix:
+    """All-pairs distances of a source graph: a tree's (m = n - 1 and
+    connected) from one rooting, any other graph's from
+    `shortest_path_metric`."""
+    if g.m == g.n - 1:
+        try:
+            return _tree_metric(_RootedTree(g, 1))
+        except PreconditionFailed:  # a cycle beside an isolated vertex, say
+            pass
+    return shortest_path_metric(g)
+
+
 # --- averaged edge stretch --------------------------------------------------
 
 @dataclass
@@ -502,7 +545,7 @@ def average_edge_stretch(g: MetricGraph, sample: EmbeddingSample,
     if require_noncontraction:
         if sample.source is not g:
             _check_mapped(sample, sample.source.vertices, "its source")
-        if not _noncontraction(sample, shortest_path_metric(sample.source), dm_t):
+        if not _noncontraction(sample, _source_metric(sample.source), dm_t):
             raise PreconditionFailed("sample contracts some distance")
     # target distances as integers over the tree's scale; one Fraction each at the end
     total, ratio, counted = 0, Fraction(0), 0
@@ -592,7 +635,9 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
     `s` must be a tree.  `subtrees` are vertex sets of s, each joined to
     `root` by a leg (its tree path) of source length >= `min_leg`; legs may
     share only `root`.  `target_path` is a vertex list forming a simple path
-    in the target tree.
+    in the target tree.  When the sample's source is `s`, the distances of
+    the rooting of `s` also serve the non-contraction check; any other
+    source is measured by `_source_metric`.
     """
     L = Fraction(min_leg)
     _check_mapped(sample, s.vertices, "s", HypothesisViolation)
@@ -603,11 +648,11 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
         raise HypothesisViolation("s is not a tree") from exc
     dm_s = _tree_metric(s_tree)
     dm_t = _tree_metric(_RootedTree(sample.target, 1))
-    if sample.source == s:
+    if sample.source == s:  # its distances are already at hand
         dm_src = dm_s
     else:
         _check_mapped(sample, sample.source.vertices, "its source", HypothesisViolation)
-        dm_src = shortest_path_metric(sample.source)
+        dm_src = _source_metric(sample.source)
     if not _noncontraction(sample, dm_src, dm_t):
         raise HypothesisViolation("sample contracts some distance")
     if root not in s_tree.index:

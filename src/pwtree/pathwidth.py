@@ -1,7 +1,8 @@
 """Path decompositions, linear composition sequences, and pathwidth oracles.
 
 The exact oracle works on any small graph via a reachability search over
-vertex-separation prefixes.  Trees get rooted critical labels (Ellis,
+vertex-separation prefixes, each carrying its boundary, which placing a
+vertex updates.  Trees get rooted critical labels (Ellis,
 Sudborough & Turner): one iterative bottom-up pass gives the pathwidth,
 and a top-down rerooting pass gives the pathwidth of every branch at every
 vertex, in O(n log n) time without recursion.  Each public tree call
@@ -12,8 +13,9 @@ rooting's index lists, dropping every remaining component's pathwidth by
 one; recursive peeling on those lists builds an optimal decomposition.
 Checks that a constructed decomposition is valid at the width the proof
 promises raise BrokenInvariant, also under ``python -O``.  A composition
-sequence's steps are read by one walk, `departures`, which the composed
-edges, the bags and both samplers' plans all come from.  Distances
+sequence's steps are read by one walk, `departures`, which validates the
+sequence when it is built and which the composed edges, the bags and
+both samplers' plans all come from.  Distances
 between vertices sharing a bag of a composition come from a forward and
 a backward sweep over its bags (`bag_distances`), in O(n k^3) time.
 """
@@ -110,22 +112,12 @@ class LinearCompositionSequence:
         self.k = k
         self.initial = tuple(initial)
         self.steps = tuple((v, frozenset(w)) for v, w in steps)
-        self._validate()
-
-    def _validate(self):
-        if self.k < 1:
+        if k < 1:
             raise BadSequence("k must be positive")
-        if len(set(self.initial)) != self.k:
-            raise BadSequence(f"initial window must have {self.k} distinct vertices")
-        seen = set(self.initial)
-        window = frozenset(self.initial)
-        for v, new_window in self.steps:
-            if v in seen:
-                raise BadSequence(f"vertex {v!r} introduced twice")
-            seen.add(v)
-            if len(new_window) != self.k or not new_window <= window | {v}:
-                raise BadSequence(f"illegal retained window {sorted(new_window)!r}")
-            window = new_window
+        if len(set(self.initial)) != k:
+            raise BadSequence(f"initial window must have {k} distinct vertices")
+        for _ in self.departures():  # the walk validates every step
+            pass
 
     @property
     def vertices(self):
@@ -134,10 +126,22 @@ class LinearCompositionSequence:
     def departures(self):
         """The one walk over the steps: per step (x, window, w, retained), the
         new vertex, the window it joins, the one vertex of the clique
-        window + x that the retained window drops, and the retained window."""
+        window + x that the retained window drops, and the retained window.
+        It raises BadSequence at a step that introduces a vertex twice or
+        retains a window that is not k vertices of its clique."""
+        k = self.k
+        seen = set(self.initial)
         window = frozenset(self.initial)
         for x, retained in self.steps:
-            (w,) = (window | {x}) - retained
+            if x in seen:
+                raise BadSequence(f"vertex {x!r} introduced twice")
+            seen.add(x)
+            # the clique has k + 1 vertices, so k retained ones drop exactly
+            # one of them when all k lie in it
+            dropped = (window | {x}) - retained
+            if len(retained) != k or len(dropped) != 1:
+                raise BadSequence(f"illegal retained window {sorted(retained)!r}")
+            (w,) = dropped
             yield x, window, w, retained
             window = retained
 
@@ -435,28 +439,38 @@ def _vs_search(g: MetricGraph, limit):
 
 
 def _vs_layout(adj, n, k):
-    """A vertex order witnessing vertex separation <= k, else None."""
+    """A vertex order witnessing vertex separation <= k, else None.
+
+    A breadth-first search over the placed sets, each carried with its
+    boundary, the placed vertices that still have an unplaced neighbour.
+    Placing i updates it in place of a recount: i joins when it has an
+    unplaced neighbour, and a boundary neighbour of i leaves when i was
+    its last unplaced one."""
     full = (1 << n) - 1
     parents = {0: None}
-    frontier = [0]
+    frontier = [(0, 0)]
     for _ in range(n):
         nxt = []
-        for state in frontier:
-            rest = full & ~state
-            for i in _bits(rest):
-                new = state | (1 << i)
+        for state, boundary in frontier:
+            unplaced = full & ~state
+            while unplaced:  # the bits inline: this loop is the search's cost
+                bit = unplaced & -unplaced
+                unplaced ^= bit
+                new = state | bit
                 if new in parents:
                     continue
-                boundary = 0
-                rest2 = ~new
-                for j in _bits(new):
-                    if adj[j] & rest2:
-                        boundary += 1
-                        if boundary > k:
-                            break
-                if boundary <= k:
+                i = bit.bit_length() - 1
+                rest = ~new
+                b = boundary | bit if adj[i] & rest else boundary
+                leaving = boundary & adj[i]
+                while leaving:
+                    low = leaving & -leaving
+                    leaving ^= low
+                    if not adj[low.bit_length() - 1] & rest:
+                        b ^= low
+                if b.bit_count() <= k:
                     parents[new] = (state, i)
-                    nxt.append(new)
+                    nxt.append((new, b))
         frontier = nxt
         if not frontier:
             return None

@@ -630,9 +630,13 @@ class TestAverageEdgeStretch:
         out = average_edge_stretch(star, sample)
         assert out.mean_distance == average_edge_stretch(
             star, sample, require_noncontraction=False).mean_distance
-        # the checked call runs on the source once; the target's distances
-        # come from its rooted-tree layer, never from an all-pairs run
-        assert calls == [sample.source]
+        # the source is a tree, so its distances come from the rooted-tree
+        # layer as the target's do: no all-pairs run at all
+        assert calls == []
+        # a source with a cycle gets one run, in the checked call
+        square, _ = cycle(4)
+        assert average_edge_stretch(square, flatten_to_path(square)).mean_distance == Fraction(3, 2)
+        assert calls == [square]
 
 
 class TestLowerBoundThreshold:
@@ -677,7 +681,12 @@ class TestWitnessVerifier:
                             lambda g: calls.append(g) or real(g))
         sample = flatten_to_path(psi_truncated(1, 16, 2))
         assert verify_lower_bound_witness(1, 16, sample).passed
-        assert calls == [sample.source]
+        # the source is a tree too: its rooting gives its distances
+        assert calls == []
+        # a source with a cycle gets exactly one run
+        square, _ = cycle(4)
+        assert verify_lower_bound_witness(1, 16, flatten_to_path(square)).passed
+        assert calls == [square]
 
     def test_identity_rejected_high_pathwidth(self):
         g = psi_truncated(1, 16, 3)
@@ -743,7 +752,8 @@ class TestCloseToPath:
     def test_no_distance_run_on_s(self, monkeypatch):
         # s is a tree: one rooting gives its distances, which also serve the
         # non-contraction check when s is the sample's source, and its legs;
-        # only a source other than s gets an all-pairs run
+        # another tree source gets a rooting of its own, and only a source
+        # that is not a tree gets an all-pairs run
         calls = []
         real = harness.shortest_path_metric
         monkeypatch.setattr(harness, "shortest_path_metric",
@@ -757,7 +767,11 @@ class TestCloseToPath:
         shorter = g.with_edges({e: length / 2 for e, length in g.edges()})
         check_close_to_P(g, 0, arms, path, EmbeddingSample(shorter, sample.target, sample.fmap),
                          min_leg=2)
-        assert calls == [shorter]
+        assert calls == [] and rooted[2:] == [g, sample.target, shorter]
+        chord = shorter.with_edges({**dict(shorter.edges()), (4, 8): Fraction(100)})
+        check_close_to_P(g, 0, arms, path, EmbeddingSample(chord, sample.target, sample.fmap),
+                         min_leg=2)
+        assert calls == [chord]
 
     def test_contraction_reported_before_hypotheses(self):
         # a contracting sample with a too-short leg fails on the contraction

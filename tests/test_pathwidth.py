@@ -7,12 +7,13 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import layout_reference
 import pwtree
 import pwtree.pathwidth as pw
 import tree_pathwidth_reference as reference
 from conftest import LENGTHS, all_trees_up_to, neighbor_sets, random_unit_tree, tree_sequence
 from pwtree.graphs import InfiniteDistance, build_metric_graph, is_tree, shortest_path_metric
-from pwtree.instances import phi, psi
+from pwtree.instances import phi, psi, random_pathwidth_graph, small_rational_lengths
 from pwtree.pathwidth import (
     BadSequence,
     BrokenInterval,
@@ -419,6 +420,34 @@ class TestExactOracle:
         for g in (unit_path(6), FOUR_CYCLE, complete(4), phi(3)):
             pd = exact_path_decomposition(g)
             assert validate_path_decomposition(g, pd) == exact_pathwidth(g)
+
+
+class TestLayoutSearch:
+    """The search carries each placed set's boundary; `layout_reference`
+    counts it from scratch, in the same frontier order."""
+
+    def test_layouts_match_the_reference(self):
+        rng = random.Random(2121)
+        for _ in range(50):
+            n = rng.randint(1, 12)
+            p = rng.random()
+            edges = [(a, b, 1) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+            _, adj = layout_reference.adjacency_masks(build_metric_graph(range(n), edges))
+            for k in range(n):
+                assert pw._vs_layout(adj, n, k) == layout_reference.vs_layout(adj, n, k), (
+                    edges, k)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_bags_match_the_reference_on_the_certified_instances(self, seed):
+        # the random unit trees and width-3 graphs the benchmark's `certify`
+        # workload gives `pathwidth --method exact`, drawn the same way
+        rng = random.Random(f"{seed}:small-trees")
+        graphs = [random_unit_tree(n, rng) for n in (12, 14, 16, 18, 20)]
+        graphs += [random_pathwidth_graph(3, n, small_rational_lengths,
+                                          random.Random(f"{seed}:exact-{n}"))[0]
+                   for n in (16, 18, 20)]
+        for g in graphs:
+            assert exact_path_decomposition(g) == layout_reference.exact_path_decomposition(g)
 
 
 class TestTreePathwidth:

@@ -12,7 +12,8 @@ one function touches the width-k plan's mutable transition table
 step rule `pwk._keep` is a pure function of its arguments: it stores only
 into names it binds itself, never into one of its parameters.  Neither
 sampler reads a composition's `steps`: both walk it by `departures`, the
-one walk over its windows."""
+one walk over its windows, and no other loop in `pathwidth` walks the
+steps with a running window."""
 
 import ast
 import sys
@@ -99,20 +100,60 @@ def memo_touches(path):
     return found
 
 
+def reads_steps(node):
+    """Whether `node` reads a `steps` attribute, by attribute or by a
+    `getattr` call naming it."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "steps"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "steps")
+
+
 def steps_reads(path):
-    """Sorted lines of every read of a `steps` attribute in a source file,
-    by attribute or by a `getattr` call naming it."""
-    lines = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Attribute):
-            reads = node.attr == "steps"
-        else:
-            reads = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                     and node.func.id == "getattr" and len(node.args) > 1
-                     and isinstance(node.args[1], ast.Constant) and node.args[1].value == "steps")
-        if reads:
-            lines.add(node.lineno)
-    return sorted(lines)
+    """Sorted lines of every read of a `steps` attribute in a source file."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                   if reads_steps(node)})
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def scope_nodes(scope):
+    """Every node under a module or function, outside the functions nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*FUNCTIONS, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def stored_names(nodes):
+    return {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def running_window_loops(path):
+    """Sorted (function, line) of every `for` loop in a source file that walks
+    a composition's steps with a running state: its iterable reads a
+    `steps` attribute, and its body rebinds a name that its function (None
+    at module level) also binds outside the loop, as a running window is
+    bound to the initial window before the first step."""
+    module = ast.parse(path.read_text(), str(path))
+    found = []
+    for scope in [module, *(n for n in ast.walk(module) if isinstance(n, FUNCTIONS))]:
+        nodes = list(scope_nodes(scope))
+        for loop in nodes:
+            if not (isinstance(loop, (ast.For, ast.AsyncFor))
+                    and any(reads_steps(n) for n in ast.walk(loop.iter))):
+                continue
+            within = {id(n) for n in ast.walk(loop)}
+            body = {id(n) for stmt in loop.body for n in ast.walk(stmt)}
+            inside = stored_names(n for n in nodes if id(n) in body)
+            outside = stored_names(n for n in nodes if id(n) not in within)
+            if inside & outside:
+                found.append((getattr(scope, "name", None), loop.lineno))
+    return sorted(found, key=lambda f: f[1])
 
 
 def _root(node):
@@ -283,6 +324,43 @@ def test_steps_guard_sees_every_read(tmp_path):
                     "steps = []\ns = 'seq.steps'\nx = seq.step\n"
                     "def walk(seq):\n    return list(seq.departures())\n")
     assert steps_reads(path) == [2, 6, 9, 10]
+
+
+def test_one_running_window_walks_the_steps():
+    # the constructor's validation kept a second running window over the
+    # steps beside the one in `departures`; it now runs that walk
+    (path,) = [path for path in package_files() if path.name == "pathwidth.py"]
+    assert [func for func, _ in running_window_loops(path)] == ["departures"]
+
+
+def test_window_guard_sees_every_running_loop(tmp_path):
+    # a running window, a running count over getattr, an unpacked state, an
+    # enumerate, a loop in a nested function and one at module level; a
+    # loop that only calls methods or binds only its own temporaries, a
+    # comprehension, another attribute's loop, a loop whose target reuses
+    # a name bound before it, and a nested function's name that shadows
+    # one of its caller's carry nothing
+    path = tmp_path / "probe.py"
+    path.write_text("def validate(seq):\n    window = seq.initial\n"
+                    "    for v, w in seq.steps:\n        window = w\n"
+                    "def count(seq):\n    n = 0\n"
+                    "    for _ in getattr(seq, 'steps'):\n        n += 1\n"
+                    "def pairs(seq):\n    a = b = 0\n"
+                    "    for v, w in seq.steps:\n        a, b = b, v\n"
+                    "def indexed(seq):\n    last = None\n"
+                    "    for i, (v, w) in enumerate(seq.steps[1:]):\n        last = v\n"
+                    "def outer(seq):\n    def inner():\n        prev = 0\n"
+                    "        for v, _ in seq.steps:\n            prev = v\n    return inner\n"
+                    "window = SEQ.initial\nfor v, w in SEQ.steps:\n    window = w\n"
+                    "def calls(seq, out):\n    for v, w in seq.steps:\n        out.append(v)\n"
+                    "def temps(seq):\n    for v, w in seq.steps:\n        x = v\n"
+                    "def comp(seq):\n    window = 0\n    return [window for v, window in seq.steps]\n"
+                    "def bags(seq):\n    window = 0\n    for b in seq.bags:\n        window = b\n"
+                    "def target(seq):\n    w = None\n    for v, w in seq.steps:\n        x = v\n"
+                    "def shadow(seq):\n    prev = 0\n    def inner():\n"
+                    "        for v, _ in seq.steps:\n            prev = v\n    return inner\n")
+    assert running_window_loops(path) == [("validate", 3), ("count", 7), ("pairs", 11),
+                                          ("indexed", 15), ("inner", 20), (None, 24)]
 
 
 def test_the_step_rule_stores_into_no_parameter():
