@@ -541,23 +541,25 @@ def average_edge_stretch(g: MetricGraph, sample: EmbeddingSample,
     if g.m == 0:
         raise EmptyEdgeSet("the source graph has no edges")
     _check_mapped(sample, g.vertices, "the source graph")
-    dm_t = _tree_metric(_RootedTree(sample.target, 1))
+    tree = _RootedTree(sample.target, 1)
     if require_noncontraction:
         if sample.source is not g:
             _check_mapped(sample, sample.source.vertices, "its source")
-        if not _noncontraction(sample, _source_metric(sample.source), dm_t):
+        if not _noncontraction(sample, _source_metric(sample.source), _tree_metric(tree)):
             raise PreconditionFailed("sample contracts some distance")
-    # target distances as integers over the tree's scale; one Fraction each at the end
+    # target distances of the edges alone, as integers over the tree's
+    # scale; one Fraction each at the end
+    edges, index, image = g.edges(), tree.index, sample.image
+    dists = tree.pair_distances([(index[image(u)], index[image(v)]) for (u, v), _ in edges])
     total, ratio, counted = 0, Fraction(0), 0
-    for (u, v), length in g.edges():
-        d = dm_t.scaled(sample.image(u), sample.image(v))
+    for (_, length), d in zip(edges, dists):
         total += d
         if length > 0:
             ratio += d / length
             counted += 1
     return AverageStretch(
-        mean_distance=Fraction(total, dm_t.scale * g.m),
-        mean_ratio=ratio / (dm_t.scale * counted) if counted else None,
+        mean_distance=Fraction(total, tree.scale * g.m),
+        mean_ratio=ratio / (tree.scale * counted) if counted else None,
         edges_total=g.m,
         edges_in_ratio=counted,
     )

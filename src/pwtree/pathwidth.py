@@ -216,28 +216,30 @@ def bag_distances(g: MetricGraph, seq: LinearCompositionSequence):
     composed edges), to d_g times `scale`, or to None when the two are
     disconnected in `g`.
 
-    The bags are those of `composition_to_decomposition(seq)`.  A forward
-    sweep closes each bag (Floyd-Warshall on at most k+1 vertices) over the
-    edges of `g` inside it and the previous bag's distances on their
-    shared window, so each bag holds the distances within the graph induced
-    by its prefix of bags; a backward sweep then closes each bag again over
-    the next bag's final distances.  The window two adjacent bags share
-    separates prefix from suffix, so the result is exact (Chaudhuri &
-    Zaroliagis, Shortest paths in digraphs of small treewidth, Algorithmica
-    2000), in O(n k^3) time.  An edge of `g` that lies in no bag raises
-    BadSequence naming the first such edge: `seq` then witnesses no width
-    for `g`.
+    The bags are those of `composition_to_decomposition(seq)`, one walk of
+    the sequence, and the composed edges are the pairs inside them.  A
+    forward sweep closes each bag (Floyd-Warshall on at most k+1 vertices)
+    over the edges of `g` inside it and the previous bag's distances on
+    their shared window, so each bag holds the distances within the graph
+    induced by its prefix of bags; a backward sweep then closes each bag
+    again over the next bag's final distances.  The window two adjacent
+    bags share separates prefix from suffix, so the result is exact
+    (Chaudhuri & Zaroliagis, Shortest paths in digraphs of small treewidth,
+    Algorithmica 2000), in O(n k^3) time.  An edge of `g` that lies in no
+    bag raises BadSequence naming the first such edge: `seq` then
+    witnesses no width for `g`.
     """
     if set(seq.vertices) != set(g.vertices):
         raise BadSequence("sequence and graph disagree on the vertex set")
-    composed = seq.composed_edges()
+    bags = [sorted(b) for b in composition_to_decomposition(seq).bags]
+    # bags are sorted, so (bag[a], bag[b]) with a < b is an edge key
+    composed = {pair for bag in bags for pair in combinations(bag, 2)}
     scale = integer_scale(g)
     scaled = {}
     for (u, v), length in g.edges():
         if (u, v) not in composed:
             raise BadSequence(f"edge ({u!r}, {v!r}) of the graph lies in no bag of the sequence")
         scaled[u, v] = length.numerator * (scale // length.denominator)
-    bags = [sorted(b) for b in composition_to_decomposition(seq).bags]
     mats = [[[0 if x == y else scaled.get((x, y) if x < y else (y, x)) for y in bag]
              for x in bag] for bag in bags]
     _close(mats[0])
@@ -246,7 +248,6 @@ def bag_distances(g: MetricGraph, seq: LinearCompositionSequence):
     for i in range(len(bags) - 2, -1, -1):
         _carry(bags[i + 1], mats[i + 1], bags[i], mats[i])
     dists = {}
-    # bags are sorted, so (bag[a], bag[b]) with a < b is an edge key
     for bag, mat in zip(bags, mats):
         for a, x in enumerate(bag):
             row = mat[a]

@@ -1,5 +1,5 @@
-"""Random spanning trees of width-2 composition graphs, and the plan and
-tree construction both samplers share.
+"""Random spanning trees of width-2 composition graphs, and the sampler
+core both embeddings share.
 
 Each step attaches the new vertex to both ends of the current window edge
 and deletes one edge of the resulting triangle, biased toward keeping
@@ -11,13 +11,22 @@ attached by one edge to an anchor that stays.  If the new vertex x
 departs, its anchors are the sorted window; if the window slides, they
 are x and the endpoint that stays, so the new window edge always survives.
 
-`_plan` lists the departures once per (sequence, metric, tau) and keeps
-the last plan.  A sample's only random choices are its drawn lengths, one
-per step (`draw_coins`); length j keeps anchor j - 1 (`_realize`).  Both
-samplers build their plans with `_build_plan` and their trees, which carry
-their parent links (`_links`), with `_sampled_tree`, which checks each for
-n - 1 edges; the exact enumerator realizes every draw of positive
-probability into a tree the same way (`_distribution`).
+Both embeddings are a plan and a step rule, and differ only in those.
+A rule has one signature, `step(state, departure, j, cap) -> (kept,
+next state)`: it keeps one of the departure's first j candidates.  This
+module's `_plan` lists the departures once per (sequence, metric, tau)
+and keeps the last plan; its rule, `_step`, keeps anchor j - 1 and has
+one state, the empty one.  `pwk` builds its own plan, with `_build_plan`
+as here, and names its own rule, `pwk._keep`.  Everything after the plan
+is shared.  A sample's only random choices are its drawn lengths, one
+per departure (`_draw_lengths`); `_realize` folds the plan's rule over
+them from the plan's zero state, memoised in the plan's transition
+table; `_sampled_tree` builds the tree, which carries its parent links
+(`_links`), and checks it for n - 1 edges.  The exact enumerator
+(`_distribution`) realizes every draw of positive probability the same
+way, weighting each departure's lengths by `_length_distribution`.  The
+table is a plan's one mutable part, so no plan is safe to realize from
+two threads at once.
 """
 
 from __future__ import annotations
@@ -117,7 +126,7 @@ class _Departure(NamedTuple):
     that stay; drawn length j makes candidates 1..j eligible.  Vertices are
     indices in sorted vertex order.  In `pwk` the candidates are sorted by
     (length, edge), and a state lays out the clique's edges as `pwk._keep`
-    reads them; `pw2` has no states."""
+    reads them; `pw2`'s one state is empty."""
     w: int
     anchors: tuple     # each candidate's other endpoint
     edges: tuple       # each candidate's (edge key, length)
@@ -128,8 +137,8 @@ class _Departure(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """Everything that does not depend on the sample, and pwk's table of
-    the step rule's transitions that samples have reached (`memo`).
+    """Everything that does not depend on the sample, the step rule, and
+    the table of the rule's transitions that samples have reached (`memo`).
 
     The kept edge of a departing vertex leads to an anchor that departs
     later or stays in the final clique (in `pw2`, the final window), so
@@ -144,8 +153,9 @@ class _Plan(NamedTuple):
     parent: tuple
     scaled: tuple      # per vertex, the length to its parent times `scale`
     scale: int
+    step: object       # the step rule, (state, departure, j, cap) -> (kept, next state)
     cap: int           # pwk's rank cap
-    memo: tuple        # pwk's transition table, mutable and read by `pwk._realize` alone
+    memo: tuple        # the transition table, mutable and read by `_realize` alone
 
 
 def _departures(seq: LinearCompositionSequence, g: MetricGraph):
@@ -157,10 +167,12 @@ def _departures(seq: LinearCompositionSequence, g: MetricGraph):
     return seq.departures()
 
 
-def _build_plan(g: MetricGraph, steps, mst, cap=0, memo=()) -> _Plan:
+def _build_plan(g: MetricGraph, steps, mst, step, cap=0, zero=()) -> _Plan:
     """The plan of `steps`, one (w, anchors, out, probs, thresholds) per
-    departure with w and its anchors as vertices, and of `mst`, the edge
-    keys of the final clique's spanning tree."""
+    departure with w and its anchors as vertices, of `mst`, the edge keys
+    of the final clique's spanning tree, and of the step rule `step`, with
+    an empty transition table that `_realize` starts from the state
+    `zero`."""
     index = {v: i for i, v in enumerate(g.vertices)}
     scale = integer_scale(g)
 
@@ -184,8 +196,9 @@ def _build_plan(g: MetricGraph, steps, mst, cap=0, memo=()) -> _Plan:
                 parent[y], to_parent[y] = x, scaled(length)
                 order.append(y)
     order += [d.w for d in reversed(departures)]
+    # the table: per departure its transitions and its next states interned
     return _Plan(tuple(departures), mst, tuple(order), tuple(parent), tuple(to_parent), scale,
-                 cap, memo)
+                 step, cap, (tuple({} for _ in departures), tuple({} for _ in departures), zero))
 
 
 def _sampled_tree(g, plan, kept):
@@ -205,28 +218,59 @@ def _sampled_tree(g, plan, kept):
     return tree
 
 
-def _distribution(plan, realize, g: MetricGraph, limit):
+def _realize(plan, lengths):
+    """The kept candidate of every departure for its drawn lengths: the
+    plan's step rule folded over them from the zero state.
+
+    The rule reads a sample's past only through its state, so each
+    departure keeps its transitions, (state id, length) -> (kept
+    candidate, next state id, next state), in the plan's memo, and the rule
+    runs once per transition a sample reaches.  A state id is a multiple of
+    one more than a state's size, which bounds every length wherever there
+    is more than one state (pwk's C(k+1, 2) ranks, lengths at most k; pw2
+    has one state), so their sum keys the transition; a transition that
+    raises in the rule, as a breach of pwk's cap does, is never stored.
+    The memo is this function's alone."""
+    tables, interned, state = plan.memo
+    departures, step, cap, stride = plan.departures, plan.step, plan.cap, len(state) + 1
+    kept, s = [], 0
+    for t, j in enumerate(lengths):
+        hit = tables[t].get(s + j)
+        if hit is None:
+            i, after = step(state, departures[t], j, cap)
+            ids = interned[t]
+            hit = tables[t][s + j] = i, ids.setdefault(after, len(ids) * stride), after
+        i, s, state = hit
+        kept.append(i)
+    return kept
+
+
+def _length_distribution(departure):
+    """[(j, P[the drawn length is j])] over the lengths of positive
+    probability, ascending: P[reach j] * (1 - probs[j - 1]), where
+    probs[j - 1] is the exact P[the length extends past j] and the last
+    length never extends.  The probabilities sum to exactly 1."""
+    lengths, reach = [], Fraction(1)
+    for j, p in enumerate(departure.probs + (0,), 1):
+        p_j, reach = reach * (1 - p), reach * p
+        if p_j:
+            lengths.append((j, p_j))
+    return lengths
+
+
+def _distribution(plan, g: MetricGraph, limit):
     """Exact output distribution of a sampler as [(tree, probability)],
     sorted by the trees' edge keys.
 
-    Each departure's probs[j - 1] is the exact P[the drawn length extends
-    past j]; `realize(plan, lengths)` maps a list of drawn lengths, one per
-    departure, to the kept candidates.  Every draw of positive probability
-    is realized once, into a tree by `_sampled_tree` as a sample is, and
-    the draws are merged by tree, so the work is (draws x steps); more than
-    `limit` draws raise TooManyOutcomes.  A step with one positive-
-    probability length draws it with probability 1, so a draw's
-    probability multiplies only the branching steps' ones.
+    Every draw of positive probability, one length per departure from
+    `_length_distribution`, is realized once (`_realize`), into a tree by
+    `_sampled_tree` as a sample is, and the draws are merged by tree, so
+    the work is (draws x steps); more than `limit` draws raise
+    TooManyOutcomes.  A step with one positive-probability length draws it
+    with probability 1, so a draw's probability multiplies only the
+    branching steps' ones.
     """
-    options = []
-    for d in plan.departures:
-        # P[length j] = P[reach j] * P[stop at j]; the last never extends
-        reach, step = Fraction(1), []
-        for j, p in enumerate(d.probs + (0,), 1):
-            p_j, reach = reach * (1 - p), reach * p
-            if p_j:
-                step.append((j, p_j))
-        options.append(step)
+    options = [_length_distribution(d) for d in plan.departures]
     draws = math.prod(len(step) for step in options)
     if draws > limit:
         raise TooManyOutcomes(f"{draws} positive-probability draws exceed the limit {limit}")
@@ -236,7 +280,7 @@ def _distribution(plan, realize, g: MetricGraph, limit):
     for draw in product(*[options[i] for i in branching]):
         for i, (j, _) in zip(branching, draw):
             lengths[i] = j
-        tree = _sampled_tree(g, plan, realize(plan, lengths))
+        tree = _sampled_tree(g, plan, _realize(plan, lengths))
         merged[tree] = merged.get(tree, Fraction(0)) + math.prod(p for _, p in draw)
     result = sorted(merged.items(), key=lambda item: sorted(item[0].edge_keys()))
     if sum(p for _, p in result) != 1:
@@ -265,12 +309,12 @@ def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
         except DegenerateZero:
             p = Fraction(1, 2)
         steps.append((w, anchors, (), (p,), (float_threshold(p),)))
-    return _build_plan(g, steps, [edge_key(*final)])
+    return _build_plan(g, steps, [edge_key(*final)], _step)
 
 
-def _realize(plan, lengths):
-    """The step rule: drawn length j keeps anchor j - 1."""
-    return [j - 1 for j in lengths]
+def _step(state, departure, j, cap):
+    """The step rule: drawn length j keeps anchor j - 1, in the one state."""
+    return j - 1, state
 
 
 def draw_coins(seq: LinearCompositionSequence, g: MetricGraph, rng,
@@ -300,4 +344,4 @@ def enumerate_pw2_distribution(seq: LinearCompositionSequence, g: MetricGraph,
 
     The sampler's step rule realized on every positive-probability draw;
     `limit` bounds the number of those draws."""
-    return _distribution(_plan(seq, g, tau), _realize, g, limit)
+    return _distribution(_plan(seq, g, tau), g, limit)

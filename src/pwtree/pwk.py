@@ -8,27 +8,23 @@ maximum risk counter ("rank").  The final clique is replaced by its
 minimum spanning tree, yielding a tree that inherits original lengths and
 therefore never contracts.
 
-Only the ranks depend on the sample, so a plan of the departures
-(`_plan`, over the walk both samplers share, `pw2._departures`) is built
-once per (sequence, metric, tau) and kept: every sample of a run reuses
-it.  A sample's only random choices are its prefix lengths, one per
-departure, drawn against the plan's float thresholds (`draw_prefixes`).
-The step rule (`_keep`) is a pure function of a departure's state, the
-ranks of its clique's C(k+1, 2) edges, and its length: it returns the
-kept candidate and the next departure's state.
-`_realize` folds it over a sample's lengths from the all-zero state,
-memoised per departure in a transition table that the cached plan holds
-(`_Plan.memo`) and that `_realize` alone reads and fills: `_keep` runs
-once per reachable transition, not once per sample and departure.  The
-table makes a plan unsafe to realize from two threads at once.
-
-The plan and the tree come from the functions shared with `pw2`
-(`pw2._build_plan`, `pw2._sampled_tree`): a departing vertex hangs from
-its anchor, which departs later or stays in the final clique, so the tree
-carries its parent links and the harness measures it from them.  The exact
-enumerator realizes every draw of positive probability, weighted by the
-plan's exact probabilities (`pw2._distribution`).  The rank cap C(k+1, 2)
-is checked on every transition a sample reaches, and a breach raises
+This module holds only what sets the width-k embedding apart: its plan
+and its step rule.  Everything after the plan is the sampler core of
+`pw2`, shared with the width-2 warm-up.  `_plan` lists the departures of
+the walk both samplers share (`pw2._departures`) once per (sequence,
+metric, tau), with the candidates' exact prefix probabilities and their
+float thresholds, and keeps the last plan.  The step rule (`_keep`) is a
+pure function of a departure's state, the ranks of its clique's
+C(k+1, 2) edges, and its drawn length: it returns the kept candidate and
+the next departure's state.  The plan names it, with the all-zero start
+state and the rank cap C(k+1, 2); a sample draws its prefix lengths
+(`draw_prefixes`), and `pw2._realize` folds the rule over them, memoised
+in the plan's transition table, so `_keep` runs once per reachable
+transition, not once per sample and departure.  The table makes a plan
+unsafe to realize from two threads at once.  `pw2._sampled_tree` builds
+the tree, with its parent links, and the exact enumerator
+(`pw2._distribution`) realizes every draw of positive probability.  The
+cap is checked on every transition a sample reaches, and a breach raises
 `InvariantViolated` and is never stored.
 """
 
@@ -42,10 +38,10 @@ from math import comb
 
 from .graphs import MetricGraph, edge_key, minimum_spanning_tree
 from .pathwidth import LinearCompositionSequence
-# errors, the walk, the draw rule and the plan and tree construction of pw2, re-exported here
+# errors and the sampler core of pw2, re-exported here
 from .pw2 import (  # noqa: F401
     InvariantViolated, MissingLength, NegativeTau, TooManyOutcomes, _build_plan, _departures,
-    _distribution, _draw_lengths, _sampled_tree, check_tau, float_threshold,
+    _distribution, _draw_lengths, _realize, _sampled_tree, check_tau, float_threshold,
     sample_prefix_length)
 
 
@@ -75,10 +71,11 @@ def prefix_thresholds(probs):
 @lru_cache(maxsize=1)
 def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
     """The plan of (sequence, metric, tau); it is cached and shared, so it
-    is all tuples but for the transition table (`memo`), which `_realize`
-    alone reads and fills.  Each departure's candidates are sorted by
-    (length, edge), and the final clique's spanning tree is its minimum
-    one."""
+    is all tuples but for the transition table (`memo`), which
+    `pw2._realize` alone reads and fills.  Each departure's candidates are
+    sorted by (length, edge), and the final clique's spanning tree is its
+    minimum one.  The start state holds a zero per clique edge, whose
+    count is also the rank cap."""
     tau = check_tau(4 * seq.k if tau is None else tau)
     steps, layouts, clique = [], [], frozenset(seq.initial)
     for v, window, w, retained in _departures(seq, g):
@@ -97,11 +94,8 @@ def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
         # one to the new vertex, which reads the zero past this state's end
         slot = {e: i for i, e in enumerate(now)}
         step.insert(2, tuple(slot.get(e, len(now)) for e in then))
-    # per departure its transitions and its next states interned; the
-    # start state, a zero per clique edge, whose count is also the rank cap
     edges = comb(seq.k + 1, 2)
-    memo = tuple({} for _ in steps), tuple({} for _ in steps), (0,) * edges
-    return _build_plan(g, steps, minimum_spanning_tree(g, clique), edges, memo)
+    return _build_plan(g, steps, minimum_spanning_tree(g, clique), _keep, edges, (0,) * edges)
 
 
 def _pair(k, a, b):
@@ -122,8 +116,8 @@ def _keep(state, departure, j, cap):
     (the anchor), where the vertex now hangs: each reaches the anchor's
     edge to the same endpoint unless that edge's rank is already higher.
     The next state reads the window's edges from this one (`out`).  The
-    rule changes none of its arguments, so `_realize` may keep the states
-    it passes and gets back."""
+    rule changes none of its arguments, so `pw2._realize` may keep the
+    states it passes and gets back."""
     top = max(state[:j])
     if top >= cap:
         i = next(i for i in range(j) if state[i] >= cap)
@@ -137,30 +131,6 @@ def _keep(state, departure, j, cap):
             if bumped > ranks[to]:
                 ranks[to] = bumped
     return best, tuple([ranks[o] for o in departure.out])
-
-
-def _realize(plan, lengths):
-    """The kept candidate of every departure for its prefix lengths.
-
-    The step rule reads a sample's past only through its state, so each
-    departure keeps its transitions, (state id, length) -> (kept
-    candidate, next state id, next state), in the plan's memo, and `_keep`
-    runs once per transition a sample reaches.  A state id is a multiple of
-    one more than a state's C(k+1, 2) ranks and a length is at most k, so
-    their sum keys the transition; a transition that breaks the cap raises
-    in `_keep` and is never stored.  The memo is this function's alone."""
-    tables, interned, state = plan.memo
-    departures, cap, stride = plan.departures, plan.cap, len(state) + 1
-    kept, s = [], 0
-    for t, j in enumerate(lengths):
-        hit = tables[t].get(s + j)
-        if hit is None:
-            i, after = _keep(state, departures[t], j, cap)
-            ids = interned[t]
-            hit = tables[t][s + j] = i, ids.setdefault(after, len(ids) * stride), after
-        i, s, state = hit
-        kept.append(i)
-    return kept
 
 
 def draw_prefixes(seq: LinearCompositionSequence, g: MetricGraph, rng,
@@ -191,4 +161,4 @@ def enumerate_pwk_distribution(seq: LinearCompositionSequence, g: MetricGraph,
 
     The sampler's step rule realized on every positive-probability draw of
     prefix lengths; `limit` bounds the number of those draws."""
-    return _distribution(_plan(seq, g, tau), _realize, g, limit)
+    return _distribution(_plan(seq, g, tau), g, limit)

@@ -15,8 +15,8 @@ popped when it leaves; ``pwtree.pwk`` runs the same rule on states, one
 rank per edge of a departure's clique, and the tests check that both keep
 the same edges.  `realize_by_steps` is ``pwtree.pwk._keep`` folded over
 the departures from the zero state, without the transition table that
-``pwtree.pwk._realize`` keeps; the tests check that both keep the same
-candidates.  `state_edges` names the edge of every rank of those states.
+the shared walk ``pwtree.pw2._realize`` keeps; the tests check that both
+keep the same candidates.  `state_edges` names the edge of every rank of those states.
 """
 
 from fractions import Fraction

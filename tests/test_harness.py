@@ -638,6 +638,22 @@ class TestAverageEdgeStretch:
         assert average_edge_stretch(square, flatten_to_path(square)).mean_distance == Fraction(3, 2)
         assert calls == [square]
 
+    def test_target_table_only_for_the_check(self, monkeypatch):
+        # the edge average reads the target's distances on the edges alone;
+        # its n x n table used to be built even without the check
+        tables = []
+        real = harness._tree_metric
+        monkeypatch.setattr(harness, "_tree_metric", lambda tree: tables.append(tree) or real(tree))
+        rng = random.Random(5)
+        g = build_metric_graph(range(40), [(v, rng.randrange(v), small_rational_lengths(rng))
+                                           for v in range(1, 40)])
+        sample = flatten_to_path(g)
+        unchecked = average_edge_stretch(g, sample, require_noncontraction=False)
+        assert tables == []
+        assert average_edge_stretch(g, sample) == unchecked
+        # the check builds the source's table and the target's, once each
+        assert len(tables) == 2
+
 
 class TestLowerBoundThreshold:
     def test_hand_values(self):

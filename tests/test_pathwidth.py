@@ -292,6 +292,22 @@ class TestBagDistances:
         g = build_metric_graph(range(3), [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
         assert bag_distances(g, seq) == ({(0, 1): 1, (0, 2): 2, (1, 2): 1}, 1)
 
+    def test_one_walk_per_call(self, monkeypatch):
+        # the composed edges and the bags used to take a walk each; both
+        # come from one, and the first edge in no bag is still the one named
+        seq = LinearCompositionSequence(1, (0,), [(1, {1}), (2, {2}), (3, {3})])
+        calls = []
+        real = LinearCompositionSequence.departures
+        monkeypatch.setattr(LinearCompositionSequence, "departures",
+                            lambda seq: calls.append(seq) or real(seq))
+        g = build_metric_graph(range(4), [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+        assert bag_distances(g, seq) == ({(0, 1): 1, (1, 2): 1, (2, 3): 1}, 1)
+        assert calls == [seq]
+        g = build_metric_graph(range(4), [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
+        with pytest.raises(BadSequence, match=r"edge \(0, 2\) of the graph lies in no bag"):
+            bag_distances(g, seq)
+        assert calls == [seq, seq]
+
     def test_errors_raised_without_asserts(self):
         # disconnected input and an uncovered edge are named errors, also
         # under python -O

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from conftest import linked_edges, mixed_instances, tree_metric_and_sequence
 from pwk_reference import (
     ReferenceState, keep, ranked_departures, realize, realize_by_steps, reference_embed,
     state_edges, zero_state)
+from test_acceptance import build_corpus
 import pwtree
 from pwtree import harness, pwk
 from pwtree.graphs import (
@@ -491,19 +493,21 @@ class TestTransitionTable:
 
     def test_keep_runs_once_per_reachable_transition(self, monkeypatch):
         # the rule ran once per departure and sample: 50,900 times for
-        # these 100 samples of 509 departures
+        # these 100 samples of 509 departures.  The plan holds the rule it
+        # was built with, so the rule is patched before the cold plan is built
         g, seq = random_pathwidth_graph(2, 512, small_rational_lengths, random.Random(17))
         metric = composed_metric_graph(g, seq)
-        plan = cold_plan(seq, metric, None)
         calls = []
         real = pwk._keep
         monkeypatch.setattr(pwk, "_keep", lambda *args: calls.append(args[2]) or real(*args))
+        plan = cold_plan(seq, metric, None)
         trees = [embed_pathwidthk(seq, metric, sample_rng(17, i)) for i in range(100)]
         assert len(plan.departures) == 509 and len({frozenset(t.edge_keys()) for t in trees}) > 1
         assert len(calls) == stored_transitions(plan) <= 2 * len(plan.departures)
         # a warm plan runs it no more
         embed_pathwidthk(seq, metric, sample_rng(17, 0))
         assert len(calls) == stored_transitions(plan)
+        _plan.cache_clear()  # the cached plan holds the patched rule
 
     def test_cap_breach_on_a_miss_raises_under_optimize(self):
         # a breach is found on a miss, before its transition is stored, so
@@ -660,3 +664,54 @@ class TestEnumeration:
         for t, p in dist:
             freq = counts.get(frozenset(t.edge_keys()), 0) / n
             assert abs(freq - float(p)) < 0.06
+
+
+def lengths_by_product(probs):
+    """[(j, P[length j])] over the lengths of positive probability: the
+    product of the first j - 1 extension probabilities, times the chance
+    of stopping at j, which is certain at the last length."""
+    out = []
+    for j in range(1, len(probs) + 2):
+        p_j = math.prod(probs[:j - 1], start=Fraction(1))
+        if j <= len(probs):
+            p_j *= 1 - probs[j - 1]
+        if p_j:
+            out.append((j, p_j))
+    return out
+
+
+def check_length_distribution(plan):
+    """Check every departure's length distribution; the number of
+    departures with more than one length."""
+    branching = 0
+    for d in plan.departures:
+        lengths = pw2._length_distribution(d)
+        assert [j for j, _ in lengths] == sorted({j for j, _ in lengths})
+        assert all(isinstance(p, Fraction) and p > 0 for _, p in lengths)
+        assert sum(p for _, p in lengths) == 1
+        assert lengths == lengths_by_product(d.probs)
+        assert 1 <= lengths[0][0] and lengths[-1][0] <= len(d.anchors)
+        branching += len(lengths) > 1
+    return branching
+
+
+class TestLengthDistribution:
+    def test_corpus_plans(self):
+        branching = 0
+        for _, g, seq in build_corpus():
+            metric = composed_metric_graph(g, seq)
+            branching += check_length_distribution(_plan(seq, metric, None))
+            if seq.k == 2:
+                branching += check_length_distribution(pw2._plan(seq, metric, None))
+        assert branching > 10
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.sampled_from([2, 3, 4]), extra=st.integers(1, 20),
+           sampler=st.sampled_from([small_rational_lengths, wide_lengths]),
+           tau=st.sampled_from([None, 1, 0]), seed=st.integers(0, 2 ** 32))
+    def test_drawn_plans(self, k, extra, sampler, tau, seed):
+        g, seq = random_pathwidth_graph(k, k + extra, sampler, random.Random(seed))
+        metric = composed_metric_graph(g, seq)
+        check_length_distribution(_plan(seq, metric, tau))
+        if k == 2:
+            check_length_distribution(pw2._plan(seq, metric, tau))

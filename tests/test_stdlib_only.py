@@ -7,13 +7,13 @@ statement, since `python -O` strips them and the invariants the proof
 relies on must still be checked there.  Exactly one function sets a tree's
 parent links (`MetricGraph._links`): the one both samplers share, which is
 also the only place in the samplers that builds a `MetricGraph`.  Exactly
-one function touches the width-k plan's mutable transition table
-(`_Plan.memo`): `pwk._realize`, which reads and fills it.  The width-k
-step rule `pwk._keep` is a pure function of its arguments: it stores only
-into names it binds itself, never into one of its parameters.  Neither
-sampler reads a composition's `steps`: both walk it by `departures`, the
-one walk over its windows, and no other loop in `pathwidth` walks the
-steps with a running window."""
+one function touches a plan's mutable transition table (`_Plan.memo`):
+`pw2._realize`, the one walk both samplers share, which reads and fills
+it.  Both step rules, `pwk._keep` and `pw2._step`, are pure functions of
+their arguments: each stores only into names it binds itself, never into
+one of its parameters.  Neither sampler reads a composition's `steps`:
+both walk it by `departures`, the one walk over its windows, and no other
+loop in `pathwidth` walks the steps with a running window."""
 
 import ast
 import sys
@@ -283,7 +283,7 @@ def test_links_guard_sees_every_form(tmp_path):
 def test_one_function_touches_the_transition_table():
     # the plan is cached and shared, so its one mutable part has one owner
     found = {(path.name, func) for path in package_files() for func, _ in memo_touches(path)}
-    assert found == {("pwk.py", "_realize")}
+    assert found == {("pw2.py", "_realize")}
 
 
 def test_memo_guard_sees_every_form(tmp_path):
@@ -364,10 +364,11 @@ def test_window_guard_sees_every_running_loop(tmp_path):
 
 
 def test_the_step_rule_stores_into_no_parameter():
-    # `_realize` interns the states `_keep` is given and returns: a rule
+    # `_realize` interns the states a rule is given and returns: a rule
     # that wrote into one would change a state the table already holds
-    (path,) = [path for path in package_files() if path.name == "pwk.py"]
-    assert parameter_stores(path, "_keep") == []
+    files = {path.name: path for path in package_files()}
+    assert parameter_stores(files["pwk.py"], "_keep") == []
+    assert parameter_stores(files["pw2.py"], "_step") == []
 
 
 def test_parameter_guard_sees_every_store(tmp_path):
