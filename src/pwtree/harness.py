@@ -11,10 +11,12 @@ tree, comes from the tree's parent links (`_RootedTree`).  A tree sampled
 or enumerated by `pwk` or `pw2` carries its links, so it is measured
 without a traversal; any other tree gets them from one
 `graphs.spanning_links` call, the traversal that also serves `is_tree`
-and the tree toolkit.  Every reader of a source's all-pairs distances
-goes through `_source_metric`, which roots a source with m = n - 1 that
-is connected and gives any other source, a graph with a cycle or a
-disconnected one, to `shortest_path_metric`.
+and the tree toolkit.  The distinct trees of one plan are measured over
+all pairs in one walk along the plan's order (`_Bundle`).  Every reader
+of a source's all-pairs distances goes through `_source_metric`, which
+roots a source with m = n - 1 that is connected and gives any other
+source, a graph with a cycle or a disconnected one, to
+`shortest_path_metric`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import le
 from typing import Optional
 
@@ -214,6 +216,30 @@ def sample_rng(seed, index) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
+class _Stream:
+    """The stream `sample_rng(seed, index)`, seeded at its first use, so a
+    sample that reads nothing from it pays no seeding.  `sample_rng` is
+    looked up then, not when the stream is made.  Seeding binds the
+    generator's `random` on the instance, where later draws find it before
+    the method, so they cost what a draw from the generator costs."""
+
+    def __init__(self, seed, index):
+        self._seed, self._index, self._rng = seed, index, None
+
+    def random(self):
+        return self._seeded().random()
+
+    def __getattr__(self, name):
+        # any other attribute of the generator, such as getstate
+        return getattr(self._seeded(), name)
+
+    def _seeded(self):
+        if self._rng is None:
+            self._rng = sample_rng(self._seed, self._index)
+            self.random = self._rng.random
+        return self._rng
+
+
 def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
                         pairs: str = "all",
                         source_metric: Optional[MetricGraph] = None,
@@ -246,7 +272,16 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     that determines the sample, as `pwk.draw_prefixes` and
     `pw2.draw_coins` do.  The outcomes are then tallied instead,
     O(distinct x steps) memory for those two, and `embedder` runs once
-    per distinct outcome, on the stream of its first sample.
+    per distinct outcome, on the stream of its first sample.  The stream
+    `outcome` gets is seeded at its first use: those two draw only up to
+    their plan's last departure whose length can vary, so where no
+    departure can vary a sample seeds no stream.  In "all" mode, the
+    distinct trees that carry one plan's links, each vertex its own
+    image, as the samples of `pwk` and `pw2` do, are measured together
+    after the tally (`_Bundle`): each pair then costs a step per distinct
+    distance it takes over those trees, not one per tree, so the time of
+    a run hardly grows with its number of distinct samples.  The bundle
+    holds its trees' parent links until then: O(distinct x n) memory.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -279,23 +314,37 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
         distinct = _tally(((s.target, tuple(map(s.fmap.get, g.vertices))), s)
                           for s in samples)
     else:
-        firsts = _tally((outcome(sample_rng(seed, i)), i) for i in range(num_samples))
-        distinct = ((_as_sample(g, embedder(sample_rng(seed, first))), count)
-                    for first, count in firsts)
-    for sample, count in distinct:
-        tree = _RootedTree(sample.target, scale)
+        firsts = _tally((outcome(_Stream(seed, i)), i) for i in range(num_samples))
+        distinct = ((embedder(sample_rng(seed, first)), count) for first, count in firsts)
+    bundles = {}  # all pairs: the trees of one plan, measured together after the loop
+    for result, count in distinct:
+        sample = result if isinstance(result, EmbeddingSample) else None
+        target = result if sample is None else sample.target
+        tree = _RootedTree(target, scale)
         if tree.scale != scale:  # a finer tree: every integer so far moves to its scale
             f, scale = tree.scale // scale, tree.scale
             sums[:] = [x * f for x in sums]
             sumsq[:] = [x * f * f for x in sumsq]
             src_scaled[:] = [d * f for d in src_scaled]
-        try:
-            img = [tree.index[sample.fmap[v]] for v in g.vertices]
-        except KeyError:
-            # names the vertex; the lookup above is the only per-sample check
-            _check_mapped(sample, g.vertices, "the graph")
-            raise
+        if sample is None and tree.vertices == g.vertices:
+            img = identity  # a bare tree on the vertices of g, each vertex its own image
+        else:
+            sample = sample or identity_sample(g, target)
+            try:
+                img = [tree.index[sample.fmap[v]] for v in g.vertices]
+            except KeyError:
+                # names the vertex; the lookup above is the only per-sample check
+                _check_mapped(sample, g.vertices, "the graph")
+                raise
         # every sampler maps each vertex to itself, at its own index
+        links = target._links
+        if img == identity and pairs == "all" and links is not None:
+            key = links[0], links[3]
+            bundle = bundles.get(key)
+            if bundle is None:
+                bundle = bundles[key] = _Bundle(tree, links)
+            bundle.add(links, count)
+            continue
         ends = pair_idx if img == identity else [(img[a], img[b]) for a, b in pair_idx]
         if pairs == "all":
             rows, pos = tree.rows()
@@ -303,6 +352,8 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
         else:
             dists = tree.pair_distances(ends)
         violations += _accumulate(sums, sumsq, src_scaled, dists, count)
+    for bundle in bundles.values():
+        violations += bundle.accumulate(sums, sumsq, src_scaled, pair_idx, scale)
 
     stats = []
     zero_pairs = []
@@ -380,6 +431,138 @@ def _accumulate(sums, sumsq, src_scaled, dists, count):
     return violations
 
 
+class _Bundle:
+    """Distinct trees whose parent links list their vertices in one order,
+    each vertex after its parent in every one of them, with edge lengths
+    over one scale, as the trees of one `pwk` or `pw2` plan do.  Tree t
+    is bit 8t of a mask, so that a mask can be read from bytes.  A
+    vertex's distance to any vertex before it in the order is its
+    parent's plus its edge, so one walk along the order gives each pair of
+    vertices its distances in all the trees at once, as a flat tuple
+    (distance, mask of the trees at that distance, ...).  A plan's trees
+    share almost every edge and their pairs few distances, so a pair
+    costs a step per distinct (parent, length) of its later vertex and
+    distance of the earlier pair, not one per tree."""
+
+    __slots__ = ("first", "order", "own", "parents", "lengths", "counts")
+
+    def __init__(self, tree, links):
+        """A bundle for the trees with the parent links `links` of the
+        tree `tree`: the same order and the same scale of lengths."""
+        self.first, self.order, self.own = tree, links[0], links[3]
+        self.parents, self.lengths, self.counts = [], [], []
+
+    def add(self, links, count):
+        _, parent, lengths, _ = links
+        self.parents.append(parent)
+        self.lengths.append(lengths)
+        self.counts.append(count)
+
+    @staticmethod
+    def _edges(col, lengths, at, mult, every):
+        """{(position of a parent of a vertex, its edge length times
+        `mult`): mask of the trees where the vertex hangs from that parent
+        by that edge}, from the vertex's parent `col` and edge `lengths` in
+        each tree."""
+        p, w = col[0], lengths[0]
+        if col.count(p) == len(col) and lengths.count(w) == len(col):
+            return {(at[p], w * mult): every}
+        keys = list(zip(col, lengths))
+        codes = dict.fromkeys(keys)
+        if len(codes) > 256:  # more edges than a byte names
+            masks = dict.fromkeys(codes, 0)
+            for t, key in enumerate(keys):
+                masks[key] |= 1 << 8 * t
+        else:
+            for c, key in enumerate(codes):
+                codes[key] = c
+            spread = bytes(map(codes.__getitem__, keys))  # byte t: tree t's edge
+            masks = {key: int.from_bytes(spread.translate(_byte_is(c)), "little")
+                     for key, c in codes.items()}
+        return {(at[q], w * mult): m for (q, w), m in masks.items()}
+
+    def rows(self, parents, lengths, mult):
+        """(rows, at, every): rows[i][h], for h < i, is the flat tuple of
+        the distances, times `mult`, between the vertices at positions i
+        and h of the order, each followed by its mask, from each vertex's
+        parent and edge length in each tree (`parents[x]`, `lengths[x]`);
+        vertex x sits at at[x], and `every` is the mask of all the trees."""
+        order = self.order
+        every = int.from_bytes(bytes([1]) * len(self.counts), "little")
+        zero = (0, every)
+        at = [0] * len(order)
+        for i, x in enumerate(order):
+            at[x] = i
+        rows = [[]]
+        for i in range(1, len(order)):
+            x = order[i]
+            edges = self._edges(parents[x], lengths[x], at, mult, every)
+            if len(edges) == 1:  # one edge in every tree: shift the parent's distances
+                ((a, w),) = edges
+                before = rows[a][:a] + [zero] + [rows[h][a] for h in range(a + 1, i)]
+                rows.append([(e[0] + w, e[1]) if len(e) == 2 else _shifted(e, w)
+                             for e in before])
+                continue
+            row = []
+            for h in range(i):
+                acc = {}
+                for (a, w), m in edges.items():
+                    e = rows[a][h] if h < a else rows[h][a] if h > a else zero
+                    for k in range(0, len(e), 2):
+                        mask = e[k + 1] & m
+                        if mask:
+                            d = e[k] + w
+                            acc[d] = acc.get(d, 0) | mask
+                row.append(tuple(chain.from_iterable(acc.items())))
+            rows.append(row)
+        return rows, at, every
+
+    def accumulate(self, sums, sumsq, src_scaled, pair_idx, scale):
+        """`_accumulate` of every tree at `scale`; returns their violations."""
+        counts = self.counts
+        if len(counts) == 1:
+            rows, pos = self.first.rows()
+            mult = scale // self.first.scale
+            dists = [rows[a][pos[b]] * mult for a, b in pair_idx]
+            return _accumulate(sums, sumsq, src_scaled, dists, counts[0])
+        # per vertex, its parent and its edge length in each tree; the
+        # lists per tree go, so that the walk does not hold both
+        parents, lengths = list(zip(*self.parents)), list(zip(*self.lengths))
+        self.parents = self.lengths = None
+        rows, at, every = self.rows(parents, lengths, scale // self.own)
+        total = sum(counts)
+        # a mask's weight, its trees' counts, summed by the bits of the counts
+        planes = [int.from_bytes(bytes(c >> b & 1 for c in counts), "little")
+                  for b in range(max(counts).bit_length())]
+        violations = 0
+        for j, (u, v) in enumerate(pair_idx):
+            i, h = at[u], at[v]
+            e = rows[i][h] if h < i else rows[h][i]
+            for k in range(0, len(e), 2):
+                d, m = e[k], e[k + 1]
+                c = total if m == every else sum(
+                    (m & plane).bit_count() << b for b, plane in enumerate(planes))
+                sums[j] += c * d
+                sumsq[j] += c * d * d
+                if d < src_scaled[j]:
+                    violations += c
+        return violations
+
+
+def _byte_is(c):
+    """The `bytes.translate` table that maps byte `c` to 1 and every other to 0."""
+    table = bytearray(256)
+    table[c] = 1
+    return table
+
+
+def _shifted(e, w):
+    """The flat (distance, mask, ...) tuple `e` with `w` added to each distance."""
+    out = list(e)
+    out[::2] = [d + w for d in e[::2]]
+    return tuple(out)
+
+
 class _RootedTree:
     """A tree as parent links over its vertices, numbered in sorted order.
 
@@ -391,19 +574,22 @@ class _RootedTree:
     from the package's one traversal, `graphs.spanning_links`, with each
     vertex's length to its parent over the tree's own `integer_scale`.
     The tree is measured at `scale`, the lcm of the caller's scale and the
-    links' own, so every length fits it; one pass along the order gives
-    each vertex's `depth` and root distance `dist`, times `scale`.  A graph
-    that is not a tree raises PreconditionFailed.
+    links' own, so every length fits it; one pass along the order, made
+    when they are first read, gives each vertex's `depth` and root
+    distance `dist`, times `scale`, and `index` numbers the vertices when
+    first read, so a tree measured with its plan's other trees (`_Bundle`)
+    pays for neither.  A graph that is not a tree raises
+    PreconditionFailed.
     """
 
-    __slots__ = ("vertices", "index", "order", "parent", "depth", "dist", "scale")
+    __slots__ = ("vertices", "order", "parent", "scale", "_lengths", "_index", "_depth",
+                 "_dist")
 
     def __init__(self, t: MetricGraph, scale: int):
         verts = t.vertices
         n = len(verts)
         if t.m != n - 1:
             raise PreconditionFailed(f"{t!r} is not a tree")
-        index = {v: i for i, v in enumerate(verts)}
         if t._links is not None:
             order, parent, to_parent, own = t._links
         else:
@@ -414,16 +600,43 @@ class _RootedTree:
             for x in order[1:]:
                 length = t.length(verts[x], verts[parent[x]])
                 to_parent[x] = length.numerator * (own // length.denominator)
-        scale = math.lcm(scale, own)
-        mult = scale // own
-        depth = [0] * n
-        dist = [0] * n
+        self.scale = math.lcm(scale, own)
+        self.vertices, self.order, self.parent = verts, order, parent
+        self._lengths = to_parent, self.scale // own
+        self._index = self._depth = self._dist = None
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self.vertices)}
+        return self._index
+
+    @property
+    def depth(self):
+        if self._depth is None:
+            self._walk()
+        return self._depth
+
+    @depth.setter
+    def depth(self, depth):
+        self._depth = depth
+
+    @property
+    def dist(self):
+        if self._dist is None:
+            self._walk()
+        return self._dist
+
+    def _walk(self):
+        order, parent = self.order, self.parent
+        to_parent, mult = self._lengths
+        depth = [0] * len(order)
+        dist = [0] * len(order)
         for x in order[1:]:
             p = parent[x]
             depth[x] = depth[p] + 1
             dist[x] = dist[p] + to_parent[x] * mult
-        self.vertices, self.index, self.scale = verts, index, scale
-        self.order, self.parent, self.depth, self.dist = order, parent, depth, dist
+        self._depth, self._dist = depth, dist
 
     def rows(self):
         """(rows, pos): rows[i] holds the scaled distances from vertex i to

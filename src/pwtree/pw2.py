@@ -19,7 +19,10 @@ and keeps the last plan; its rule, `_step`, keeps anchor j - 1 and has
 one state, the empty one.  `pwk` builds its own plan, with `_build_plan`
 as here, and names its own rule, `pwk._keep`.  Everything after the plan
 is shared.  A sample's only random choices are its drawn lengths, one
-per departure (`_draw_lengths`); `_realize` folds the plan's rule over
+per departure (`_draw`): the departures up to the plan's last one whose
+length can vary draw from the stream (`_draw_lengths`), and the rest take
+their fixed lengths without a draw, so a plan that leaves nothing to vary
+reads nothing from the stream.  `_realize` folds the plan's rule over
 them from the plan's zero state, memoised in the plan's transition
 table; `_sampled_tree` builds the tree, which carries its parent links
 (`_links`), and checks it for n - 1 edges.  The exact enumerator
@@ -108,7 +111,8 @@ def sample_prefix_length(thresholds, rng) -> int:
 
 def _draw_lengths(steps, rng):
     """The one draw rule of both samplers: each step's `sample_prefix_length`
-    on the thresholds in its last field, inlined (no call per step)."""
+    on the thresholds in its last field, inlined (no call per step).  Only
+    `_draw` and `sample_prefix_length` call it."""
     lengths = []
     for step in steps:
         j = 1
@@ -119,6 +123,21 @@ def _draw_lengths(steps, rng):
             j += 1
         lengths.append(j)
     return lengths
+
+
+def _fixed_length(thresholds):
+    """The length that `thresholds` draw whatever the stream gives, or None
+    where it can vary: a draw is always below a None or 1.0 threshold, so
+    it extends, and never below 0.0, so it stops.  The float thresholds,
+    not the exact probabilities, decide, as they are what a draw reads."""
+    j = 1
+    for thr in thresholds:
+        if thr == 0.0:
+            return j
+        if thr is not None and thr != 1.0:
+            return None
+        j += 1
+    return j
 
 
 class _Departure(NamedTuple):
@@ -148,6 +167,8 @@ class _Plan(NamedTuple):
     lists every vertex after its parent: that clique from its root, then
     the departures in reverse."""
     departures: tuple
+    drawn: tuple       # the departures up to the last whose length can vary
+    fixed: tuple       # the fixed lengths of the departures after it
     mst: tuple         # the final clique's spanning tree as (edge key, length)
     order: tuple
     parent: tuple
@@ -172,7 +193,9 @@ def _build_plan(g: MetricGraph, steps, mst, step, cap=0, zero=()) -> _Plan:
     departure with w and its anchors as vertices, of `mst`, the edge keys
     of the final clique's spanning tree, and of the step rule `step`, with
     an empty transition table that `_realize` starts from the state
-    `zero`."""
+    `zero`.  The plan splits its departures at the last one whose length
+    can vary (`_fixed_length`): those up to it draw, and the fixed lengths
+    of those after it are kept."""
     index = {v: i for i, v in enumerate(g.vertices)}
     scale = integer_scale(g)
 
@@ -196,9 +219,23 @@ def _build_plan(g: MetricGraph, steps, mst, step, cap=0, zero=()) -> _Plan:
                 parent[y], to_parent[y] = x, scaled(length)
                 order.append(y)
     order += [d.w for d in reversed(departures)]
+    lengths = [_fixed_length(d.thresholds) for d in departures]
+    varied = max((t + 1 for t, j in enumerate(lengths) if j is None), default=0)
     # the table: per departure its transitions and its next states interned
-    return _Plan(tuple(departures), mst, tuple(order), tuple(parent), tuple(to_parent), scale,
-                 step, cap, (tuple({} for _ in departures), tuple({} for _ in departures), zero))
+    return _Plan(tuple(departures), tuple(departures[:varied]), tuple(lengths[varied:]), mst,
+                 tuple(order), tuple(parent), tuple(to_parent), scale, step, cap,
+                 (tuple({} for _ in departures), tuple({} for _ in departures), zero))
+
+
+def _draw(plan, rng):
+    """A sample's drawn lengths, one per departure of `plan`: the
+    departures up to its last one whose length can vary draw from `rng`,
+    the fixed ones among them too, since each draw moves the stream that
+    later ones read, and the rest take their fixed lengths.  Every sampler
+    draws here, so an outcome and its realization consume a stream alike."""
+    lengths = _draw_lengths(plan.drawn, rng)
+    lengths += plan.fixed
+    return lengths
 
 
 def _sampled_tree(g, plan, kept):
@@ -292,9 +329,10 @@ def _distribution(plan, g: MetricGraph, limit):
 def _plan(seq: LinearCompositionSequence, g: MetricGraph, tau):
     """The departures of (sequence, metric, tau), each with its two anchors
     and p = P[length 2], the probability of deleting the edge to the first
-    anchor, with p's float threshold: every step draws, even at p = 1.  The
-    final window's edge closes the tree.  A `tau` of None means
-    DEFAULT_TAU."""
+    anchor, with p's float threshold.  A sample draws at every step up to
+    the plan's last one that can vary, at p = 1 or 0 too, and at none
+    after it (`_draw`).  The final window's edge closes the tree.  A `tau`
+    of None means DEFAULT_TAU."""
     if seq.k != 2:
         raise WrongWidth(f"this construction needs k=2, got k={seq.k}")
     tau = check_tau(DEFAULT_TAU if tau is None else tau)
@@ -323,7 +361,7 @@ def draw_coins(seq: LinearCompositionSequence, g: MetricGraph, rng,
     where it deletes the edge to the step's first anchor and 1 where it
     keeps it.  Consumes `rng` exactly as `embed_pathwidth2` does, whose
     tree is a function of the result."""
-    return bytes(_draw_lengths(_plan(seq, g, tau).departures, rng))
+    return bytes(_draw(_plan(seq, g, tau), rng))
 
 
 def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
@@ -335,7 +373,7 @@ def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
     parent links.  The sample draws its lengths as `draw_coins` does, then
     applies the step rule."""
     plan = _plan(seq, g, tau)
-    return _sampled_tree(g, plan, _realize(plan, _draw_lengths(plan.departures, rng)))
+    return _sampled_tree(g, plan, _realize(plan, _draw(plan, rng)))
 
 
 def enumerate_pw2_distribution(seq: LinearCompositionSequence, g: MetricGraph,

@@ -18,13 +18,14 @@ pure function of a departure's state, the ranks of its clique's
 C(k+1, 2) edges, and its drawn length: it returns the kept candidate and
 the next departure's state.  The plan names it, with the all-zero start
 state and the rank cap C(k+1, 2); a sample draws its prefix lengths
-(`draw_prefixes`), and `pw2._realize` folds the rule over them, memoised
-in the plan's transition table, so `_keep` runs once per reachable
-transition, not once per sample and departure.  The table makes a plan
-unsafe to realize from two threads at once.  `pw2._sampled_tree` builds
-the tree, with its parent links, and the exact enumerator
-(`pw2._distribution`) realizes every draw of positive probability.  The
-cap is checked on every transition a sample reaches, and a breach raises
+(`draw_prefixes`, through `pw2._draw`, which stops drawing at the
+plan's last departure whose length can vary), and `pw2._realize` folds
+the rule over them, memoised in the plan's transition table, so `_keep`
+runs once per reachable transition, not once per sample and departure.
+The table makes a plan unsafe to realize from two threads at once.
+`pw2._sampled_tree` builds the tree, with its parent links, and the
+exact enumerator (`pw2._distribution`) realizes every draw of positive
+probability.  The cap is checked on every transition a sample reaches, and a breach raises
 `InvariantViolated` and is never stored.
 """
 
@@ -41,7 +42,7 @@ from .pathwidth import LinearCompositionSequence
 # errors and the sampler core of pw2, re-exported here
 from .pw2 import (  # noqa: F401
     InvariantViolated, MissingLength, NegativeTau, TooManyOutcomes, _build_plan, _departures,
-    _distribution, _draw_lengths, _realize, _sampled_tree, check_tau, float_threshold,
+    _distribution, _draw, _draw_lengths, _realize, _sampled_tree, check_tau, float_threshold,
     sample_prefix_length)
 
 
@@ -140,7 +141,7 @@ def draw_prefixes(seq: LinearCompositionSequence, g: MetricGraph, rng,
     Consumes `rng` exactly as `embed_pathwidthk` does, whose tree is a
     function of the result.  A length is at most k, so it packs into one
     byte per departure below k = 256 and into eight from there on."""
-    lengths = _draw_lengths(_plan(seq, g, tau).departures, rng)
+    lengths = _draw(_plan(seq, g, tau), rng)
     return bytes(lengths) if seq.k < 256 else array("Q", lengths).tobytes()
 
 
@@ -152,7 +153,7 @@ def embed_pathwidthk(seq: LinearCompositionSequence, g: MetricGraph, rng,
     sample draws its prefix lengths as `draw_prefixes` does, then applies
     the step rule with them."""
     plan = _plan(seq, g, tau)
-    return _sampled_tree(g, plan, _realize(plan, _draw_lengths(plan.departures, rng)))
+    return _sampled_tree(g, plan, _realize(plan, _draw(plan, rng)))
 
 
 def enumerate_pwk_distribution(seq: LinearCompositionSequence, g: MetricGraph,

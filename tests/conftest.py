@@ -4,7 +4,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
+
+# the reference oracles check their invariants with bare asserts, which
+# `python -O` strips from any module pytest does not rewrite; registered
+# before any test imports them, they keep their checks there too
+pytest.register_assert_rewrite("pwk_reference", "tree_pathwidth_reference")
 
 from pwtree.graphs import MetricGraph, build_metric_graph, edge_key, shortest_path_metric
 from pwtree.pathwidth import (

@@ -15,7 +15,7 @@ import pwtree
 from conftest import LENGTHS, flatten_to_path, tree_metric_and_sequence
 from distance_reference import reference_distances
 from harness_reference import reference_estimate
-from pwtree import harness
+from pwtree import harness, pw2, pwk
 from pwtree.graphs import build_metric_graph, shortest_path_metric
 from pwtree.harness import (
     BadDomain,
@@ -537,6 +537,53 @@ class TestSampleReuse:
                                   len(outcomes), 5, pairs=pairs)
         assert got.to_json() == want.to_json()
 
+    @staticmethod
+    def counting_streams(monkeypatch):
+        """The indices `harness.sample_rng` is called with, in call order."""
+        calls, real = [], harness.sample_rng
+        monkeypatch.setattr(harness, "sample_rng", lambda seed, i: calls.append(i) or real(seed, i))
+        return calls
+
+    @pytest.mark.parametrize("pairs", ["all", "edges"])
+    def test_a_plan_that_cannot_vary_seeds_one_stream(self, monkeypatch, pairs):
+        # no departure of cycle(8) can vary at the default tau, in either
+        # sampler, yet every sample seeded its stream; now only the one
+        # realization does
+        g, seq = cycle(8)
+        metric = composed_metric_graph(g, seq)
+        calls = self.counting_streams(monkeypatch)
+        for embed, draw in ((embed_pathwidthk, draw_prefixes), (embed_pathwidth2, draw_coins)):
+            def embedder(r):
+                return embed(seq, metric, r)
+            want = reference_estimate(g, embedder, 500, 3, pairs=pairs)
+            calls.clear()
+            got = estimate_distortion(g, embedder, 500, 3, pairs=pairs,
+                                      outcome=lambda r: draw(seq, metric, r))
+            assert calls == [0]
+            assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("pairs", ["all", "edges"])
+    def test_a_plan_that_varies_seeds_every_sample(self, monkeypatch, pairs):
+        # one stream per sample to draw, then one per distinct outcome to
+        # realize it, at its first index
+        g, seq = random_pathwidth_graph(2, 12, small_rational_lengths, random.Random(3))
+        metric = composed_metric_graph(g, seq)
+        calls = self.counting_streams(monkeypatch)
+        for embed, draw, plan in ((embed_pathwidthk, draw_prefixes, pwk._plan),
+                                  (embed_pathwidth2, draw_coins, pw2._plan)):
+            assert plan(seq, metric, None).drawn
+            def embedder(r):
+                return embed(seq, metric, r)
+            want = reference_estimate(g, embedder, 300, 9, pairs=pairs)
+            outcomes = [draw(seq, metric, sample_rng(9, i)) for i in range(300)]
+            firsts = sorted({x: outcomes.index(x) for x in outcomes}.values())
+            assert len(firsts) > 1
+            calls.clear()
+            got = estimate_distortion(g, embedder, 300, 9, pairs=pairs,
+                                      outcome=lambda r: draw(seq, metric, r))
+            assert calls == list(range(300)) + firsts
+            assert got.to_json() == want.to_json()
+
     def test_sampled_runs_match_reference(self):
         rng = random.Random(41)
         for k in (2, 3):
@@ -555,6 +602,62 @@ class TestSampleReuse:
                         got = estimate_distortion(g, embedder, 300, 9, pairs=pairs,
                                                   outcome=outcome)
                         assert got.to_json() == want.to_json()
+
+
+class TestBundle:
+    """In all-pairs mode the distinct trees of one plan are measured in one
+    walk along the plan's order (`harness._Bundle`), not one by one."""
+
+    @staticmethod
+    def plan_trees(count):
+        # distinct pw2 trees of one random width-2 plan, each carrying its links
+        g, seq = random_pathwidth_graph(2, 12, small_rational_lengths, random.Random(3))
+        metric = composed_metric_graph(g, seq)
+        trees = {}
+        for i in range(400):
+            t = embed_pathwidth2(seq, metric, random.Random(i))
+            trees.setdefault(frozenset(t.edge_keys()), t)
+        assert len(trees) >= count
+        return g, list(trees.values())[:count]
+
+    def test_plan_trees_measured_in_one_walk(self, monkeypatch):
+        g, trees = self.plan_trees(6)
+        # tree i comes i + 1 times, so the weights of the masks take three bits
+        script = [t for i, t in enumerate(trees) for _ in range(i + 1)]
+        random.Random(7).shuffle(script)
+        walks, per_tree = [], []
+        bundle_rows, tree_rows = harness._Bundle.rows, harness._RootedTree.rows
+        monkeypatch.setattr(harness._Bundle, "rows", lambda self, *args: (
+            walks.append(self.counts) or bundle_rows(self, *args)))
+        monkeypatch.setattr(harness._RootedTree, "rows", lambda self: (
+            per_tree.append(self) or tree_rows(self)))
+        got = estimate_distortion(g, scripted(script), len(script), 5, pairs="all")
+        assert [sorted(counts) for counts in walks] == [[1, 2, 3, 4, 5, 6]]
+        assert per_tree == []
+        want = reference_estimate(g, scripted(script), len(script), 5, pairs="all")
+        assert got.to_json() == want.to_json()
+
+    def test_a_finer_tree_after_the_plan_trees(self):
+        # a tree without links whose lengths are off every scale so far is
+        # measured on its own and refines the scale the bundle is read at
+        g, (a, b, c) = self.plan_trees(3)
+        (e, length), *rest = a.edges()
+        finer = g.with_edges({e: length + Fraction(1, 7), **dict(rest)})
+        assert finer._links is None
+        script = [a, b, finer, c, a, b, b]
+        got = estimate_distortion(g, scripted(script), len(script), 5, pairs="all")
+        want = reference_estimate(g, scripted(script), len(script), 5, pairs="all")
+        assert got.to_json() == want.to_json()
+
+    def test_more_edges_at_a_vertex_than_a_byte_names(self):
+        # tree t is bit 8t of a mask, whether read from bytes (at most 256
+        # distinct edges at a vertex) or set bit by bit (more)
+        for trees in (256, 300):
+            col, lengths = (0,) * trees, tuple(range(1, trees + 1))
+            every = int.from_bytes(bytes([1]) * trees, "little")
+            links = harness._Bundle._edges(col, lengths, [0], 2, every)
+            assert links == {(0, 2 * w): 1 << 8 * (w - 1) for w in lengths}
+        assert harness._Bundle._edges((0, 0), (3, 3), [0], 2, 0b100000001) == {(0, 6): 0b100000001}
 
 
 class TestAverageEdgeStretch:

@@ -533,6 +533,15 @@ class TestAgainstReference:
             assert dict(table[v]) == want
 
 
+    def test_reference_invariant_holds_under_optimize(self):
+        # a heavy core of three mutually adjacent vertices has no two ends,
+        # so it induces no path: the reference's assert says so under
+        # `python -O` too, since conftest registers it for rewriting
+        adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
+        with pytest.raises(AssertionError, match="heavy core must induce a path"):
+            reference._two_sided_path(adj, {}, {0: 2, 1: 2, 2: 2})
+
+
 class TestLargeTrees:
     """Iterative passes: no RecursionError and seconds, not minutes."""
 

@@ -10,7 +10,7 @@ from conftest import linked_edges, mixed_instances
 from pwtree import pwk
 from pwtree.graphs import (
     build_metric_graph, edge_key, integer_scale, is_tree, shortest_path_metric)
-from pwtree.harness import sample_rng
+from pwtree.harness import _Stream, sample_rng
 from pwtree.instances import cycle, random_pathwidth_graph, small_rational_lengths
 from pwtree.pathwidth import LinearCompositionSequence, composed_metric_graph
 from pwtree.pw2 import (
@@ -20,10 +20,13 @@ from pwtree.pw2 import (
     NegativeTau,
     TooManyOutcomes,
     WrongWidth,
+    _build_plan,
+    _draw,
     _draw_lengths,
     _plan,
     _realize,
     _sampled_tree,
+    _step,
     draw_coins,
     embed_pathwidth2,
     enumerate_pw2_distribution,
@@ -265,6 +268,61 @@ class TestFloatThreshold:
         xs = [near, math.nextafter(near, -math.inf), math.nextafter(near, math.inf)]
         for x in xs + draws + [random.Random(str(p)).random()]:
             assert (x < thr) == (x < p), (p, x)
+
+
+class TestDraw:
+    """`_draw` stops drawing at a plan's last departure that can vary, and
+    gives the lengths that drawing at every departure gives."""
+
+    def test_random_plans_draw_as_every_departure(self):
+        # tau = 0 caps only the steps where the window slides; the
+        # default tau saturates most of them
+        rng = random.Random(61)
+        for tau, n in itertools.product((None, 1, 0), (6, 12, 24)):
+            g, seq = random_pathwidth_graph(2, n, small_rational_lengths, rng)
+            metric = composed_metric_graph(g, seq)
+            plan = _plan(seq, metric, tau)
+            assert len(plan.drawn) + len(plan.fixed) == len(plan.departures)
+            for i in range(20):
+                assert _draw(plan, sample_rng(61, i)) \
+                    == _draw_lengths(plan.departures, sample_rng(61, i))
+
+    def test_fixed_departures_draw_only_before_the_last_that_varies(self):
+        # 1 - 2^-60 rounds its threshold to 1.0, so a draw always extends
+        # there, and never at 0; after the last p = 1/2 nothing is drawn
+        g, seq = cycle(8)
+        metric = composed_metric_graph(g, seq)
+        real = _plan(seq, metric, None)
+        near_one = 1 - Fraction(1, 2 ** 60)
+        assert float_threshold(near_one) == 1.0
+        half = Fraction(1, 2)
+        probs = [half, near_one, half, near_one, Fraction(0), Fraction(1)]
+        steps = [(metric.vertices[d.w], [metric.vertices[a] for a in d.anchors], (), (p,),
+                  (float_threshold(p),)) for d, p in zip(real.departures, probs, strict=True)]
+        plan = _build_plan(metric, steps, [e for e, _ in real.mst], _step)
+        assert len(plan.drawn) == 3 and plan.fixed == (2, 1, 2)
+        for i in range(50):
+            drawn, twin, three = sample_rng(67, i), sample_rng(67, i), sample_rng(67, i)
+            lengths = _draw(plan, drawn)
+            assert lengths == _draw_lengths(plan.departures, twin)
+            assert lengths[1] == 2 and lengths[3:] == [2, 1, 2]
+            for _ in range(3):
+                three.random()
+            assert drawn.getstate() == three.getstate()
+
+    def test_lazy_stream_is_the_sample_stream(self):
+        # the harness hands outcomes a stream seeded at its first use: it
+        # draws and ends in the state that `sample_rng` does
+        g, seq = random_pathwidth_graph(2, 12, small_rational_lengths, random.Random(3))
+        metric = composed_metric_graph(g, seq)
+        plan = _plan(seq, metric, None)
+        assert plan.drawn
+        for i in range(20):
+            lazy, real = _Stream(71, i), sample_rng(71, i)
+            assert _draw(plan, lazy) == _draw(plan, real)
+            assert [lazy.random() for _ in range(5)] == [real.random() for _ in range(5)]
+            assert lazy.getstate() == real.getstate()
+        assert _Stream(71, 0).getstate() == sample_rng(71, 0).getstate()
 
 
 class TestPlan:

@@ -33,6 +33,7 @@ from pwtree.pwk import (
     MissingLength,
     NegativeTau,
     TooManyOutcomes,
+    _draw,
     _draw_lengths,
     _keep,
     _plan,
@@ -376,6 +377,17 @@ class TestReference:
                     samples += 1
         assert samples >= 1000
 
+    def test_reference_invariant_holds_under_optimize(self):
+        # a rank past the cap C(k+1, 2) breaks the reference's invariant:
+        # its assert says so under `python -O` too, since conftest
+        # registers it for rewriting
+        g, seq = cycle(6)
+        state = ReferenceState(seq, composed_metric_graph(g, seq))
+        state.check_invariant()
+        state.pair_rank[0, 1] = 4
+        with pytest.raises(AssertionError):
+            state.check_invariant()
+
 
 class TestParentLinks:
     @settings(max_examples=40, deadline=None)
@@ -559,6 +571,34 @@ class TestDraws:
                         assert trees.setdefault(key, tree) == tree
                     varied += len(trees) > 1
         assert varied >= 16
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.sampled_from([2, 3, 4]), extra=st.integers(1, 30),
+           sampler=st.sampled_from([small_rational_lengths, wide_lengths]),
+           tau=st.sampled_from([None, 1, 0]), seed=st.integers(0, 2 ** 32))
+    def test_draw_stops_at_the_last_departure_that_varies(self, k, extra, sampler, tau, seed):
+        # the lengths of drawing at every departure, on a twin stream; at
+        # tau = 0 every probability is 0 or 1, so nothing is drawn
+        g, seq = random_pathwidth_graph(k, k + extra, sampler, random.Random(seed))
+        metric = composed_metric_graph(g, seq)
+        plan = _plan(seq, metric, tau)
+        varies = [pw2._fixed_length(d.thresholds) is None for d in plan.departures]
+        assert len(plan.drawn) == (len(varies) - varies[::-1].index(True) if any(varies) else 0)
+        assert tau != 0 or plan.drawn == ()
+        for i in range(10):
+            assert _draw(plan, sample_rng(seed, i)) \
+                == _draw_lengths(plan.departures, sample_rng(seed, i))
+
+    def test_fixed_length_reads_the_float_thresholds(self):
+        # None and 1.0 extend, 0.0 stops, anything else varies; a
+        # probability of 1 - 2^-60 is a threshold of 1.0
+        assert prefix_thresholds([1 - Fraction(1, 2 ** 60), Fraction(0)]) == (1.0, 0.0)
+        cases = {(): 1, (None, None): 3, (1.0,): 2, (0.0, 0.5): 1, (None, 1.0, 0.0, 0.3): 3,
+                 (0.5,): None, (None, 0.3, 0.0): None, (1.0, 1e-300): None}
+        for thresholds, length in cases.items():
+            assert pw2._fixed_length(thresholds) == length
+            if length is not None:
+                assert sample_prefix_length(thresholds, random.Random(0)) == length
 
     def test_wide_prefixes_pack_in_eight_bytes(self):
         # unit lengths saturate every step, so each prefix is all k = 256

@@ -13,7 +13,12 @@ it.  Both step rules, `pwk._keep` and `pw2._step`, are pure functions of
 their arguments: each stores only into names it binds itself, never into
 one of its parameters.  Neither sampler reads a composition's `steps`:
 both walk it by `departures`, the one walk over its windows, and no other
-loop in `pathwidth` walks the steps with a running window."""
+loop in `pathwidth` walks the steps with a running window.  One draw path
+reads a sample's stream: only `pw2._draw` and `sample_prefix_length` use
+the draw rule `pw2._draw_lengths`, only that rule reads a stream's
+`random` in the samplers, and no function there that draws reads a
+plan's `departures`, so no sampler draws past the plan's last departure
+that can vary."""
 
 import ast
 import sys
@@ -179,6 +184,14 @@ def parameter_stores(path, name):
                                and isinstance(node.ctx, (ast.Store, ast.Del))
                                and _root(node) in params)})
     return None
+
+
+def name_loads(path, name):
+    """(function, line) of every read of `name` in a source file, as a
+    plain name or an attribute; an import or a store reads nothing."""
+    return [(func, node.lineno) for func, node in nodes_by_function(path)
+            if isinstance(getattr(node, "ctx", None), ast.Load)
+            and name in (getattr(node, "id", None), getattr(node, "attr", None))]
 
 
 # the calls that make a new MetricGraph, by plain or dotted name
@@ -393,3 +406,38 @@ def test_parameter_guard_sees_every_store(tmp_path):
                     "def other(state):\n    state[0] = 1\n")
     assert parameter_stores(path, "_keep") == [2, 3, 4, 5, 6, 7, 8, 9]
     assert parameter_stores(path, "missing") is None
+
+
+def sampler_files():
+    return [path for path in package_files() if path.name in ("pw2.py", "pwk.py")]
+
+
+def test_one_draw_path_reads_the_stream():
+    # each sampler drew over every departure of its plan, fixed ones too;
+    # a second draw path would read the stream where `_draw` does not
+    found = {(path.name, func) for path in package_files()
+             for func, _ in name_loads(path, "_draw_lengths")}
+    assert found == {("pw2.py", "_draw"), ("pw2.py", "sample_prefix_length")}
+    found = {(path.name, func) for path in sampler_files() for func, _ in name_loads(path, "random")}
+    assert found == {("pw2.py", "_draw_lengths")}
+    drawing = {(path.name, func) for path in sampler_files()
+               for name in ("_draw_lengths", "random") for func, _ in name_loads(path, name)}
+    found = {(path.name, func) for path in sampler_files()
+             for func, _ in name_loads(path, "departures")}
+    assert found and not found & drawing
+
+
+def test_load_guard_sees_every_read(tmp_path):
+    # a call, a dotted call, an alias, an argument and a read at module
+    # level; the import, a store, a string and another name read nothing
+    path = tmp_path / "probe.py"
+    path.write_text("from .pw2 import _draw_lengths\nfrom . import pw2\n"
+                    "def direct(steps, rng):\n    return _draw_lengths(steps, rng)\n"
+                    "def dotted(steps, rng):\n    return pw2._draw_lengths(steps, rng)\n"
+                    "def alias():\n    f = _draw_lengths\n    return f\n"
+                    "def passed(run):\n    return run(_draw_lengths)\n"
+                    "rule = _draw_lengths\n"
+                    "def store(plan):\n    plan._draw_lengths = None\n"
+                    "s = '_draw_lengths'\n_draw_length = 1\n")
+    assert name_loads(path, "_draw_lengths") == [("direct", 4), ("dotted", 6), ("alias", 8),
+                                                 ("passed", 11), (None, 12)]
