@@ -80,7 +80,8 @@ class MetricGraph:
     threads.  Use :func:`build_metric_graph` to construct with validation.
     A tree sampled or enumerated by `pwk` or `pw2` also keeps, in `_links`,
     the parent links it was realized from (`pw2._sampled_tree` is the one
-    function that sets them), for the harness's rooted-tree layer; every
+    function that sets them), for the harness's rooted-tree layer
+    (`harness._RootedTree.__init__` is the one that reads them); every
     other graph has None there.
     """
 

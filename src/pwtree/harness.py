@@ -7,12 +7,13 @@ of how samples are scheduled, and a sample can be drawn again from its
 index alone.  The estimate tallies equal samples and measures each
 distinct one once, weighted by its count.  Every tree distance, of a
 target, of the tree `s` of `check_close_to_P`, or of a source that is a
-tree, comes from the tree's parent links (`_RootedTree`).  A tree sampled
-or enumerated by `pwk` or `pw2` carries its links, so it is measured
-without a traversal; any other tree gets them from one
+tree, comes from the tree's parent links, which only `_RootedTree` reads.
+A tree sampled or enumerated by `pwk` or `pw2` carries its links, so it
+is measured without a traversal; any other tree gets them from one
 `graphs.spanning_links` call, the traversal that also serves `is_tree`
-and the tree toolkit.  The distinct trees of one plan are measured over
-all pairs in one walk along the plan's order (`_Bundle`).  Every reader
+and the tree toolkit.  Over all pairs, the distinct trees of one rooting
+and vertex map are measured together (`_Bundle`): one tree from its own
+rows, several in one walk along their order.  Every reader
 of a source's all-pairs distances goes through `_source_metric`, which
 roots a source with m = n - 1 that is connected and gives any other
 source, a graph with a cycle or a disconnected one, to
@@ -275,12 +276,13 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     per distinct outcome, on the stream of its first sample.  The stream
     `outcome` gets is seeded at its first use: those two draw only up to
     their plan's last departure whose length can vary, so where no
-    departure can vary a sample seeds no stream.  In "all" mode, the
-    distinct trees that carry one plan's links, each vertex its own
-    image, as the samples of `pwk` and `pw2` do, are measured together
-    after the tally (`_Bundle`): each pair then costs a step per distinct
-    distance it takes over those trees, not one per tree, so the time of
-    a run hardly grows with its number of distinct samples.  The bundle
+    departure can vary a sample seeds no stream.  In "all" mode, every
+    distinct tree joins the bundle of its rooting (its order and the scale
+    of its links, as `_RootedTree` reads them) and its vertex map, and the
+    bundles are measured after the tally (`_Bundle`).  The trees of one
+    `pwk` or `pw2` plan share one bundle, so each pair costs a step per
+    distinct distance it takes over them, not one per tree, and the time
+    of a run hardly grows with its number of distinct samples.  A bundle
     holds its trees' parent links until then: O(distinct x n) memory.
     """
     if num_samples < 1:
@@ -302,7 +304,7 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
 
     index = {v: i for i, v in enumerate(g.vertices)}
     pair_idx = [(index[u], index[v]) for u, v, _ in measured]
-    identity = list(range(g.n))
+    identity = tuple(range(g.n))
     sums = [0] * len(measured)
     sumsq = [0] * len(measured)
     violations = 0
@@ -316,7 +318,7 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     else:
         firsts = _tally((outcome(_Stream(seed, i)), i) for i in range(num_samples))
         distinct = ((embedder(sample_rng(seed, first)), count) for first, count in firsts)
-    bundles = {}  # all pairs: the trees of one plan, measured together after the loop
+    bundles = {}  # all pairs: the trees of one rooting and vertex map, measured after the loop
     for result, count in distinct:
         sample = result if isinstance(result, EmbeddingSample) else None
         target = result if sample is None else sample.target
@@ -326,34 +328,29 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
             sums[:] = [x * f for x in sums]
             sumsq[:] = [x * f * f for x in sumsq]
             src_scaled[:] = [d * f for d in src_scaled]
-        if sample is None and tree.vertices == g.vertices:
-            img = identity  # a bare tree on the vertices of g, each vertex its own image
-        else:
+        img = None  # each vertex of g its own image, at its own index, as in a bare tree on them
+        if sample is not None or tree.vertices != g.vertices:
             sample = sample or identity_sample(g, target)
             try:
-                img = [tree.index[sample.fmap[v]] for v in g.vertices]
+                img = tuple([tree.index[sample.fmap[v]] for v in g.vertices])
             except KeyError:
                 # names the vertex; the lookup above is the only per-sample check
                 _check_mapped(sample, g.vertices, "the graph")
                 raise
-        # every sampler maps each vertex to itself, at its own index
-        links = target._links
-        if img == identity and pairs == "all" and links is not None:
-            key = links[0], links[3]
+            if img == identity:
+                img = None
+        if pairs == "all":
+            key = tuple(tree.order), tree.own, img
             bundle = bundles.get(key)
             if bundle is None:
-                bundle = bundles[key] = _Bundle(tree, links)
-            bundle.add(links, count)
+                bundle = bundles[key] = _Bundle(tree)
+            bundle.add(tree, count)
             continue
-        ends = pair_idx if img == identity else [(img[a], img[b]) for a, b in pair_idx]
-        if pairs == "all":
-            rows, pos = tree.rows()
-            dists = [rows[a][pos[b]] for a, b in ends]
-        else:
-            dists = tree.pair_distances(ends)
-        violations += _accumulate(sums, sumsq, src_scaled, dists, count)
-    for bundle in bundles.values():
-        violations += bundle.accumulate(sums, sumsq, src_scaled, pair_idx, scale)
+        ends = pair_idx if img is None else [(img[a], img[b]) for a, b in pair_idx]
+        violations += _accumulate(sums, sumsq, src_scaled, tree.pair_distances(ends), count)
+    for (_, _, img), bundle in bundles.items():
+        ends = pair_idx if img is None else [(img[a], img[b]) for a, b in pair_idx]
+        violations += bundle.accumulate(sums, sumsq, src_scaled, ends, scale)
 
     stats = []
     zero_pairs = []
@@ -432,30 +429,28 @@ def _accumulate(sums, sumsq, src_scaled, dists, count):
 
 
 class _Bundle:
-    """Distinct trees whose parent links list their vertices in one order,
-    each vertex after its parent in every one of them, with edge lengths
-    over one scale, as the trees of one `pwk` or `pw2` plan do.  Tree t
-    is bit 8t of a mask, so that a mask can be read from bytes.  A
-    vertex's distance to any vertex before it in the order is its
-    parent's plus its edge, so one walk along the order gives each pair of
-    vertices its distances in all the trees at once, as a flat tuple
-    (distance, mask of the trees at that distance, ...).  A plan's trees
-    share almost every edge and their pairs few distances, so a pair
-    costs a step per distinct (parent, length) of its later vertex and
-    distance of the earlier pair, not one per tree."""
+    """The distinct trees of one rooting and vertex map, as those of one
+    `pwk` or `pw2` plan: their parent links, from `_RootedTree`, list the
+    vertices in one order, each after its parent in every tree, with
+    lengths over one scale.  One tree is read from its rows.  Of several,
+    tree t is bit 8t of a mask, so that a mask can be read from bytes.  A
+    vertex's distance to any vertex before it in the order is its parent's
+    plus its edge, so one walk along the order gives each pair of vertices
+    its distances in all the trees at once, as a flat tuple (distance, mask
+    of the trees at that distance, ...).  A plan's trees share almost every
+    edge and their pairs few distances, so a pair costs a step per distinct
+    (parent, length) of its later vertex and distance of the earlier pair,
+    not one per tree."""
 
-    __slots__ = ("first", "order", "own", "parents", "lengths", "counts")
+    __slots__ = ("first", "parents", "lengths", "counts")
 
-    def __init__(self, tree, links):
-        """A bundle for the trees with the parent links `links` of the
-        tree `tree`: the same order and the same scale of lengths."""
-        self.first, self.order, self.own = tree, links[0], links[3]
+    def __init__(self, tree):
+        self.first = tree
         self.parents, self.lengths, self.counts = [], [], []
 
-    def add(self, links, count):
-        _, parent, lengths, _ = links
-        self.parents.append(parent)
-        self.lengths.append(lengths)
+    def add(self, tree, count):
+        self.parents.append(tree.parent)
+        self.lengths.append(tree.to_parent)
         self.counts.append(count)
 
     @staticmethod
@@ -487,7 +482,7 @@ class _Bundle:
         and h of the order, each followed by its mask, from each vertex's
         parent and edge length in each tree (`parents[x]`, `lengths[x]`);
         vertex x sits at at[x], and `every` is the mask of all the trees."""
-        order = self.order
+        order = self.first.order
         every = int.from_bytes(bytes([1]) * len(self.counts), "little")
         zero = (0, every)
         at = [0] * len(order)
@@ -517,27 +512,29 @@ class _Bundle:
             rows.append(row)
         return rows, at, every
 
-    def accumulate(self, sums, sumsq, src_scaled, pair_idx, scale):
-        """`_accumulate` of every tree at `scale`; returns their violations."""
-        counts = self.counts
+    def accumulate(self, sums, sumsq, src_scaled, ends, scale):
+        """`_accumulate` of every tree at `scale`, pair j at the tree
+        vertices `ends[j]`; returns their violations."""
+        counts, first = self.counts, self.first
         if len(counts) == 1:
-            rows, pos = self.first.rows()
-            mult = scale // self.first.scale
-            dists = [rows[a][pos[b]] * mult for a, b in pair_idx]
+            rows, pos = first.rows()
+            mult = scale // first.scale
+            dists = [rows[a][pos[b]] * mult for a, b in ends]
             return _accumulate(sums, sumsq, src_scaled, dists, counts[0])
         # per vertex, its parent and its edge length in each tree; the
         # lists per tree go, so that the walk does not hold both
         parents, lengths = list(zip(*self.parents)), list(zip(*self.lengths))
         self.parents = self.lengths = None
-        rows, at, every = self.rows(parents, lengths, scale // self.own)
+        rows, at, every = self.rows(parents, lengths, scale // first.own)
         total = sum(counts)
         # a mask's weight, its trees' counts, summed by the bits of the counts
         planes = [int.from_bytes(bytes(c >> b & 1 for c in counts), "little")
                   for b in range(max(counts).bit_length())]
+        zero = (0, every)  # two vertices of g at one vertex of the trees
         violations = 0
-        for j, (u, v) in enumerate(pair_idx):
+        for j, (u, v) in enumerate(ends):
             i, h = at[u], at[v]
-            e = rows[i][h] if h < i else rows[h][i]
+            e = rows[i][h] if h < i else rows[h][i] if h > i else zero
             for k in range(0, len(e), 2):
                 d, m = e[k], e[k + 1]
                 c = total if m == every else sum(
@@ -566,24 +563,25 @@ def _shifted(e, w):
 class _RootedTree:
     """A tree as parent links over its vertices, numbered in sorted order.
 
-    The links come from one of two sources.  A tree sampled or enumerated
-    by `pwk` or `pw2` carries them (`MetricGraph._links`: an order that
-    lists every vertex after its parent, the parents, the root being its
-    own, and each vertex's edge length to its parent as an integer over the
-    plan's scale), and they are always read.  Every other tree gets them
-    from the package's one traversal, `graphs.spanning_links`, with each
-    vertex's length to its parent over the tree's own `integer_scale`.
-    The tree is measured at `scale`, the lcm of the caller's scale and the
-    links' own, so every length fits it; one pass along the order, made
-    when they are first read, gives each vertex's `depth` and root
-    distance `dist`, times `scale`, and `index` numbers the vertices when
-    first read, so a tree measured with its plan's other trees (`_Bundle`)
-    pays for neither.  A graph that is not a tree raises
-    PreconditionFailed.
+    Its `__init__` is the one reader of a tree's links in the package
+    (`MetricGraph._links`), and every other reader takes them from here:
+    an `order` that lists every vertex after its `parent`, the root being
+    its own, and each vertex's edge length to its parent, `to_parent`, as
+    an integer over the links' own scale `own`.  A tree sampled or
+    enumerated by `pwk` or `pw2` carries them, over its plan's scale, and
+    they are always read.  Every other tree gets them from the package's
+    one traversal, `graphs.spanning_links`, over the tree's own
+    `integer_scale`.  The tree is measured at `scale`, the lcm of the
+    caller's scale and `own`, so every length fits it; one pass along the
+    order, made when they are first read, gives each vertex's `depth` and
+    root distance `dist`, times `scale`, and `index` numbers the vertices
+    when first read, so a tree measured with the other trees of its
+    rooting and vertex map (`_Bundle`) pays for neither.  A graph that is
+    not a tree raises PreconditionFailed.
     """
 
-    __slots__ = ("vertices", "order", "parent", "scale", "_lengths", "_index", "_depth",
-                 "_dist")
+    __slots__ = ("vertices", "order", "parent", "to_parent", "own", "scale", "_index",
+                 "_depth", "_dist")
 
     def __init__(self, t: MetricGraph, scale: int):
         verts = t.vertices
@@ -602,7 +600,7 @@ class _RootedTree:
                 to_parent[x] = length.numerator * (own // length.denominator)
         self.scale = math.lcm(scale, own)
         self.vertices, self.order, self.parent = verts, order, parent
-        self._lengths = to_parent, self.scale // own
+        self.to_parent, self.own = to_parent, own
         self._index = self._depth = self._dist = None
 
     @property
@@ -617,10 +615,6 @@ class _RootedTree:
             self._walk()
         return self._depth
 
-    @depth.setter
-    def depth(self, depth):
-        self._depth = depth
-
     @property
     def dist(self):
         if self._dist is None:
@@ -628,8 +622,8 @@ class _RootedTree:
         return self._dist
 
     def _walk(self):
-        order, parent = self.order, self.parent
-        to_parent, mult = self._lengths
+        order, parent, to_parent = self.order, self.parent, self.to_parent
+        mult = self.scale // self.own
         depth = [0] * len(order)
         dist = [0] * len(order)
         for x in order[1:]:

@@ -136,7 +136,7 @@ class TestRootedTree:
                 Reads.count += 1
                 return list.__getitem__(self, i)
 
-        tree.depth = Reads(tree.depth)
+        tree._depth = Reads(tree.depth)  # pair_distances reads it through `depth`
         assert tree.pair_distances([(label[x], label[y]) for x, y in pairs]) == want
         size = legs * n + 1
         assert Reads.count <= 3 * size + 20 * math.log2(size) * len(pairs)
@@ -605,8 +605,9 @@ class TestSampleReuse:
 
 
 class TestBundle:
-    """In all-pairs mode the distinct trees of one plan are measured in one
-    walk along the plan's order (`harness._Bundle`), not one by one."""
+    """In all-pairs mode the distinct trees of one rooting and vertex map,
+    such as those of one plan, are measured in one walk along their order
+    (`harness._Bundle`), not one by one."""
 
     @staticmethod
     def plan_trees(count):
@@ -620,15 +621,20 @@ class TestBundle:
         assert len(trees) >= count
         return g, list(trees.values())[:count]
 
+    @staticmethod
+    def counting_walks(monkeypatch):
+        """The counts of the trees of each bundle walk from here on."""
+        walks, real = [], harness._Bundle.rows
+        monkeypatch.setattr(harness._Bundle, "rows", lambda self, *args: (
+            walks.append(self.counts) or real(self, *args)))
+        return walks
+
     def test_plan_trees_measured_in_one_walk(self, monkeypatch):
         g, trees = self.plan_trees(6)
         # tree i comes i + 1 times, so the weights of the masks take three bits
         script = [t for i, t in enumerate(trees) for _ in range(i + 1)]
         random.Random(7).shuffle(script)
-        walks, per_tree = [], []
-        bundle_rows, tree_rows = harness._Bundle.rows, harness._RootedTree.rows
-        monkeypatch.setattr(harness._Bundle, "rows", lambda self, *args: (
-            walks.append(self.counts) or bundle_rows(self, *args)))
+        walks, per_tree, tree_rows = self.counting_walks(monkeypatch), [], harness._RootedTree.rows
         monkeypatch.setattr(harness._RootedTree, "rows", lambda self: (
             per_tree.append(self) or tree_rows(self)))
         got = estimate_distortion(g, scripted(script), len(script), 5, pairs="all")
@@ -646,6 +652,52 @@ class TestBundle:
         assert finer._links is None
         script = [a, b, finer, c, a, b, b]
         got = estimate_distortion(g, scripted(script), len(script), 5, pairs="all")
+        want = reference_estimate(g, scripted(script), len(script), 5, pairs="all")
+        assert got.to_json() == want.to_json()
+
+    def test_trees_without_links_share_a_rooting(self, monkeypatch):
+        # one path with different integer lengths: one traversal order and
+        # scale, so one walk; a half-integer length puts its tree on a
+        # scale of its own, measured from its rows
+        g = unit_path(6)
+        paths = [build_metric_graph(range(6), [(i, i + 1, (i * w) % 4 + 1) for i in range(5)])
+                 for w in range(4)]
+        half = build_metric_graph(range(6), [(i, i + 1, Fraction(3, 2)) for i in range(5)])
+        assert all(t._links is None for t in paths)
+        script = [paths[0], half, paths[1], paths[2], paths[0], paths[3], paths[3], paths[3]]
+        walks = self.counting_walks(monkeypatch)
+        got = estimate_distortion(g, scripted(script), len(script), 5, pairs="all")
+        assert walks == [[2, 1, 1, 3]]
+        want = reference_estimate(g, scripted(script), len(script), 5, pairs="all")
+        assert got.to_json() == want.to_json()
+
+    def test_two_vertices_of_g_at_one_tree_vertex(self, monkeypatch):
+        # 2 and 3 of g both map to tree vertex 2, so the pair (2, 3) is at
+        # distance zero in every tree and contracts in every sample
+        g = unit_path(4)
+        fmap = {0: 0, 1: 1, 2: 2, 3: 2}
+        a, b = (EmbeddingSample(g, build_metric_graph(range(3), [(0, 1, 1), (1, 2, w)]), fmap)
+                for w in (1, 2))
+        script = [a, b, a, a, b]
+        walks = self.counting_walks(monkeypatch)
+        got = estimate_distortion(g, scripted(script), len(script), 5, pairs="all")
+        assert walks == [[3, 2]]
+        want = reference_estimate(g, scripted(script), len(script), 5, pairs="all")
+        assert got.to_json() == want.to_json()
+        # (2, 3) in all 5 samples; (1, 3) and (0, 3) in the 3 samples of a
+        assert got.violation_count == 5 + 3 + 3
+
+    def test_more_edges_than_a_byte_names_in_a_run(self, monkeypatch):
+        # 300 single-edge trees: the one vertex below the root hangs by 300
+        # distinct edges, past the 256 that a byte names
+        g = build_metric_graph(range(2), [(0, 1, 1)])
+        script = [build_metric_graph(range(2), [(0, 1, w)]) for w in range(1, 301)]
+        script += script[::7]  # some trees twice, so the weights take two bits
+        edges, real = [], harness._Bundle._edges
+        monkeypatch.setattr(harness._Bundle, "_edges", staticmethod(
+            lambda *args: edges.append(len(real(*args))) or real(*args)))
+        got = estimate_distortion(g, scripted(script), len(script), 5, pairs="all")
+        assert edges == [300]
         want = reference_estimate(g, scripted(script), len(script), 5, pairs="all")
         assert got.to_json() == want.to_json()
 

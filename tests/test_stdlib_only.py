@@ -6,7 +6,9 @@ Python >= 3.10 as pyproject.toml requires).  It also holds no `assert`
 statement, since `python -O` strips them and the invariants the proof
 relies on must still be checked there.  Exactly one function sets a tree's
 parent links (`MetricGraph._links`): the one both samplers share, which is
-also the only place in the samplers that builds a `MetricGraph`.  Exactly
+also the only place in the samplers that builds a `MetricGraph`; exactly
+one reads them, `harness._RootedTree.__init__`, and every other reader
+takes them from the rooted tree.  Exactly
 one function touches a plan's mutable transition table (`_Plan.memo`):
 `pw2._realize`, the one walk both samplers share, which reads and fills
 it.  Both step rules, `pwk._keep` and `pw2._step`, are pure functions of
@@ -48,20 +50,24 @@ def assert_lines(path):
                   if isinstance(node, ast.Assert))
 
 
-def nodes_by_function(path):
+def nodes_by_function(path, qualified=False):
     """(function, node) for every node of a source file, in depth-first
     order, with the innermost function that holds the node (a function's
-    own node counts as inside it); the function is None at module level."""
-    def visit(node, func):
+    own node counts as inside it); the function is None at module level
+    and in a class body.  With `qualified`, a function is named through
+    the classes and functions that hold it, as `Class.method`."""
+    def visit(node, func, prefix):
         for child in ast.iter_child_nodes(node):
+            inner, inner_prefix = func, prefix
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = child.name
-            else:
-                inner = func
+                inner = prefix + child.name if qualified else child.name
+                inner_prefix = prefix + child.name + "."
+            elif isinstance(child, ast.ClassDef):
+                inner_prefix = prefix + child.name + "."
             yield inner, child
-            yield from visit(child, inner)
+            yield from visit(child, inner, inner_prefix)
 
-    return visit(ast.parse(path.read_text(), str(path)), None)
+    return visit(ast.parse(path.read_text(), str(path)), None, "")
 
 
 def links_writers(path):
@@ -81,6 +87,27 @@ def links_writers(path):
                    or (isinstance(n, ast.Constant) and n.value == "_links")
                    for t in targets for n in ast.walk(t))
         if sets and not (isinstance(value, ast.Constant) and value.value is None):
+            found.append((func, node.lineno))
+    return found
+
+
+def links_loads(path):
+    """(qualified function, line) of every node in a source file that
+    loads a `_links` attribute: by attribute, in an augmented assignment
+    too, or by a `getattr` call naming it."""
+    found = []
+    for func, node in nodes_by_function(path, qualified=True):
+        if isinstance(node, ast.Attribute):
+            loads = node.attr == "_links" and isinstance(node.ctx, ast.Load)
+        elif isinstance(node, ast.AugAssign):
+            loads = isinstance(node.target, ast.Attribute) and node.target.attr == "_links"
+        elif isinstance(node, ast.Call):
+            loads = (isinstance(node.func, ast.Name) and node.func.id == "getattr"
+                     and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                     and node.args[1].value == "_links")
+        else:
+            loads = False
+        if loads:
             found.append((func, node.lineno))
     return found
 
@@ -291,6 +318,32 @@ def test_links_guard_sees_every_form(tmp_path):
                     "x = G()\nx._links = 8\n")
     assert links_writers(path) == [("build", 5), ("copy", 7), ("annotated", 9), ("grow", 11),
                                    ("hidden", 13), (None, 18)]
+
+
+def test_one_function_reads_tree_links():
+    # the estimate read a target's links itself to bundle a plan's trees;
+    # every reader of a tree's links now takes them from the rooted tree
+    found = {(path.name, func) for path in package_files() for func, _ in links_loads(path)}
+    assert found == {("harness.py", "_RootedTree.__init__")}
+
+
+def test_links_load_guard_sees_every_form(tmp_path):
+    # a read in a method, in a nested class and function, by getattr with
+    # and without a default, by an augmented assignment and at module
+    # level; a store, a setattr, a string and another attribute load nothing
+    path = tmp_path / "probe.py"
+    path.write_text("class T:\n    def __init__(self, t):\n        self.links = t._links\n"
+                    "    class Inner:\n        def read(self, t):\n"
+                    "            return t._links[0]\n"
+                    "def outer(t):\n    def inner():\n        return getattr(t, '_links')\n"
+                    "    return inner\n"
+                    "def default(t):\n    return getattr(t, '_links', None)\n"
+                    "def grow(t):\n    t._links += (1,)\n"
+                    "def store(t):\n    t._links = None\n    setattr(t, '_links', 2)\n"
+                    "    return getattr(t, '_adj'), t.links, '_links'\n"
+                    "x = T(None)._links\n")
+    assert links_loads(path) == [("T.__init__", 3), ("T.Inner.read", 6), ("outer.inner", 9),
+                                 ("default", 12), ("grow", 14), (None, 19)]
 
 
 def test_one_function_touches_the_transition_table():
