@@ -11,13 +11,14 @@ tree, comes from the tree's parent links, which only `_RootedTree` reads.
 A tree sampled or enumerated by `pwk` or `pw2` carries its links, so it
 is measured without a traversal; any other tree gets them from one
 `graphs.spanning_links` call, the traversal that also serves `is_tree`
-and the tree toolkit.  Over all pairs, the distinct trees of one rooting
-and vertex map are measured together (`_Bundle`): one tree from its own
-rows, several in one walk along their order.  Every reader
-of a source's all-pairs distances goes through `_source_metric`, which
-roots a source with m = n - 1 that is connected and gives any other
-source, a graph with a cycle or a disconnected one, to
-`shortest_path_metric`.
+and the tree toolkit.  A rooted tree has one scale, that of its links,
+and `estimate_distortion` is the one place that brings trees to a common
+scale.  Over all pairs, the distinct trees of one rooting and vertex map
+are measured together (`_Bundle`): one tree from its own rows, several
+in one walk along their order.  Every reader of a source's all-pairs
+distances goes through `_source_metric`, which roots a source with
+m = n - 1 that is connected and gives any other source, a graph with a
+cycle or a disconnected one, to `shortest_path_metric`.
 """
 
 from __future__ import annotations
@@ -79,12 +80,6 @@ def identity_sample(source: MetricGraph, target: MetricGraph) -> EmbeddingSample
     return EmbeddingSample(source, target, {v: v for v in source.vertices})
 
 
-def _as_sample(source, result) -> EmbeddingSample:
-    if isinstance(result, EmbeddingSample):
-        return result
-    return identity_sample(source, result)
-
-
 @dataclass
 class NonContractionVerdict:
     ok: bool
@@ -100,7 +95,7 @@ def check_noncontraction(sample: EmbeddingSample) -> NonContractionVerdict:
     PreconditionFailed."""
     _check_mapped(sample, sample.source.vertices, "its source")
     return _noncontraction(sample, _source_metric(sample.source),
-                           _tree_metric(_RootedTree(sample.target, 1)))
+                           _tree_metric(_RootedTree(sample.target)))
 
 
 def _check_mapped(sample, vertices, where, error=PreconditionFailed):
@@ -262,35 +257,40 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     edge of `g`, or gives one a length above its length in `g` or off the
     scale of `g`, raises BadSourceMetric.  "all" ignores `source_metric`.
     Means are exact rationals, also for a target tree whose lengths are off
-    the scale of `g`; only stderr is floating point.
+    the scale of `g`; only stderr is floating point.  A tree is measured at
+    the scale of its links (`_RootedTree`), and this is the one place that
+    brings trees to a common scale: the sums are integers over the scale
+    of `g` until a tree's scale does not divide it, then over the lcm of
+    the two, and each tree's distances are multiplied over to it.
 
     Equal samples are tallied, and each distinct one is measured once and
     weighted by its count; the sums are exact integers, so the report is
     the same as measuring every sample.  Without `outcome`, samples are
-    tallied by value (target and vertex map), which holds every distinct
-    sample until the end: O(distinct x n) memory.  `outcome(rng)` must
-    draw from `rng` what `embedder(rng)` draws and return a hashable value
-    that determines the sample, as `pwk.draw_prefixes` and
-    `pw2.draw_coins` do.  The outcomes are then tallied instead,
-    O(distinct x steps) memory for those two, and `embedder` runs once
-    per distinct outcome, on the stream of its first sample.  The stream
-    `outcome` gets is seeded at its first use: those two draw only up to
-    their plan's last departure whose length can vary, so where no
-    departure can vary a sample seeds no stream.  In "all" mode, every
-    distinct tree joins the bundle of its rooting (its order and the scale
-    of its links, as `_RootedTree` reads them) and its vertex map, and the
-    bundles are measured after the tally (`_Bundle`).  The trees of one
-    `pwk` or `pw2` plan share one bundle, so each pair costs a step per
-    distinct distance it takes over them, not one per tree, and the time
-    of a run hardly grows with its number of distinct samples.  A bundle
-    holds its trees' parent links until then: O(distinct x n) memory.
+    tallied by value (a bare tree by itself, an EmbeddingSample by its
+    target and vertex map), which holds every distinct sample until the
+    end: O(distinct x n) memory.  `outcome(rng)` must draw from `rng` what
+    `embedder(rng)` draws and return a hashable value that determines the
+    sample, as `pwk.draw_prefixes` and `pw2.draw_coins` do.  The outcomes
+    are then tallied instead, O(distinct x steps) memory for those two, and
+    `embedder` runs once per distinct outcome, on the stream of its first
+    sample.  The stream `outcome` gets is seeded at its first use: those
+    two draw only up to their plan's last departure whose length can vary,
+    so where no departure can vary a sample seeds no stream.  In "all"
+    mode, every distinct tree joins the bundle of its rooting (its order
+    and the scale of its links, as `_RootedTree` reads them) and its vertex
+    map, and the bundles are measured after the tally (`_Bundle`).  The
+    trees of one `pwk` or `pw2` plan share one bundle, so each pair costs a
+    step per distinct distance it takes over them, not one per tree, and
+    the time of a run hardly grows with its number of distinct samples.  A
+    bundle holds its trees' parent links until then: O(distinct x n)
+    memory.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
     if pairs not in ("all", "edges"):
         raise ValueError(f"unknown pairs mode {pairs!r}")
     # distances stay integers over one scale until the report: that of g,
-    # or the finer one of a target tree with lengths off it
+    # refined to the lcm with the scale of each tree that does not fit it
     if pairs == "edges" and source_metric is not None:
         scale = integer_scale(g)
         measured = _edge_distances(g, source_metric, scale)
@@ -311,10 +311,11 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
 
     src_scaled = [d for _, _, d in measured]
     if outcome is None:
-        samples = (_as_sample(g, embedder(sample_rng(seed, i))) for i in range(num_samples))
-        # an unmapped vertex keys as None; the lookup below rejects it
-        distinct = _tally(((s.target, tuple(map(s.fmap.get, g.vertices))), s)
-                          for s in samples)
+        results = (embedder(sample_rng(seed, i)) for i in range(num_samples))
+        # a bare tree keys as itself, a sample as its target and vertex map,
+        # where an unmapped vertex keys as None and the lookup below rejects it
+        distinct = _tally(((r.target, tuple(map(r.fmap.get, g.vertices)))
+                           if isinstance(r, EmbeddingSample) else r, r) for r in results)
     else:
         firsts = _tally((outcome(_Stream(seed, i)), i) for i in range(num_samples))
         distinct = ((embedder(sample_rng(seed, first)), count) for first, count in firsts)
@@ -322,9 +323,10 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     for result, count in distinct:
         sample = result if isinstance(result, EmbeddingSample) else None
         target = result if sample is None else sample.target
-        tree = _RootedTree(target, scale)
-        if tree.scale != scale:  # a finer tree: every integer so far moves to its scale
-            f, scale = tree.scale // scale, tree.scale
+        tree = _RootedTree(target)
+        if scale % tree.scale:  # a tree off the scale: every integer so far moves to the lcm
+            f = math.lcm(scale, tree.scale) // scale
+            scale *= f
             sums[:] = [x * f for x in sums]
             sumsq[:] = [x * f * f for x in sumsq]
             src_scaled[:] = [d * f for d in src_scaled]
@@ -340,14 +342,17 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
             if img == identity:
                 img = None
         if pairs == "all":
-            key = tuple(tree.order), tree.own, img
+            key = tuple(tree.order), tree.scale, img
             bundle = bundles.get(key)
             if bundle is None:
                 bundle = bundles[key] = _Bundle(tree)
             bundle.add(tree, count)
             continue
         ends = pair_idx if img is None else [(img[a], img[b]) for a, b in pair_idx]
-        violations += _accumulate(sums, sumsq, src_scaled, tree.pair_distances(ends), count)
+        dists, mult = tree.pair_distances(ends), scale // tree.scale
+        if mult != 1:
+            dists = [d * mult for d in dists]
+        violations += _accumulate(sums, sumsq, src_scaled, dists, count)
     for (_, _, img), bundle in bundles.items():
         ends = pair_idx if img is None else [(img[a], img[b]) for a, b in pair_idx]
         violations += bundle.accumulate(sums, sumsq, src_scaled, ends, scale)
@@ -432,15 +437,16 @@ class _Bundle:
     """The distinct trees of one rooting and vertex map, as those of one
     `pwk` or `pw2` plan: their parent links, from `_RootedTree`, list the
     vertices in one order, each after its parent in every tree, with
-    lengths over one scale.  One tree is read from its rows.  Of several,
-    tree t is bit 8t of a mask, so that a mask can be read from bytes.  A
-    vertex's distance to any vertex before it in the order is its parent's
-    plus its edge, so one walk along the order gives each pair of vertices
-    its distances in all the trees at once, as a flat tuple (distance, mask
-    of the trees at that distance, ...).  A plan's trees share almost every
-    edge and their pairs few distances, so a pair costs a step per distinct
-    (parent, length) of its later vertex and distance of the earlier pair,
-    not one per tree."""
+    lengths over one scale, the trees' own, and `accumulate` multiplies
+    their distances over to the estimate's.  One tree is read from its
+    rows.  Of several, tree t is bit 8t of a mask, so that a mask can be
+    read from bytes.  A vertex's distance to any vertex before it in the
+    order is its parent's plus its edge, so one walk along the order gives
+    each pair of vertices its distances in all the trees at once, as a flat
+    tuple (distance, mask of the trees at that distance, ...).  A plan's
+    trees share almost every edge and their pairs few distances, so a pair
+    costs a step per distinct (parent, length) of its later vertex and
+    distance of the earlier pair, not one per tree."""
 
     __slots__ = ("first", "parents", "lengths", "counts")
 
@@ -513,19 +519,20 @@ class _Bundle:
         return rows, at, every
 
     def accumulate(self, sums, sumsq, src_scaled, ends, scale):
-        """`_accumulate` of every tree at `scale`, pair j at the tree
-        vertices `ends[j]`; returns their violations."""
+        """`_accumulate` of every tree, pair j at the tree vertices
+        `ends[j]`, its distances multiplied from the trees' scale to
+        `scale`, a multiple of it; returns their violations."""
         counts, first = self.counts, self.first
+        mult = scale // first.scale
         if len(counts) == 1:
             rows, pos = first.rows()
-            mult = scale // first.scale
             dists = [rows[a][pos[b]] * mult for a, b in ends]
             return _accumulate(sums, sumsq, src_scaled, dists, counts[0])
         # per vertex, its parent and its edge length in each tree; the
         # lists per tree go, so that the walk does not hold both
         parents, lengths = list(zip(*self.parents)), list(zip(*self.lengths))
         self.parents = self.lengths = None
-        rows, at, every = self.rows(parents, lengths, scale // first.own)
+        rows, at, every = self.rows(parents, lengths, mult)
         total = sum(counts)
         # a mask's weight, its trees' counts, summed by the bits of the counts
         planes = [int.from_bytes(bytes(c >> b & 1 for c in counts), "little")
@@ -567,41 +574,38 @@ class _RootedTree:
     (`MetricGraph._links`), and every other reader takes them from here:
     an `order` that lists every vertex after its `parent`, the root being
     its own, and each vertex's edge length to its parent, `to_parent`, as
-    an integer over the links' own scale `own`.  A tree sampled or
-    enumerated by `pwk` or `pw2` carries them, over its plan's scale, and
-    they are always read.  Every other tree gets them from the package's
-    one traversal, `graphs.spanning_links`, over the tree's own
-    `integer_scale`.  The tree is measured at `scale`, the lcm of the
-    caller's scale and `own`, so every length fits it; one pass along the
-    order, made when they are first read, gives each vertex's `depth` and
-    root distance `dist`, times `scale`, and `index` numbers the vertices
+    an integer over the links' `scale`, the one scale the tree is measured
+    at.  A tree sampled or enumerated by `pwk` or `pw2` carries them, over
+    its plan's scale, and they are always read.  Every other tree gets them
+    from the package's one traversal, `graphs.spanning_links`, over the
+    tree's own `integer_scale`.  A caller on another scale multiplies the
+    distances over to it.  Each reader of depths or root distances makes
+    one pass along the order (`_walk`), and `index` numbers the vertices
     when first read, so a tree measured with the other trees of its
     rooting and vertex map (`_Bundle`) pays for neither.  A graph that is
     not a tree raises PreconditionFailed.
     """
 
-    __slots__ = ("vertices", "order", "parent", "to_parent", "own", "scale", "_index",
-                 "_depth", "_dist")
+    __slots__ = ("vertices", "order", "parent", "to_parent", "scale", "_index")
 
-    def __init__(self, t: MetricGraph, scale: int):
+    def __init__(self, t: MetricGraph):
         verts = t.vertices
         n = len(verts)
         if t.m != n - 1:
             raise PreconditionFailed(f"{t!r} is not a tree")
         if t._links is not None:
-            order, parent, to_parent, own = t._links
+            order, parent, to_parent, scale = t._links
         else:
             _, order, parent = spanning_links(t)
             if len(order) != n:
                 raise PreconditionFailed(f"{t!r} is not a tree")
-            own, to_parent = integer_scale(t), [0] * n
+            scale, to_parent = integer_scale(t), [0] * n
             for x in order[1:]:
                 length = t.length(verts[x], verts[parent[x]])
-                to_parent[x] = length.numerator * (own // length.denominator)
-        self.scale = math.lcm(scale, own)
+                to_parent[x] = length.numerator * (scale // length.denominator)
         self.vertices, self.order, self.parent = verts, order, parent
-        self.to_parent, self.own = to_parent, own
-        self._index = self._depth = self._dist = None
+        self.to_parent, self.scale = to_parent, scale
+        self._index = None
 
     @property
     def index(self):
@@ -609,35 +613,25 @@ class _RootedTree:
             self._index = {v: i for i, v in enumerate(self.vertices)}
         return self._index
 
-    @property
-    def depth(self):
-        if self._depth is None:
-            self._walk()
-        return self._depth
-
-    @property
-    def dist(self):
-        if self._dist is None:
-            self._walk()
-        return self._dist
-
     def _walk(self):
+        """(depth, dist): each vertex's depth and its distance to the root,
+        times `scale`, from one pass along the order."""
         order, parent, to_parent = self.order, self.parent, self.to_parent
-        mult = self.scale // self.own
         depth = [0] * len(order)
         dist = [0] * len(order)
         for x in order[1:]:
             p = parent[x]
             depth[x] = depth[p] + 1
-            dist[x] = dist[p] + to_parent[x] * mult
-        self._depth, self._dist = depth, dist
+            dist[x] = dist[p] + to_parent[x]
+        return depth, dist
 
     def rows(self):
         """(rows, pos): rows[i] holds the scaled distances from vertex i to
         every vertex in a preorder where every subtree is a contiguous run
         and vertex j sits at pos[j].  A child's row is its parent's, plus
         the edge length outside the child's subtree and minus it inside."""
-        order, parent, dist = self.order, self.parent, self.dist
+        order, parent = self.order, self.parent
+        _, dist = self._walk()
         n = len(order)
         size = [1] * n
         for x in reversed(order[1:]):
@@ -672,7 +666,8 @@ class _RootedTree:
         depth; at equal depths both take their jumps if these differ and
         their parents otherwise.  A pair costs O(log n) steps on any tree,
         and a pair a few hops apart, such as an edge of G, a few steps."""
-        parent, depth, dist = self.parent, self.depth, self.dist
+        parent = self.parent
+        depth, dist = self._walk()
         jump = parent[:]
         for x in self.order[1:]:
             p = parent[x]
@@ -699,7 +694,8 @@ class _RootedTree:
     def path(self, a, b):
         """Vertices of the tree path from a to b, both ends included: the
         deeper end steps to its parent until the ends meet."""
-        parent, depth = self.parent, self.depth
+        parent = self.parent
+        depth, _ = self._walk()
         x, y = self.index[a], self.index[b]
         head, tail = [], []
         while x != y:
@@ -726,7 +722,7 @@ def _source_metric(g: MetricGraph) -> DistanceMatrix:
     `shortest_path_metric`."""
     if g.m == g.n - 1:
         try:
-            return _tree_metric(_RootedTree(g, 1))
+            return _tree_metric(_RootedTree(g))
         except PreconditionFailed:  # a cycle beside an isolated vertex, say
             pass
     return shortest_path_metric(g)
@@ -748,7 +744,7 @@ def average_edge_stretch(g: MetricGraph, sample: EmbeddingSample,
     if g.m == 0:
         raise EmptyEdgeSet("the source graph has no edges")
     _check_mapped(sample, g.vertices, "the source graph")
-    tree = _RootedTree(sample.target, 1)
+    tree = _RootedTree(sample.target)
     if require_noncontraction:
         if sample.source is not g:
             _check_mapped(sample, sample.source.vertices, "its source")
@@ -852,11 +848,11 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
     _check_mapped(sample, s.vertices, "s", HypothesisViolation)
     # s is a tree by hypothesis: one rooting gives its distances and its legs
     try:
-        s_tree = _RootedTree(s, 1)
+        s_tree = _RootedTree(s)
     except PreconditionFailed as exc:
         raise HypothesisViolation("s is not a tree") from exc
     dm_s = _tree_metric(s_tree)
-    dm_t = _tree_metric(_RootedTree(sample.target, 1))
+    dm_t = _tree_metric(_RootedTree(sample.target))
     if sample.source == s:  # its distances are already at hand
         dm_src = dm_s
     else:

@@ -356,7 +356,7 @@ def _step(state, departure, j, cap):
 
 
 def draw_coins(seq: LinearCompositionSequence, g: MetricGraph, rng,
-               tau=DEFAULT_TAU) -> bytes:
+               tau=None) -> bytes:
     """A sample's random choices: one byte per step, its drawn length, 2
     where it deletes the edge to the step's first anchor and 1 where it
     keeps it.  Consumes `rng` exactly as `embed_pathwidth2` does, whose
@@ -365,7 +365,7 @@ def draw_coins(seq: LinearCompositionSequence, g: MetricGraph, rng,
 
 
 def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
-                     tau=DEFAULT_TAU) -> MetricGraph:
+                     tau=None) -> MetricGraph:
     """Sample a random spanning tree of the composed graph of `seq`.
 
     `g` must be the reduced metric graph on the composed edge set; the
@@ -377,7 +377,7 @@ def embed_pathwidth2(seq: LinearCompositionSequence, g: MetricGraph, rng,
 
 
 def enumerate_pw2_distribution(seq: LinearCompositionSequence, g: MetricGraph,
-                               tau=DEFAULT_TAU, limit=1 << 20):
+                               tau=None, limit=1 << 20):
     """Exact output distribution as [(tree, probability)]; sums to 1.
 
     The sampler's step rule realized on every positive-probability draw;

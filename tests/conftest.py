@@ -1,6 +1,7 @@
 """Shared helpers: random trees, exhaustive tree enumeration, witnesses."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -176,21 +177,26 @@ def mixed_instances(draw, widths=(2, 3, 4)):
     return g, seq
 
 
-def linked_edges(tree, metric, scale):
+def linked_edges(tree, metric):
     """The edges of a sampled tree's parent links, after checking that the
     links list every vertex, carry the metric's lengths, and give the
-    harness the same distances at `scale` as a traversal of the tree."""
-    order, parent, scaled, own = tree._links
+    harness the same distances as a traversal of the tree, compared at the
+    lcm of the two rootings' scales."""
+    order, parent, scaled, scale = tree._links
     verts = tree.vertices
     idx = range(len(verts))
     assert sorted(order) == list(idx)
-    assert all(Fraction(scaled[x], own) == metric.length(verts[x], verts[parent[x]])
+    assert all(Fraction(scaled[x], scale) == metric.length(verts[x], verts[parent[x]])
                for x in order[1:])
-    linked = _RootedTree(tree, scale)
-    walked = _RootedTree(tree.with_edges(dict(tree.edges())), scale)
-    assert linked.order is order and walked.order[0] == 0
+    linked = _RootedTree(tree)
+    walked = _RootedTree(tree.with_edges(dict(tree.edges())))
+    assert linked.order is order and linked.scale == scale and walked.order[0] == 0
+    common = math.lcm(linked.scale, walked.scale)
+    lmult, wmult = common // linked.scale, common // walked.scale
     pairs = list(itertools.product(idx, idx))
-    assert linked.pair_distances(pairs) == walked.pair_distances(pairs)
+    assert [d * lmult for d in linked.pair_distances(pairs)] \
+        == [d * wmult for d in walked.pair_distances(pairs)]
     (lrows, lpos), (wrows, wpos) = linked.rows(), walked.rows()
-    assert [lrows[i][lpos[j]] for i, j in pairs] == [wrows[i][wpos[j]] for i, j in pairs]
+    assert [lrows[i][lpos[j]] * lmult for i, j in pairs] \
+        == [wrows[i][wpos[j]] * wmult for i, j in pairs]
     return {edge_key(verts[x], verts[parent[x]]) for x in order[1:]}

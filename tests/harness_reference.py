@@ -15,12 +15,19 @@ from fractions import Fraction
 
 from pwtree.graphs import shortest_path_metric
 from pwtree.harness import (
+    EmbeddingSample,
     PairStat,
     StretchReport,
-    _as_sample,
     instance_hash,
     sample_rng,
 )
+
+
+def as_sample(g, result):
+    """`result`, or a bare tree as the sample that maps each vertex of `g` to itself."""
+    if isinstance(result, EmbeddingSample):
+        return result
+    return EmbeddingSample(g, result, {v: v for v in g.vertices})
 
 
 def reference_estimate(g, embedder, num_samples, seed, pairs="all"):
@@ -33,7 +40,7 @@ def reference_estimate(g, embedder, num_samples, seed, pairs="all"):
     sumsq = [Fraction(0)] * len(measured)
     violations = 0
     for i in range(num_samples):
-        sample = _as_sample(g, embedder(sample_rng(seed, i)))
+        sample = as_sample(g, embedder(sample_rng(seed, i)))
         dm_t = shortest_path_metric(sample.target)
         for j, (u, v, d_src) in enumerate(measured):
             d = dm_t.dist(sample.image(u), sample.image(v))

@@ -80,20 +80,20 @@ class TestRootedTree:
     """The one layer every target distance comes from, against all-pairs Dijkstra."""
 
     @settings(max_examples=200, deadline=None)
-    @given(t=weighted_trees(), mult=st.sampled_from([1, 6]))
-    def test_matches_all_pairs(self, t, mult):
-        # mult > 1 puts the tree on a finer instance scale than its own
+    @given(t=weighted_trees())
+    def test_matches_all_pairs(self, t):
+        # a traversed tree is measured at its own scale, that of Dijkstra's table
         dm = shortest_path_metric(t)
-        tree = harness._RootedTree(t, dm.scale * mult)
-        assert tree.scale == dm.scale * mult
+        tree = harness._RootedTree(t)
+        assert tree.scale == dm.scale
         verts = t.vertices
         idx = range(len(verts))
         rows, pos = tree.rows()
         pairs = list(itertools.product(idx, idx))
-        want = [dm.scaled(verts[i], verts[j]) * mult for i, j in pairs]
+        want = [dm.scaled(verts[i], verts[j]) for i, j in pairs]
         assert [rows[i][pos[j]] for i, j in pairs] == want
         assert tree.pair_distances(pairs) == want
-        own = harness._tree_metric(harness._RootedTree(t, 1))
+        own = harness._tree_metric(tree)
         assert own.scale == dm.scale and list(own.scaled_pairs()) == list(dm.scaled_pairs())
         for a, b in itertools.product(verts, verts):
             path = tree.path(a, b)
@@ -103,7 +103,7 @@ class TestRootedTree:
 
     def test_single_vertex(self):
         t = build_metric_graph(["v"], [])
-        tree = harness._RootedTree(t, 1)
+        tree = harness._RootedTree(t)
         assert tree.rows() == ([[0]], [0])
         assert tree.pair_distances([(0, 0)]) == [0]
         assert tree.path("v", "v") == ["v"]
@@ -111,19 +111,20 @@ class TestRootedTree:
     def test_deep_path_needs_no_recursion(self):
         # 3,000 levels below the root, past the default recursion limit
         n = 3000
-        tree = harness._RootedTree(unit_path(n), 1)
-        assert max(tree.depth) == n - 1
+        tree = harness._RootedTree(unit_path(n))
+        depth, dist = tree._walk()
+        assert max(depth) == max(dist) == n - 1
         assert tree.pair_distances([(0, n - 1), (n - 1, 1), (7, 7)]) == [n - 1, n - 2, 0]
         assert tree.path(n - 1, 0) == list(range(n - 1, -1, -1))
 
-    def test_deep_spider_pairs(self):
+    def test_deep_spider_pairs(self, monkeypatch):
         # three legs of 1,000 below the root: far pairs climb every jump level,
         # in O(log n) steps each where a parent-by-parent climb takes ~1,000
         legs, n = 3, 1000
         label = {(leg, i): 1 + leg * n + i for leg in range(legs) for i in range(n)}
         edges = [(0 if i == 0 else label[leg, i - 1], label[leg, i], 1)
                  for leg in range(legs) for i in range(n)]
-        tree = harness._RootedTree(build_metric_graph(range(legs * n + 1), edges), 1)
+        tree = harness._RootedTree(build_metric_graph(range(legs * n + 1), edges))
         rng = random.Random(5)
         ends = [(rng.randrange(legs), rng.randrange(n)) for _ in range(400)]
         pairs = list(zip(ends, ends[1:]))
@@ -136,19 +137,46 @@ class TestRootedTree:
                 Reads.count += 1
                 return list.__getitem__(self, i)
 
-        tree._depth = Reads(tree.depth)  # pair_distances reads it through `depth`
+        walk = harness._RootedTree._walk
+
+        def counted_walk(self):  # pair_distances reads the depths it returns
+            depth, dist = walk(self)
+            return Reads(depth), dist
+
+        monkeypatch.setattr(harness._RootedTree, "_walk", counted_walk)
         assert tree.pair_distances([(label[x], label[y]) for x, y in pairs]) == want
         size = legs * n + 1
-        assert Reads.count <= 3 * size + 20 * math.log2(size) * len(pairs)
+        assert 0 < Reads.count <= 3 * size + 20 * math.log2(size) * len(pairs)
+
+    def test_measured_at_its_links_scale(self):
+        # a traversed tree's scale is its integer_scale; the estimate, not
+        # the tree, brings it to any other scale (TestOffScaleTargets)
+        t = build_metric_graph(range(3), [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 2))])
+        tree = harness._RootedTree(t)
+        assert tree.scale == 6
+        assert tree.to_parent == [0, 2, 3]
+        assert tree.pair_distances([(0, 1), (0, 2)]) == [2, 5]
 
     @pytest.mark.parametrize("scale, lcm", [(1, 3), (2, 6), (3, 3), (6, 6)])
-    def test_measured_at_the_lcm_of_both_scales(self, scale, lcm):
-        # a length off the caller's scale refines the tree's scale instead
-        # of failing: the caller reads the scale it got from the tree
+    def test_measured_at_the_lcm_of_both_scales(self, scale, lcm, monkeypatch):
+        # a tree length off the scale of g refines the estimate's scale
+        # instead of failing: the tree keeps its own scale, 3, and the
+        # estimate measures it at the lcm of that and the scale of g
+        g = build_metric_graph(range(3), [(0, 1, Fraction(1, scale)), (1, 2, 1)])
         t = build_metric_graph(range(3), [(0, 1, Fraction(1, 3)), (1, 2, 1)])
-        tree = harness._RootedTree(t, scale)
-        assert tree.scale == lcm
-        assert tree.pair_distances([(0, 1), (0, 2)]) == [lcm // 3, lcm * 4 // 3]
+        assert harness._RootedTree(t).scale == 3
+        seen, accumulate = [], harness._Bundle.accumulate
+
+        def spy(self, sums, sumsq, src_scaled, ends, at):
+            seen.append(at)
+            return accumulate(self, sums, sumsq, src_scaled, ends, at)
+
+        monkeypatch.setattr(harness._Bundle, "accumulate", spy)
+        report = estimate_distortion(g, lambda rng: t, 2, 0)
+        assert seen == [lcm]
+        means = {s.pair: s.mean_distance for s in report.pair_stats}
+        assert means == {(0, 1): Fraction(1, 3), (0, 2): Fraction(4, 3), (1, 2): 1}
+        assert report.to_json() == reference_estimate(g, lambda rng: t, 2, 0, "all").to_json()
 
 
 class TestNonContraction:
@@ -420,7 +448,7 @@ class TestEstimateDistortion:
 
 class TestOffScaleTargets:
     """Target trees whose lengths are off the scale of g: the estimator moves
-    its integers to the finer scale a tree reports."""
+    its integers to the lcm of its scale and the tree's."""
 
     G = unit_path(3)
     T = build_metric_graph(range(3), [(0, 1, Fraction(4, 3)), (1, 2, 1)])
@@ -470,9 +498,9 @@ def counting_trees(monkeypatch):
     class Counting(harness._RootedTree):
         __slots__ = ()
 
-        def __init__(self, t, scale):
+        def __init__(self, t):
             built.append(t)
-            super().__init__(t, scale)
+            super().__init__(t)
 
     monkeypatch.setattr(harness, "_RootedTree", Counting)
     return built
@@ -514,6 +542,18 @@ class TestSampleReuse:
         assert built == [a, b]
         assert got.to_json() == reference_estimate(g, scripted([a, b, a]), 3, 5,
                                                    pairs=pairs).to_json()
+
+    @pytest.mark.parametrize("pairs", ["all", "edges"])
+    def test_bare_trees_tallied_without_a_vertex_map(self, monkeypatch, pairs):
+        # the value tally keys a bare tree on the vertices of g by itself,
+        # so no sample builds an identity vertex map
+        g, a, _ = self.two_trees()
+        calls, real = [], harness.identity_sample
+        monkeypatch.setattr(harness, "identity_sample",
+                            lambda *args: calls.append(args) or real(*args))
+        got = estimate_distortion(g, lambda rng: a, 200, 5, pairs=pairs)
+        assert calls == []
+        assert got.to_json() == reference_estimate(g, lambda rng: a, 200, 5, pairs).to_json()
 
     @pytest.mark.parametrize("pairs", ["all", "edges"])
     def test_outcomes_realized_once_at_their_first_index(self, monkeypatch, pairs):

@@ -18,8 +18,7 @@ from pwk_reference import (
 from test_acceptance import build_corpus
 import pwtree
 from pwtree import harness, pwk
-from pwtree.graphs import (
-    build_metric_graph, integer_scale, is_tree, shortest_path_metric)
+from pwtree.graphs import build_metric_graph, is_tree, shortest_path_metric
 from pwtree.harness import sample_rng
 from pwtree.instances import cycle, phi, random_pathwidth_graph, small_rational_lengths
 from pwtree.pathwidth import (
@@ -391,19 +390,18 @@ class TestReference:
 
 class TestParentLinks:
     @settings(max_examples=40, deadline=None)
-    @given(instance=mixed_instances(), mult=st.sampled_from([1, 6]))
-    def test_links_match_the_edge_rule_and_a_traversal(self, instance, mult):
+    @given(instance=mixed_instances())
+    def test_links_match_the_edge_rule_and_a_traversal(self, instance):
         # on every admissible prefix-length vector, the sample's parent links
         # give the tuple-keyed step rule's edges, and the harness measures
         # the same distances from them as from a traversal of the tree
         g, seq = instance
         metric = composed_metric_graph(g, seq)
         plan = _plan(seq, metric, None)
-        scale = integer_scale(g) * mult
         for lengths in itertools.product(*[range(1, len(d.anchors) + 1)
                                            for d in plan.departures]):
             tree = _sampled_tree(metric, plan, _realize(plan, lengths))
-            assert linked_edges(tree, metric, scale) \
+            assert linked_edges(tree, metric) \
                 == set(realize(plan, metric, lengths)) == tree.edge_keys()
 
     @staticmethod
@@ -428,8 +426,7 @@ class TestParentLinks:
         # each listed tree carries the links a sample of its draw would
         count = 0
         for g, metric, tree in self.enumerated_trees():
-            for mult in (1, 6):
-                assert linked_edges(tree, metric, integer_scale(g) * mult) == tree.edge_keys()
+            assert linked_edges(tree, metric) == tree.edge_keys()
             count += 1
         assert count > 500
 
@@ -445,8 +442,9 @@ class TestParentLinks:
         assert traversals == []
 
     def test_links_off_the_harness_scale_are_read_at_the_lcm(self, monkeypatch):
-        # a scale the plan's does not divide still reads the links, with no
-        # traversal, and measures at the lcm of the two scales
+        # the rooting reads the links at the plan's scale, with no
+        # traversal; an estimate on a scale that the plan's does not divide
+        # measures the tree at the lcm of the two
         traversals = []
         real = harness.spanning_links
         monkeypatch.setattr(harness, "spanning_links",
@@ -456,10 +454,17 @@ class TestParentLinks:
         seq = LinearCompositionSequence(2, [0, 1], [(2, {0, 2})])
         tree = embed_pathwidthk(seq, metric, random.Random(0))
         assert tree._links[3] == 6 and tree.edge_keys() == {(0, 1), (0, 2)}
-        for scale, lcm in ((2, 6), (3, 6), (4, 12), (6, 6)):
-            rooted = harness._RootedTree(tree, scale)
-            assert rooted.order is tree._links[0] and rooted.scale == lcm
-            assert rooted.pair_distances([(1, 2)]) == [lcm * 3 // 2]
+        rooted = harness._RootedTree(tree)
+        assert rooted.order is tree._links[0] and rooted.scale == 6
+        assert rooted.pair_distances([(1, 2)]) == [9]
+        for scale in (2, 3, 4, 6):
+            # a triangle, so its own distances take no traversal either
+            g = build_metric_graph(range(3), [(0, 1, Fraction(1, scale)), (0, 2, 1),
+                                              (1, 2, 1)])
+            for pairs in ("all", "edges"):
+                report = harness.estimate_distortion(g, lambda rng: tree, 2, 0, pairs=pairs)
+                means = {s.pair: s.mean_distance for s in report.pair_stats}
+                assert means == {(0, 1): Fraction(1, 2), (0, 2): 1, (1, 2): Fraction(3, 2)}
         assert traversals == []
 
 
