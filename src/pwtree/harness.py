@@ -13,12 +13,16 @@ is measured without a traversal; any other tree gets them from one
 `graphs.spanning_links` call, the traversal that also serves `is_tree`
 and the tree toolkit.  A rooted tree has one scale, that of its links,
 and `estimate_distortion` is the one place that brings trees to a common
-scale.  Over all pairs, the distinct trees of one rooting and vertex map
-are measured together (`_Bundle`): one tree from its own rows, several
-in one walk along their order.  Every reader of a source's all-pairs
-distances goes through `_source_metric`, which roots a source with
-m = n - 1 that is connected and gives any other source, a graph with a
-cycle or a disconnected one, to `shortest_path_metric`.
+scale.  The distinct trees of one rooting and vertex map are measured
+together (`_Bundle`), which keeps the first tree's links and every other
+tree's links where they differ: over all pairs, one tree from its own
+rows and several in one walk along their order; over the edges of g,
+each pair climbs once in the first tree, and only the pairs whose path
+there crosses a link that varies are measured per tree.  Every reader
+of a source's all-pairs distances goes through `_source_metric`, which
+roots a source with m = n - 1 that is connected and gives any other
+source, a graph with a cycle or a disconnected one, to
+`shortest_path_metric`.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import le
+from itertools import chain, compress, repeat
+from operator import le, ne
 from typing import Optional
 
 from .graphs import (
@@ -266,24 +270,28 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     Equal samples are tallied, and each distinct one is measured once and
     weighted by its count; the sums are exact integers, so the report is
     the same as measuring every sample.  Without `outcome`, samples are
-    tallied by value (a bare tree by itself, an EmbeddingSample by its
-    target and vertex map), which holds every distinct sample until the
-    end: O(distinct x n) memory.  `outcome(rng)` must draw from `rng` what
-    `embedder(rng)` draws and return a hashable value that determines the
-    sample, as `pwk.draw_prefixes` and `pw2.draw_coins` do.  The outcomes
+    tallied by value (a bare tree by itself, and so an EmbeddingSample that
+    maps each vertex of g to itself, any other by its target and vertex
+    map), which holds every distinct sample until the end: O(distinct x n)
+    memory.  `outcome(rng)` must draw from `rng` what `embedder(rng)`
+    draws and return a hashable value that determines the sample, as
+    `pwk.draw_prefixes` and `pw2.draw_coins` do.  The outcomes
     are then tallied instead, O(distinct x steps) memory for those two, and
     `embedder` runs once per distinct outcome, on the stream of its first
     sample.  The stream `outcome` gets is seeded at its first use: those
     two draw only up to their plan's last departure whose length can vary,
-    so where no departure can vary a sample seeds no stream.  In "all"
-    mode, every distinct tree joins the bundle of its rooting (its order
+    so where no departure can vary a sample seeds no stream.  In both
+    modes, every distinct tree joins the bundle of its rooting (its order
     and the scale of its links, as `_RootedTree` reads them) and its vertex
     map, and the bundles are measured after the tally (`_Bundle`).  The
-    trees of one `pwk` or `pw2` plan share one bundle, so each pair costs a
-    step per distinct distance it takes over them, not one per tree, and
-    the time of a run hardly grows with its number of distinct samples.  A
-    bundle holds its trees' parent links until then: O(distinct x n)
-    memory.
+    trees of one `pwk` or `pw2` plan share one bundle, which holds the
+    first tree's links and each other tree's links only where they differ,
+    with equal trees merged by count: O(n + differing links) memory per
+    bundle.  Over all pairs, each pair costs a step per distinct distance
+    it takes over the trees, not one per tree; over the edges, a pair whose
+    path in the first tree crosses no link that varies is climbed once for
+    all of them, and only the others are measured per tree.  So the time of
+    a run hardly grows with its number of distinct samples.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -310,16 +318,14 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
     violations = 0
 
     src_scaled = [d for _, _, d in measured]
+    verts = g.vertices
     if outcome is None:
         results = (embedder(sample_rng(seed, i)) for i in range(num_samples))
-        # a bare tree keys as itself, a sample as its target and vertex map,
-        # where an unmapped vertex keys as None and the lookup below rejects it
-        distinct = _tally(((r.target, tuple(map(r.fmap.get, g.vertices)))
-                           if isinstance(r, EmbeddingSample) else r, r) for r in results)
+        distinct = _tally((_value_key(r, verts), r) for r in results)
     else:
         firsts = _tally((outcome(_Stream(seed, i)), i) for i in range(num_samples))
         distinct = ((embedder(sample_rng(seed, first)), count) for first, count in firsts)
-    bundles = {}  # all pairs: the trees of one rooting and vertex map, measured after the loop
+    bundles = {}  # the trees of one rooting and vertex map, measured after the loop
     for result, count in distinct:
         sample = result if isinstance(result, EmbeddingSample) else None
         target = result if sample is None else sample.target
@@ -331,31 +337,25 @@ def estimate_distortion(g: MetricGraph, embedder, num_samples: int, seed: int,
             sumsq[:] = [x * f * f for x in sumsq]
             src_scaled[:] = [d * f for d in src_scaled]
         img = None  # each vertex of g its own image, at its own index, as in a bare tree on them
-        if sample is not None or tree.vertices != g.vertices:
+        if sample is not None or tree.vertices != verts:
             sample = sample or identity_sample(g, target)
             try:
-                img = tuple([tree.index[sample.fmap[v]] for v in g.vertices])
+                img = tuple([tree.index[sample.fmap[v]] for v in verts])
             except KeyError:
                 # names the vertex; the lookup above is the only per-sample check
-                _check_mapped(sample, g.vertices, "the graph")
+                _check_mapped(sample, verts, "the graph")
                 raise
             if img == identity:
                 img = None
-        if pairs == "all":
-            key = tuple(tree.order), tree.scale, img
-            bundle = bundles.get(key)
-            if bundle is None:
-                bundle = bundles[key] = _Bundle(tree)
-            bundle.add(tree, count)
-            continue
-        ends = pair_idx if img is None else [(img[a], img[b]) for a, b in pair_idx]
-        dists, mult = tree.pair_distances(ends), scale // tree.scale
-        if mult != 1:
-            dists = [d * mult for d in dists]
-        violations += _accumulate(sums, sumsq, src_scaled, dists, count)
+        key = tuple(tree.order), tree.scale, img
+        bundle = bundles.get(key)
+        if bundle is None:
+            bundle = bundles[key] = _Bundle(tree)
+        bundle.add(tree, count)
+    read = _Bundle.all_pairs if pairs == "all" else _Bundle.edge_pairs
     for (_, _, img), bundle in bundles.items():
         ends = pair_idx if img is None else [(img[a], img[b]) for a, b in pair_idx]
-        violations += bundle.accumulate(sums, sumsq, src_scaled, ends, scale)
+        violations += read(bundle, sums, sumsq, src_scaled, ends, scale)
 
     stats = []
     zero_pairs = []
@@ -409,6 +409,18 @@ def _edge_distances(g, metric, scale):
     return measured
 
 
+def _value_key(result, vertices):
+    """The value tally's key of an embedder's `result`: a bare tree is its
+    own key, and so is a sample's target when the sample maps each of
+    `vertices`, those of g, to itself; any other sample keys as its
+    target and its images of `vertices`, where an unmapped vertex keys as
+    None and the estimate's lookup rejects it."""
+    if not isinstance(result, EmbeddingSample):
+        return result
+    img = tuple(map(result.fmap.get, vertices))
+    return result.target if img == vertices else (result.target, img)
+
+
 def _tally(items):
     """[first value, count] per distinct key of the (key, value) pairs,
     in first-seen order."""
@@ -423,9 +435,10 @@ def _tally(items):
 
 
 def _accumulate(sums, sumsq, src_scaled, dists, count):
-    """Add `count` samples with distances `dists`; returns their violations."""
+    """Add `count` samples at pair j's distance d for each (j, d) of
+    `dists`; returns their violations."""
     violations = 0
-    for j, d in enumerate(dists):
+    for j, d in dists:
         if d < src_scaled[j]:
             violations += count
         sums[j] += count * d
@@ -435,39 +448,60 @@ def _accumulate(sums, sumsq, src_scaled, dists, count):
 
 class _Bundle:
     """The distinct trees of one rooting and vertex map, as those of one
-    `pwk` or `pw2` plan: their parent links, from `_RootedTree`, list the
-    vertices in one order, each after its parent in every tree, with
-    lengths over one scale, the trees' own, and `accumulate` multiplies
-    their distances over to the estimate's.  One tree is read from its
-    rows.  Of several, tree t is bit 8t of a mask, so that a mask can be
-    read from bytes.  A vertex's distance to any vertex before it in the
-    order is its parent's plus its edge, so one walk along the order gives
-    each pair of vertices its distances in all the trees at once, as a flat
-    tuple (distance, mask of the trees at that distance, ...).  A plan's
-    trees share almost every edge and their pairs few distances, so a pair
-    costs a step per distinct (parent, length) of its later vertex and
-    distance of the earlier pair, not one per tree."""
+    `pwk` or `pw2` plan, measured together once the tally is done.  Their
+    parent links, from `_RootedTree`, list the vertices in one order, each
+    after its parent in every tree, with lengths over one scale, the
+    trees' own, and each reader multiplies their distances over to the
+    estimate's.  The bundle keeps the first tree whole (`first`) and each
+    distinct tree as the links where it differs from the first, a tuple of
+    (vertex, parent, length) triples in vertex order, which keys the
+    tree's count of samples (`counts`; the first tree's key is ()).  Equal
+    trees, such as those that different outcomes realize, share a key and
+    add their counts, and a bundle holds O(n + differing links).
 
-    __slots__ = ("first", "parents", "lengths", "counts")
+    Over all pairs (`all_pairs`), one tree is read from its rows.  Of
+    several, tree t, numbered in the order of `counts`, is bit 8t of a
+    mask, so that a mask can be read from bytes.  A vertex's distance to
+    any vertex before it in the order is its parent's plus its edge, so
+    one walk along the order gives each pair of vertices its distances in
+    all the trees at once, as a flat tuple (distance, mask of the trees at
+    that distance, ...); a vertex whose link never varies shifts its
+    parent's tuples whole.  A plan's trees share almost every edge and
+    their pairs few distances, so a pair costs a step per distinct
+    (parent, length) of its later vertex and distance of the earlier pair,
+    not one per tree.  Over the edges of g (`edge_pairs`), a pair whose
+    path in the first tree crosses no link that varies has that distance
+    in every tree and is climbed once; only the other pairs are measured
+    per tree."""
+
+    __slots__ = ("first", "counts")
 
     def __init__(self, tree):
-        self.first = tree
-        self.parents, self.lengths, self.counts = [], [], []
+        self.first, self.counts = tree, {}
 
     def add(self, tree, count):
-        self.parents.append(tree.parent)
-        self.lengths.append(tree.to_parent)
-        self.counts.append(count)
+        """Count `count` samples of `tree`, a tree of this rooting."""
+        first, parent, to_parent = self.first, tree.parent, tree.to_parent
+        moved = compress(range(len(parent)), map(
+            ne, zip(parent, to_parent), zip(first.parent, first.to_parent)))
+        key = tuple([(x, parent[x], to_parent[x]) for x in moved])
+        self.counts[key] = self.counts.get(key, 0) + count
+
+    def _changed(self):
+        """{vertex: [(tree, parent, length), ...]} for each vertex whose
+        link varies, over the trees where it differs from the first's."""
+        changed = {}
+        for t, links in enumerate(self.counts):
+            for x, p, w in links:
+                changed.setdefault(x, []).append((t, p, w))
+        return changed
 
     @staticmethod
-    def _edges(col, lengths, at, mult, every):
+    def _edges(col, lengths, at, mult):
         """{(position of a parent of a vertex, its edge length times
         `mult`): mask of the trees where the vertex hangs from that parent
         by that edge}, from the vertex's parent `col` and edge `lengths` in
         each tree."""
-        p, w = col[0], lengths[0]
-        if col.count(p) == len(col) and lengths.count(w) == len(col):
-            return {(at[p], w * mult): every}
         keys = list(zip(col, lengths))
         codes = dict.fromkeys(keys)
         if len(codes) > 256:  # more edges than a byte names
@@ -482,14 +516,14 @@ class _Bundle:
                      for key, c in codes.items()}
         return {(at[q], w * mult): m for (q, w), m in masks.items()}
 
-    def rows(self, parents, lengths, mult):
+    def rows(self, mult):
         """(rows, at, every): rows[i][h], for h < i, is the flat tuple of
         the distances, times `mult`, between the vertices at positions i
-        and h of the order, each followed by its mask, from each vertex's
-        parent and edge length in each tree (`parents[x]`, `lengths[x]`);
-        vertex x sits at at[x], and `every` is the mask of all the trees."""
-        order = self.first.order
-        every = int.from_bytes(bytes([1]) * len(self.counts), "little")
+        and h of the order, each followed by its mask; vertex x sits at
+        at[x], and `every` is the mask of all the trees."""
+        first, trees, changed = self.first, len(self.counts), self._changed()
+        order, parent, to_parent = first.order, first.parent, first.to_parent
+        every = int.from_bytes(bytes([1]) * trees, "little")
         zero = (0, every)
         at = [0] * len(order)
         for i, x in enumerate(order):
@@ -497,13 +531,17 @@ class _Bundle:
         rows = [[]]
         for i in range(1, len(order)):
             x = order[i]
-            edges = self._edges(parents[x], lengths[x], at, mult, every)
-            if len(edges) == 1:  # one edge in every tree: shift the parent's distances
-                ((a, w),) = edges
+            moves = changed.get(x)
+            if moves is None:  # one edge in every tree: shift the parent's distances
+                a, w = at[parent[x]], to_parent[x] * mult
                 before = rows[a][:a] + [zero] + [rows[h][a] for h in range(a + 1, i)]
                 rows.append([(e[0] + w, e[1]) if len(e) == 2 else _shifted(e, w)
                              for e in before])
                 continue
+            col, lengths = [parent[x]] * trees, [to_parent[x]] * trees
+            for t, p, w in moves:
+                col[t], lengths[t] = p, w
+            edges = self._edges(col, lengths, at, mult)
             row = []
             for h in range(i):
                 acc = {}
@@ -518,21 +556,17 @@ class _Bundle:
             rows.append(row)
         return rows, at, every
 
-    def accumulate(self, sums, sumsq, src_scaled, ends, scale):
+    def all_pairs(self, sums, sumsq, src_scaled, ends, scale):
         """`_accumulate` of every tree, pair j at the tree vertices
         `ends[j]`, its distances multiplied from the trees' scale to
         `scale`, a multiple of it; returns their violations."""
-        counts, first = self.counts, self.first
+        first, counts = self.first, list(self.counts.values())
         mult = scale // first.scale
         if len(counts) == 1:
             rows, pos = first.rows()
             dists = [rows[a][pos[b]] * mult for a, b in ends]
-            return _accumulate(sums, sumsq, src_scaled, dists, counts[0])
-        # per vertex, its parent and its edge length in each tree; the
-        # lists per tree go, so that the walk does not hold both
-        parents, lengths = list(zip(*self.parents)), list(zip(*self.lengths))
-        self.parents = self.lengths = None
-        rows, at, every = self.rows(parents, lengths, mult)
+            return _accumulate(sums, sumsq, src_scaled, enumerate(dists), counts[0])
+        rows, at, every = self.rows(mult)
         total = sum(counts)
         # a mask's weight, its trees' counts, summed by the bits of the counts
         planes = [int.from_bytes(bytes(c >> b & 1 for c in counts), "little")
@@ -550,6 +584,67 @@ class _Bundle:
                 sumsq[j] += c * d * d
                 if d < src_scaled[j]:
                     violations += c
+        return violations
+
+    def edge_pairs(self, sums, sumsq, src_scaled, ends, scale):
+        """What `all_pairs` returns and adds, for the few pairs of the
+        edges of g.  A vertex's top is the nearest of it and its ancestors
+        in the first tree whose link varies, or the root; from a vertex up
+        to its top every tree has the first tree's links.  A pair whose
+        ends share a top keeps its first-tree distance in every tree and
+        climbs once.  Any other pair is measured in each tree on the tree
+        of the tops, where a top hangs from the top of its parent: each
+        end climbs to the two ends' lowest common top, then the one climb
+        of the first tree (`_RootedTree._climber`) finds where the ends'
+        last parents meet below it."""
+        first = self.first
+        order, parent, to_parent = first.order, first.parent, first.to_parent
+        mult = scale // first.scale
+        lca, dist = first._climber()
+        changed = self._changed()
+        root = order[0]
+        top, tops = [root] * len(order), [root]
+        for x in order[1:]:
+            if x in changed:
+                top[x] = x
+                tops.append(x)
+            else:
+                top[x] = top[parent[x]]
+        stable, crossing = [], []
+        for j, (a, b) in enumerate(ends):
+            if top[a] == top[b]:
+                stable.append((j, (dist[a] + dist[b] - 2 * dist[lca(a, b)]) * mult))
+            else:
+                crossing.append((j, a, b))
+        violations = _accumulate(sums, sumsq, src_scaled, stable, sum(self.counts.values()))
+        if not crossing:
+            return violations
+        for links, count in self.counts.items():
+            moved = {x: (p, w) for x, p, w in links}
+            # per top, in this tree: its parent, its distance from the root,
+            # and the number of tops above it
+            up, far, hops = {}, {root: 0}, {root: 0}
+            for x in tops[1:]:
+                p, w = moved.get(x) or (parent[x], to_parent[x])
+                s = top[p]
+                up[x], far[x], hops[x] = p, far[s] + dist[p] - dist[s] + w, hops[s] + 1
+            dists = []
+            for j, a, b in crossing:
+                s, u = top[a], top[b]
+                d = dist[a] - dist[s] + far[s] + dist[b] - dist[u] + far[u]
+                x, y = a, b
+                while s != u:
+                    if hops[s] >= hops[u]:
+                        x = up[s]
+                        s = top[x]
+                    else:
+                        y = up[u]
+                        u = top[y]
+                # below their common top s, x and y hang as in the first
+                # tree, so their meeting point there is the ends' ancestor
+                m = lca(x, y)
+                dists.append((j, (d - 2 * (dist[m] - dist[s] + far[s])) * mult))
+            violations += _accumulate(sums, sumsq, src_scaled, dists, count)
         return violations
 
 
@@ -657,15 +752,16 @@ class _RootedTree:
                        + [d + w for d in up[hi:]])
         return rows, pos
 
-    def pair_distances(self, pairs):
-        """Scaled distances of (index, index) pairs through their lowest
-        common ancestor, found with skew-binary jump pointers (Myers 1983):
-        one array, built along the order, in which each vertex's jump goes
-        2^i - 1 levels up, i set by its depth alone.  While the ends differ,
-        the deeper one climbs, by its jump unless that passes the other's
-        depth; at equal depths both take their jumps if these differ and
-        their parents otherwise.  A pair costs O(log n) steps on any tree,
-        and a pair a few hops apart, such as an edge of G, a few steps."""
+    def _climber(self):
+        """(lca, dist): `lca(a, b)` is the lowest common ancestor
+        of two vertex indices, found with skew-binary jump pointers (Myers
+        1983): one array, built along the order, in which each vertex's
+        jump goes 2^i - 1 levels up, i set by its depth alone.  While the
+        ends differ, the deeper one climbs, by its jump unless that passes
+        the other's depth; at equal depths both take their jumps if these
+        differ and their parents otherwise.  A pair costs O(log n) steps on
+        any tree, and a pair a few hops apart, such as an edge of G, a few
+        steps.  `dist` is that of `_walk`."""
         parent = self.parent
         depth, dist = self._walk()
         jump = parent[:]
@@ -674,9 +770,8 @@ class _RootedTree:
             j = jump[p]
             if depth[p] - depth[j] == depth[j] - depth[jump[j]]:
                 jump[x] = jump[j]
-        out = []
-        for a, b in pairs:
-            x, y = a, b
+
+        def lca(x, y):
             while x != y:
                 if depth[x] < depth[y]:
                     x, y = y, x
@@ -688,8 +783,15 @@ class _RootedTree:
                     x, y = jump[x], jump[y]
                 else:
                     x, y = parent[x], parent[y]
-            out.append(dist[a] + dist[b] - 2 * dist[x])
-        return out
+            return x
+
+        return lca, dist
+
+    def pair_distances(self, pairs):
+        """Scaled distances of (index, index) pairs through their lowest
+        common ancestor (`_climber`)."""
+        lca, dist = self._climber()
+        return [dist[a] + dist[b] - 2 * dist[lca(a, b)] for a, b in pairs]
 
     def path(self, a, b):
         """Vertices of the tree path from a to b, both ends included: the

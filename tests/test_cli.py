@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import pwtree
 from pwtree import graphs, harness, instances, pathwidth, pw2, pwk
 from pwtree.cli import main
 from pwtree.graphs import graph_from_json
@@ -280,6 +284,40 @@ class TestTau:
         longer = metric.with_edges({e: 2 * length for e, length in metric.edges()})
         pwk.embed_pathwidthk(seq, longer, random.Random(0), 3)
         assert len(calls) == 4
+
+
+@pytest.mark.parametrize("pairs", ["edges", "all"])
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, pairs):
+    # string labels hash differently under each PYTHONHASHSEED; the tally,
+    # the bundles and the report must not follow any set or dict order
+    # that hashing decides.  At tau = 1 the plans' trees vary
+    g, seq = random_pathwidth_graph(2, 24, small_rational_lengths, random.Random(5))
+    name = {v: f"v{v}" for v in g.vertices}  # "v10" sorts before "v2"
+    gdata = graphs.graph_to_json(g)
+    gdata = {"vertices": [name[v] for v in gdata["vertices"]],
+             "edges": [[name[u], name[v], length] for u, v, length in gdata["edges"]]}
+    cdata = pathwidth.composition_to_json(seq)
+    cdata = {"k": cdata["k"], "initial": [name[v] for v in cdata["initial"]],
+             "steps": [{"new": name[step["new"]], "window": [name[v] for v in step["window"]]}
+                       for step in cdata["steps"]]}
+    gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+    gpath.write_text(json.dumps(gdata))
+    cpath.write_text(json.dumps(cdata))
+    src = os.path.dirname(os.path.dirname(pwtree.__file__))
+    for warmup in ([], ["--warmup"]):
+        reports = []
+        for hash_seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"report-{hash_seed}.json"
+            argv = ["embed", str(gpath), "--composition", str(cpath), "--samples", "200",
+                    "--seed", "3", "--tau", "1", "--pairs", pairs, "--out", str(out), *warmup]
+            done = subprocess.run([sys.executable, "-m", "pwtree.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["samples"] == 200
 
 
 def test_usage_error_exit_code(capsys):

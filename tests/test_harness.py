@@ -165,13 +165,13 @@ class TestRootedTree:
         g = build_metric_graph(range(3), [(0, 1, Fraction(1, scale)), (1, 2, 1)])
         t = build_metric_graph(range(3), [(0, 1, Fraction(1, 3)), (1, 2, 1)])
         assert harness._RootedTree(t).scale == 3
-        seen, accumulate = [], harness._Bundle.accumulate
+        seen, all_pairs = [], harness._Bundle.all_pairs
 
-        def spy(self, sums, sumsq, src_scaled, ends, at):
-            seen.append(at)
-            return accumulate(self, sums, sumsq, src_scaled, ends, at)
+        def spy(self, sums, sumsq, src_scaled, ends, scale):
+            seen.append(scale)
+            return all_pairs(self, sums, sumsq, src_scaled, ends, scale)
 
-        monkeypatch.setattr(harness._Bundle, "accumulate", spy)
+        monkeypatch.setattr(harness._Bundle, "all_pairs", spy)
         report = estimate_distortion(g, lambda rng: t, 2, 0)
         assert seen == [lcm]
         means = {s.pair: s.mean_distance for s in report.pair_stats}
@@ -556,6 +556,18 @@ class TestSampleReuse:
         assert got.to_json() == reference_estimate(g, lambda rng: a, 200, 5, pairs).to_json()
 
     @pytest.mark.parametrize("pairs", ["all", "edges"])
+    def test_identity_sample_keyed_as_its_bare_tree(self, monkeypatch, pairs):
+        # a tree and its identity sample are one sample to the tally, so
+        # the tree is rooted and measured once
+        g, a, _ = self.two_trees()
+        script = [a, identity_sample(g, a)] * 5
+        built = counting_trees(monkeypatch)
+        got = estimate_distortion(g, scripted(script), len(script), 5, pairs=pairs)
+        assert built == [a]
+        want = reference_estimate(g, scripted(script), len(script), 5, pairs=pairs)
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("pairs", ["all", "edges"])
     def test_outcomes_realized_once_at_their_first_index(self, monkeypatch, pairs):
         g, a, b = self.two_trees()
         outcomes = ["x", "y", "x", "x"]
@@ -663,10 +675,11 @@ class TestBundle:
 
     @staticmethod
     def counting_walks(monkeypatch):
-        """The counts of the trees of each bundle walk from here on."""
+        """The counts of the distinct trees of each bundle walk from here
+        on, in the order the bundle met them."""
         walks, real = [], harness._Bundle.rows
         monkeypatch.setattr(harness._Bundle, "rows", lambda self, *args: (
-            walks.append(self.counts) or real(self, *args)))
+            walks.append(list(self.counts.values())) or real(self, *args)))
         return walks
 
     def test_plan_trees_measured_in_one_walk(self, monkeypatch):
@@ -746,10 +759,147 @@ class TestBundle:
         # distinct edges at a vertex) or set bit by bit (more)
         for trees in (256, 300):
             col, lengths = (0,) * trees, tuple(range(1, trees + 1))
-            every = int.from_bytes(bytes([1]) * trees, "little")
-            links = harness._Bundle._edges(col, lengths, [0], 2, every)
+            links = harness._Bundle._edges(col, lengths, [0], 2)
             assert links == {(0, 2 * w): 1 << 8 * (w - 1) for w in lengths}
-        assert harness._Bundle._edges((0, 0), (3, 3), [0], 2, 0b100000001) == {(0, 6): 0b100000001}
+        assert harness._Bundle._edges((0, 0), (3, 3), [0], 2) == {(0, 6): 0b100000001}
+
+
+def recording_bundles(monkeypatch):
+    """The bundles the estimates make from here on."""
+    made = []
+
+    class Recording(harness._Bundle):
+        __slots__ = ()
+
+        def __init__(self, tree):
+            made.append(self)
+            super().__init__(tree)
+
+    monkeypatch.setattr(harness, "_Bundle", Recording)
+    return made
+
+
+class TestEdgeBundle:
+    """Over the edges of g, the distinct trees of one rooting and vertex
+    map are measured together too: a pair whose path in the first tree
+    crosses no link that varies is climbed once, and only the others are
+    measured per tree."""
+
+    G = unit_path(6)  # edges (0, 1), ..., (4, 5)
+
+    @staticmethod
+    def path_like(*edges):
+        """A tree on 0..5 from (u, v, length) edges; each tree here has the
+        breadth-first order 0..5, so all of them share one rooting."""
+        t = build_metric_graph(range(6), edges)
+        assert harness._RootedTree(t).order == list(range(6))
+        return t
+
+    def trees(self):
+        path = [(i, i + 1, 1) for i in range(5)]
+        a = self.path_like(*path)
+        b = self.path_like(*path[:4], (3, 5, 2))  # 5 hangs from 3, off the path of (3, 4)
+        c = self.path_like((0, 1, 1), (0, 2, 1), *path[2:])  # 2 hangs from 0, on (1, 2)
+        d = self.path_like(*path[:4], (4, 5, 3))  # only the length of 5's link differs
+        return a, b, c, d
+
+    def check(self, script, monkeypatch, **kw):
+        bundles = recording_bundles(monkeypatch)
+        embedder = scripted(script)
+        got = estimate_distortion(self.G, embedder, len(script), 5, pairs="edges", **kw)
+        want = reference_estimate(self.G, scripted(script), len(script), 5, pairs="edges")
+        assert got.to_json() == want.to_json()
+        return got, bundles
+
+    def test_trees_that_differ_on_and_off_an_edge_path(self, monkeypatch):
+        a, b, c, d = self.trees()
+        _, bundles = self.check([a, b, a, c, d, b, a], monkeypatch)
+        (bundle,) = bundles
+        assert list(bundle.counts.values()) == [3, 2, 1, 1]
+
+    def test_stable_pairs_climbed_once_per_bundle(self, monkeypatch):
+        # 5's link varies, so only the pair (4, 5) crosses it: the other
+        # four edges climb once for all the trees, and (4, 5) once per tree
+        a, b, _, d = self.trees()
+        calls, climber = [], harness._RootedTree._climber
+
+        def counted(self):
+            lca, dist = climber(self)
+            return (lambda x, y: calls.append((x, y)) or lca(x, y)), dist
+
+        monkeypatch.setattr(harness._RootedTree, "_climber", counted)
+        self.check([a, b, d, a, b, a], monkeypatch)
+        stable = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert [calls.count(p) for p in stable] == [1, 1, 1, 1]
+        assert len(calls) == len(stable) + 3
+
+    def test_one_link_stored_per_tree_that_differs_at_one_vertex(self, monkeypatch):
+        a, b, _, d = self.trees()
+        e = self.path_like(*[(i, i + 1, 1) for i in range(4)], (3, 5, 1))
+        _, (bundle,) = self.check([a, b, d, e, b], monkeypatch)
+        assert list(bundle.counts) == [(), ((5, 3, 2),), ((5, 4, 3),), ((5, 3, 1),)]
+        assert list(bundle.counts.values()) == [1, 2, 1, 1]
+
+    def test_equal_trees_of_different_outcomes_merged(self, monkeypatch):
+        # "x" and "w" realize equal trees, built apart, and so do "y" and
+        # "z": one bundle entry each
+        a, b, _, _ = self.trees()
+        path = [(i, i + 1, 1) for i in range(5)]
+        a_again, b_again = self.path_like(*path), self.path_like(*path[:4], (3, 5, 2))
+        assert (a_again, b_again) == (a, b) and a_again is not a and b_again is not b
+        outcomes = ["x", "y", "z", "x", "z", "y", "w", "z"]
+        tree_of = {"x": a, "y": b, "z": b_again, "w": a_again}
+        realized = iter(tree_of[x] for x in dict.fromkeys(outcomes))
+        bundles = recording_bundles(monkeypatch)
+        got = estimate_distortion(self.G, lambda rng: next(realized), len(outcomes), 5,
+                                  pairs="edges", outcome=scripted(outcomes))
+        (bundle,) = bundles
+        assert list(bundle.counts.values()) == [3, 5]
+        want = reference_estimate(self.G, scripted([tree_of[x] for x in outcomes]),
+                                  len(outcomes), 5, pairs="edges")
+        assert got.to_json() == want.to_json()
+
+    def test_tree_off_the_scale_mid_run(self, monkeypatch):
+        # a third on one tree moves the estimate to scale 3 after the
+        # bundle of integer trees began; that bundle is read at 3 too
+        a, b, c, d = self.trees()
+        third = self.path_like(*[(i, i + 1, Fraction(4, 3)) for i in range(5)])
+        _, bundles = self.check([a, b, third, c, a, d, b], monkeypatch)
+        assert [bundle.first.scale for bundle in bundles] == [1, 3]
+        assert list(bundles[0].counts.values()) == [2, 2, 1, 1]
+
+    def test_two_vertices_of_g_at_one_tree_vertex(self, monkeypatch):
+        # 4 and 5 of g both map to tree vertex 4, so the edge (4, 5) is at
+        # distance zero in every tree and contracts in every sample
+        fmap = {v: min(v, 4) for v in range(6)}
+        path = [(i, i + 1, 1) for i in range(4)]
+        a = build_metric_graph(range(5), path)
+        b = build_metric_graph(range(5), path[:3] + [(2, 4, 1)])  # 4 hangs from 2
+        script = [EmbeddingSample(self.G, t, fmap) for t in (a, b, a, b, b)]
+        got, (bundle,) = self.check(script, monkeypatch)
+        assert list(bundle.counts.values()) == [2, 3]
+        # (4, 5) in all 5 samples; (3, 4) is at 2 > 1 in b, so no more
+        assert got.violation_count == 5
+
+    @pytest.mark.parametrize("k, algo", [(2, "pwk"), (3, "pwk"), (2, "pw2")])
+    def test_sampled_plans(self, monkeypatch, k, algo):
+        # at tau = 1 each plan's trees vary, so some links vary and some
+        # edges cross them, but not all
+        g, seq = random_pathwidth_graph(k, 18, small_rational_lengths, random.Random(1))
+        metric = composed_metric_graph(g, seq)
+        embed, draw = ((embed_pathwidthk, draw_prefixes) if algo == "pwk"
+                       else (embed_pathwidth2, draw_coins))
+
+        def embedder(r):
+            return embed(seq, metric, r, 1)
+
+        bundles = recording_bundles(monkeypatch)
+        got = estimate_distortion(g, embedder, 200, 3, pairs="edges", source_metric=metric,
+                                  outcome=lambda r: draw(seq, metric, r, 1))
+        assert got.to_json() == reference_estimate(g, embedder, 200, 3, pairs="edges").to_json()
+        (bundle,) = bundles
+        assert len(bundle.counts) > 10
+        assert 0 < len(bundle._changed()) < g.n - 1
 
 
 class TestAverageEdgeStretch:
