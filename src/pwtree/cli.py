@@ -33,6 +33,8 @@ def _rational(text, option):
         return Fraction(text)
     except ZeroDivisionError:  # Fraction("1/0")
         raise BadSpec(f"{option} {text!r} has a zero denominator") from None
+    except ValueError:  # Fraction("abc")
+        raise BadSpec(f"{option} {text!r} is not a rational") from None
 
 
 def cmd_generate(args) -> int:

@@ -460,19 +460,20 @@ class _Bundle:
     add their counts, and a bundle holds O(n + differing links).
 
     Over all pairs (`all_pairs`), one tree is read from its rows.  Of
-    several, tree t, numbered in the order of `counts`, is bit 8t of a
-    mask, so that a mask can be read from bytes.  A vertex's distance to
-    any vertex before it in the order is its parent's plus its edge, so
-    one walk along the order gives each pair of vertices its distances in
-    all the trees at once, as a flat tuple (distance, mask of the trees at
-    that distance, ...); a vertex whose link never varies shifts its
-    parent's tuples whole.  A plan's trees share almost every edge and
-    their pairs few distances, so a pair costs a step per distinct
-    (parent, length) of its later vertex and distance of the earlier pair,
-    not one per tree.  Over the edges of g (`edge_pairs`), a pair whose
-    path in the first tree crosses no link that varies has that distance
-    in every tree and is climbed once; only the other pairs are measured
-    per tree."""
+    several, tree t, numbered in the order of `counts`, is bit t of a
+    mask.  A vertex's distance to any vertex before it in the order is its
+    parent's plus its edge, so one walk along the order gives each pair of
+    vertices its distances in all the trees at once, as a flat tuple
+    (distance, mask of the trees at that distance, ...); a vertex whose
+    link never varies shifts its parent's tuples whole, and one whose link
+    varies starts with every tree at the first tree's edge, from which
+    each tree that moves it takes its bit to its own.  A plan's trees
+    share almost every edge and their pairs few distances, so a pair costs
+    a step per distinct (parent, length) of its later vertex and distance
+    of the earlier pair, not one per tree.  Over the edges of g
+    (`edge_pairs`), a pair whose path in the first tree crosses no link
+    that varies has that distance in every tree and is climbed once; only
+    the other pairs are measured per tree."""
 
     __slots__ = ("first", "counts")
 
@@ -496,34 +497,15 @@ class _Bundle:
                 changed.setdefault(x, []).append((t, p, w))
         return changed
 
-    @staticmethod
-    def _edges(col, lengths, at, mult):
-        """{(position of a parent of a vertex, its edge length times
-        `mult`): mask of the trees where the vertex hangs from that parent
-        by that edge}, from the vertex's parent `col` and edge `lengths` in
-        each tree."""
-        keys = list(zip(col, lengths))
-        codes = dict.fromkeys(keys)
-        if len(codes) > 256:  # more edges than a byte names
-            masks = dict.fromkeys(codes, 0)
-            for t, key in enumerate(keys):
-                masks[key] |= 1 << 8 * t
-        else:
-            for c, key in enumerate(codes):
-                codes[key] = c
-            spread = bytes(map(codes.__getitem__, keys))  # byte t: tree t's edge
-            masks = {key: int.from_bytes(spread.translate(_byte_is(c)), "little")
-                     for key, c in codes.items()}
-        return {(at[q], w * mult): m for (q, w), m in masks.items()}
-
     def rows(self, mult):
         """(rows, at, every): rows[i][h], for h < i, is the flat tuple of
         the distances, times `mult`, between the vertices at positions i
-        and h of the order, each followed by its mask; vertex x sits at
-        at[x], and `every` is the mask of all the trees."""
+        and h of the order, each followed by the mask of its trees, tree t
+        at bit t; vertex x sits at at[x], and `every` is the mask of all
+        the trees."""
         first, trees, changed = self.first, len(self.counts), self._changed()
         order, parent, to_parent = first.order, first.parent, first.to_parent
-        every = int.from_bytes(bytes([1]) * trees, "little")
+        every = (1 << trees) - 1
         zero = (0, every)
         at = [0] * len(order)
         for i, x in enumerate(order):
@@ -538,10 +520,13 @@ class _Bundle:
                 rows.append([(e[0] + w, e[1]) if len(e) == 2 else _shifted(e, w)
                              for e in before])
                 continue
-            col, lengths = [parent[x]] * trees, [to_parent[x]] * trees
-            for t, p, w in moves:
-                col[t], lengths[t] = p, w
-            edges = self._edges(col, lengths, at, mult)
+            # {(parent, edge length): mask of the trees where x hangs so}
+            stay = parent[x], to_parent[x]
+            masks = {stay: every}
+            for t, p, w in moves:  # tree t hangs x elsewhere: its bit moves there
+                masks[stay] ^= 1 << t
+                masks[p, w] = masks.get((p, w), 0) | 1 << t
+            edges = {(at[p], w * mult): m for (p, w), m in masks.items()}
             row = []
             for h in range(i):
                 acc = {}
@@ -569,7 +554,7 @@ class _Bundle:
         rows, at, every = self.rows(mult)
         total = sum(counts)
         # a mask's weight, its trees' counts, summed by the bits of the counts
-        planes = [int.from_bytes(bytes(c >> b & 1 for c in counts), "little")
+        planes = [sum(1 << t for t, c in enumerate(counts) if c >> b & 1)
                   for b in range(max(counts).bit_length())]
         zero = (0, every)  # two vertices of g at one vertex of the trees
         violations = 0
@@ -646,13 +631,6 @@ class _Bundle:
                 dists.append((j, (d - 2 * (dist[m] - dist[s] + far[s])) * mult))
             violations += _accumulate(sums, sumsq, src_scaled, dists, count)
         return violations
-
-
-def _byte_is(c):
-    """The `bytes.translate` table that maps byte `c` to 1 and every other to 0."""
-    table = bytearray(256)
-    table[c] = 1
-    return table
 
 
 def _shifted(e, w):

@@ -227,6 +227,18 @@ class TestTau:
         assert code == 1 and out == ""
         assert err.startswith("error: --branches") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("warmup", [[], ["--warmup"]])
+    def test_tau_that_is_no_rational_names_its_option(self, capsys, tmp_path, warmup):
+        # it printed the bare "Invalid literal for Fraction: 'abc'"
+        code, out, err = run(capsys, *self.generate(capsys, tmp_path), "--tau", "abc", *warmup)
+        assert code == 1 and out == ""
+        assert err == "error: --tau 'abc' is not a rational\n"
+
+    def test_branches_that_is_no_rational_names_its_option(self, capsys):
+        code, out, err = run(capsys, "generate", "psi-trunc", "--branches", "abc")
+        assert code == 1 and out == ""
+        assert err == "error: --branches 'abc' is not a rational\n"
+
     def test_warmup_tau_zero_is_not_the_default(self, capsys, tmp_path):
         argv = [*self.generate(capsys, tmp_path), "--warmup"]
         code, zero, _ = run(capsys, *argv, "--tau", "0")

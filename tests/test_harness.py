@@ -746,22 +746,36 @@ class TestBundle:
         g = build_metric_graph(range(2), [(0, 1, 1)])
         script = [build_metric_graph(range(2), [(0, 1, w)]) for w in range(1, 301)]
         script += script[::7]  # some trees twice, so the weights take two bits
-        edges, real = [], harness._Bundle._edges
-        monkeypatch.setattr(harness._Bundle, "_edges", staticmethod(
-            lambda *args: edges.append(len(real(*args))) or real(*args)))
+        bundles = recording_bundles(monkeypatch)
         got = estimate_distortion(g, scripted(script), len(script), 5, pairs="all")
-        assert edges == [300]
+        (bundle,) = bundles
+        (moves,) = bundle._changed().values()
+        # every tree but the first moves vertex 1, each to its own edge
+        assert [t for t, _, _ in moves] == list(range(1, 300))
+        assert len({(p, w) for _, p, w in moves}) == 299
         want = reference_estimate(g, scripted(script), len(script), 5, pairs="all")
         assert got.to_json() == want.to_json()
 
-    def test_more_edges_at_a_vertex_than_a_byte_names(self):
-        # tree t is bit 8t of a mask, whether read from bytes (at most 256
-        # distinct edges at a vertex) or set bit by bit (more)
-        for trees in (256, 300):
-            col, lengths = (0,) * trees, tuple(range(1, trees + 1))
-            links = harness._Bundle._edges(col, lengths, [0], 2)
-            assert links == {(0, 2 * w): 1 << 8 * (w - 1) for w in lengths}
-        assert harness._Bundle._edges((0, 0), (3, 3), [0], 2) == {(0, 6): 0b100000001}
+    @pytest.mark.parametrize("k, algo, n", [(2, "pwk", 22), (3, "pwk", 22), (4, "pwk", 22),
+                                            (2, "pw2", 14)])
+    def test_sampled_plans(self, monkeypatch, k, algo, n):
+        # at tau = 1 one plan's bundle holds more distinct trees than a
+        # 64-bit word has bits, and their counts take several bits
+        g, seq = random_pathwidth_graph(k, n, small_rational_lengths, random.Random(1))
+        metric = composed_metric_graph(g, seq)
+        embed, draw = ((embed_pathwidthk, draw_prefixes) if algo == "pwk"
+                       else (embed_pathwidth2, draw_coins))
+
+        def embedder(r):
+            return embed(seq, metric, r, 1)
+
+        bundles = recording_bundles(monkeypatch)
+        got = estimate_distortion(g, embedder, 400, 3, pairs="all",
+                                  outcome=lambda r: draw(seq, metric, r, 1))
+        assert got.to_json() == reference_estimate(g, embedder, 400, 3, pairs="all").to_json()
+        (bundle,) = bundles
+        assert len(bundle.counts) > 64
+        assert max(bundle.counts.values()).bit_length() >= 3
 
 
 def recording_bundles(monkeypatch):
