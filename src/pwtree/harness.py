@@ -16,13 +16,19 @@ and `estimate_distortion` is the one place that brings trees to a common
 scale.  The distinct trees of one rooting and vertex map are measured
 together (`_Bundle`), which keeps the first tree's links and every other
 tree's links where they differ: over all pairs, one tree from its own
-rows and several in one walk along their order; over the edges of g,
-each pair climbs once in the first tree, and only the pairs whose path
-there crosses a link that varies are measured per tree.  Every reader
-of a source's all-pairs distances goes through `_source_metric`, which
-roots a source with m = n - 1 that is connected and gives any other
-source, a graph with a cycle or a disconnected one, to
-`shortest_path_metric`.
+rows and several in walks along their order, `_WALK_WIDTH` trees at a
+time; over the edges of g, each pair climbs once in the first tree, and
+only the pairs whose path there crosses a link that varies are measured
+per tree.  Every checker decides non-contraction in one function,
+`_noncontraction`: under a bijection onto the target's vertices, a tree
+whose n - 1 links each keep at least d_G of their ends' preimages
+shrinks no pair, since a tree distance sums the links along its path and
+d_G obeys the triangle inequality, so only a sample with a link that
+contracts, or under another map, has its pairs compared one by one.  A
+source is rooted when it is a tree, m = n - 1 and connected
+(`_source_tree`), and any other source, a graph with a cycle or a
+disconnected one, goes to `shortest_path_metric`; `_source_metric` gives
+either one's all-pairs distances.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from operator import le, ne
+from itertools import chain, compress
+from operator import ne
 from typing import Optional
 
 from .graphs import (
@@ -96,10 +102,16 @@ class NonContractionVerdict:
 def check_noncontraction(sample: EmbeddingSample) -> NonContractionVerdict:
     """Exact check that no pairwise distance shrank; lists every violation.
     A source vertex that the sample does not map into its target raises
-    PreconditionFailed."""
+    PreconditionFailed.
+
+    When the map is a bijection onto the target's vertices, the target's
+    n - 1 edges decide it (`_noncontraction`): d_T(f u, f v) sums the
+    edges along the tree path, and by the triangle inequality the d_G of
+    their ends' preimages sum to at least d_G(u, v), so no pair shrinks if
+    no edge does.  Only a sample with an edge that contracts, or under
+    another map, is scanned pair by pair."""
     _check_mapped(sample, sample.source.vertices, "its source")
-    return _noncontraction(sample, _source_metric(sample.source),
-                           _tree_metric(_RootedTree(sample.target)))
+    return _noncontraction(sample, _RootedTree(sample.target))
 
 
 def _check_mapped(sample, vertices, where, error=PreconditionFailed):
@@ -112,42 +124,59 @@ def _check_mapped(sample, vertices, where, error=PreconditionFailed):
                         f"into its target (source vertex {v!r})")
 
 
-def _noncontraction(sample, dm_s, dm_t) -> NonContractionVerdict:
+def _noncontraction(sample, tree, s_tree=None) -> NonContractionVerdict:
+    """The verdict of every checker on `sample`, which maps each source
+    vertex into its target, rooted as `tree`; `s_tree` is the source's
+    rooting, when the caller has it.
+
+    Where the map is a bijection from the source's vertices onto the
+    target's, the target's n - 1 links are checked first: if no link
+    {a, b} is shorter than d_G(f⁻¹a, f⁻¹b), no pair shrinks, by the
+    triangle inequality along each tree path.  d_G on those pairs comes
+    from the source's rooting when the source is a tree, with no n x n
+    table.  A link that contracts, or whose ends lie in two components of
+    the source, is a violation itself; only then, or under any other map,
+    are all pairs scanned (`_contracted_pairs`), so a passing verdict is
+    the one the scan would give."""
+    source = sample.source
+    if s_tree is None:
+        s_tree = _source_tree(source)
+    # a source with a cycle, or more than one component, needs its table anyway
+    dm_s = shortest_path_metric(source) if s_tree is None else None
+    names, parent = tree.vertices, tree.parent
+    inverse = {sample.fmap[v]: v for v in source.vertices}
+    if len(inverse) == source.n == len(names):
+        links = tree.order[1:]
+        ends = [(inverse[names[x]], inverse[names[parent[x]]]) for x in links]
+        if dm_s is None:
+            index, s_scale = s_tree.index, s_tree.scale
+            d_s = s_tree.pair_distances([(index[a], index[b]) for a, b in ends])
+        else:
+            s_scale, d_s = dm_s.scale, [dm_s.scaled(a, b) for a, b in ends]
+        t_scale, to_parent = tree.scale, tree.to_parent
+        if None not in d_s and all(d * t_scale <= to_parent[x] * s_scale
+                                   for d, x in zip(d_s, links)):
+            return NonContractionVerdict(True, [])
+    if dm_s is None:
+        dm_s = _tree_metric(s_tree)
+    return _contracted_pairs(sample, dm_s, _tree_metric(tree))
+
+
+def _contracted_pairs(sample, dm_s, dm_t) -> NonContractionVerdict:
     """The violations of `sample` over the source distances `dm_s` and the
-    target distances `dm_t`, pair by pair in the order of `scaled_pairs`.
-
-    Under the identity map onto a target on the same vertices, row i of
-    both matrices covers the pairs (i, j > i), and a row is compared as a
-    whole; only a row with a violation or an infinite source distance is
-    scanned pair by pair."""
-    s_scale, t_scale = dm_s.scale, dm_t.scale
-    verts = dm_s.vertices
+    target distances `dm_t`, pair by pair in the order of `scaled_pairs`:
+    a pair whose target distance is below its source distance, or whose
+    source distance is infinite."""
+    s_scale, t_scale, image = dm_s.scale, dm_t.scale, sample.image
     violations = []
-
-    def scan(pairs):
-        # scaled integers compared across the two scales; Fractions only
-        # for output.  The target is a tree, so every d_t is finite
-        for u, v, d_s, d_t in pairs:
-            if d_s is None:
-                violations.append((u, v, None, Fraction(d_t, t_scale)))
-            elif d_t * s_scale < d_s * t_scale:
-                violations.append((u, v, Fraction(d_s, s_scale), Fraction(d_t, t_scale)))
-
-    def clean(tail_s, tail_t):
-        if None in tail_s:
-            return False
-        if s_scale == t_scale:
-            return all(map(le, tail_s, tail_t))
-        return all(d_s * t_scale <= d_t * s_scale for d_s, d_t in zip(tail_s, tail_t))
-
-    if verts == dm_t.vertices and all(sample.image(v) == v for v in verts):
-        for i, (row_s, row_t) in enumerate(zip(dm_s.rows, dm_t.rows)):
-            tail_s, tail_t = row_s[i + 1:], row_t[i + 1:]
-            if not clean(tail_s, tail_t):
-                scan(zip(repeat(verts[i]), verts[i + 1:], tail_s, tail_t))
-    else:
-        scan((u, v, d_s, dm_t.scaled(sample.image(u), sample.image(v)))
-             for u, v, d_s in dm_s.scaled_pairs())
+    # scaled integers compared across the two scales; Fractions only for
+    # output.  The target is a tree, so every d_t is finite
+    for u, v, d_s in dm_s.scaled_pairs():
+        d_t = dm_t.scaled(image(u), image(v))
+        if d_s is None:
+            violations.append((u, v, None, Fraction(d_t, t_scale)))
+        elif d_t * s_scale < d_s * t_scale:
+            violations.append((u, v, Fraction(d_s, s_scale), Fraction(d_t, t_scale)))
     return NonContractionVerdict(not violations, violations)
 
 
@@ -446,6 +475,15 @@ def _accumulate(sums, sumsq, src_scaled, dists, count):
     return violations
 
 
+# The most trees that one all-pairs walk of a bundle reads (`_Bundle.all_pairs`).
+# A walk holds every pair's distances over its trees at once, with masks
+# of this many bits, so a bundle of more trees is walked in groups.  At
+# n = 80, 20,000 pw2 trees in one walk traced a 2 GB peak; in groups of
+# this many the process peaked at 0.24 GB, in 1.6 times the time.  It is
+# above the 120 trees of the largest bundle in the acceptance corpus.
+_WALK_WIDTH = 2048
+
+
 class _Bundle:
     """The distinct trees of one rooting and vertex map, as those of one
     `pwk` or `pw2` plan, measured together once the tally is done.  Their
@@ -459,21 +497,22 @@ class _Bundle:
     trees, such as those that different outcomes realize, share a key and
     add their counts, and a bundle holds O(n + differing links).
 
-    Over all pairs (`all_pairs`), one tree is read from its rows.  Of
-    several, tree t, numbered in the order of `counts`, is bit t of a
-    mask.  A vertex's distance to any vertex before it in the order is its
-    parent's plus its edge, so one walk along the order gives each pair of
-    vertices its distances in all the trees at once, as a flat tuple
-    (distance, mask of the trees at that distance, ...); a vertex whose
-    link never varies shifts its parent's tuples whole, and one whose link
-    varies starts with every tree at the first tree's edge, from which
-    each tree that moves it takes its bit to its own.  A plan's trees
-    share almost every edge and their pairs few distances, so a pair costs
-    a step per distinct (parent, length) of its later vertex and distance
-    of the earlier pair, not one per tree.  Over the edges of g
-    (`edge_pairs`), a pair whose path in the first tree crosses no link
-    that varies has that distance in every tree and is climbed once; only
-    the other pairs are measured per tree."""
+    Over all pairs (`all_pairs`), one tree is read from its rows.  Several
+    are walked up to `_WALK_WIDTH` at a time, in the order of `counts`, and
+    tree t of a walk is bit t of a mask.  A vertex's distance to any
+    vertex before it in the order is its parent's plus its edge, so one
+    walk along the order gives each pair of vertices its distances in all
+    its trees at once, as a flat tuple (distance, mask of the trees at
+    that distance, ...); a vertex whose link never varies shifts its
+    parent's tuples whole, and one whose link varies starts with every
+    tree at the first tree's edge, from which each tree that moves it
+    takes its bit to its own.  A plan's trees share almost every edge and
+    their pairs few distances, so a pair costs a step per distinct
+    (parent, length) of its later vertex and distance of the earlier
+    pair, not one per tree.  Over the edges of g (`edge_pairs`), a pair
+    whose path in the first tree crosses no link that varies has that
+    distance in every tree and is climbed once; only the other pairs are
+    measured per tree."""
 
     __slots__ = ("first", "counts")
 
@@ -488,24 +527,25 @@ class _Bundle:
         key = tuple([(x, parent[x], to_parent[x]) for x in moved])
         self.counts[key] = self.counts.get(key, 0) + count
 
-    def _changed(self):
+    def _changed(self, keys):
         """{vertex: [(tree, parent, length), ...]} for each vertex whose
-        link varies, over the trees where it differs from the first's."""
+        link varies among the trees of `keys`, keys of `counts` numbered
+        in their order, over the trees where it differs from the first's."""
         changed = {}
-        for t, links in enumerate(self.counts):
+        for t, links in enumerate(keys):
             for x, p, w in links:
                 changed.setdefault(x, []).append((t, p, w))
         return changed
 
-    def rows(self, mult):
-        """(rows, at, every): rows[i][h], for h < i, is the flat tuple of
-        the distances, times `mult`, between the vertices at positions i
-        and h of the order, each followed by the mask of its trees, tree t
-        at bit t; vertex x sits at at[x], and `every` is the mask of all
-        the trees."""
-        first, trees, changed = self.first, len(self.counts), self._changed()
+    def rows(self, keys, mult):
+        """(rows, at, every) of the trees of `keys`, keys of `counts`, tree
+        t of them at bit t: rows[i][h], for h < i, is the flat tuple of the
+        distances, times `mult`, between the vertices at positions i and h
+        of the order, each followed by the mask of its trees; vertex x sits
+        at at[x], and `every` is the mask of all the trees."""
+        first, changed = self.first, self._changed(keys)
         order, parent, to_parent = first.order, first.parent, first.to_parent
-        every = (1 << trees) - 1
+        every = (1 << len(keys)) - 1
         zero = (0, every)
         at = [0] * len(order)
         for i, x in enumerate(order):
@@ -544,14 +584,23 @@ class _Bundle:
     def all_pairs(self, sums, sumsq, src_scaled, ends, scale):
         """`_accumulate` of every tree, pair j at the tree vertices
         `ends[j]`, its distances multiplied from the trees' scale to
-        `scale`, a multiple of it; returns their violations."""
-        first, counts = self.first, list(self.counts.values())
-        mult = scale // first.scale
-        if len(counts) == 1:
+        `scale`, a multiple of it; returns their violations.  The trees
+        are walked `_WALK_WIDTH` at a time, since a walk holds every
+        pair's tuples of its trees at once; the sums add across walks."""
+        first, mult = self.first, scale // self.first.scale
+        if len(self.counts) == 1:  # the first tree alone
             rows, pos = first.rows()
             dists = [rows[a][pos[b]] * mult for a, b in ends]
-            return _accumulate(sums, sumsq, src_scaled, enumerate(dists), counts[0])
-        rows, at, every = self.rows(mult)
+            return _accumulate(sums, sumsq, src_scaled, enumerate(dists), self.counts[()])
+        keys = list(self.counts)
+        return sum(self._walk(keys[start:start + _WALK_WIDTH], sums, sumsq, src_scaled, ends, mult)
+                   for start in range(0, len(keys), _WALK_WIDTH))
+
+    def _walk(self, keys, sums, sumsq, src_scaled, ends, mult):
+        """What `all_pairs` adds and returns for the trees of `keys`, from
+        their rows, at `mult` times the trees' scale."""
+        counts = [self.counts[key] for key in keys]
+        rows, at, every = self.rows(keys, mult)
         total = sum(counts)
         # a mask's weight, its trees' counts, summed by the bits of the counts
         planes = [sum(1 << t for t, c in enumerate(counts) if c >> b & 1)
@@ -586,7 +635,7 @@ class _Bundle:
         order, parent, to_parent = first.order, first.parent, first.to_parent
         mult = scale // first.scale
         lca, dist = first._climber()
-        changed = self._changed()
+        changed = self._changed(self.counts)
         root = order[0]
         top, tops = [root] * len(order), [root]
         for x in order[1:]:
@@ -796,16 +845,22 @@ def _tree_metric(tree: _RootedTree) -> DistanceMatrix:
     return DistanceMatrix(tree.vertices, rows, tree.scale)
 
 
-def _source_metric(g: MetricGraph) -> DistanceMatrix:
-    """All-pairs distances of a source graph: a tree's (m = n - 1 and
-    connected) from one rooting, any other graph's from
-    `shortest_path_metric`."""
+def _source_tree(g: MetricGraph) -> Optional[_RootedTree]:
+    """The rooting of a source graph that is a tree (m = n - 1 and
+    connected), or None."""
     if g.m == g.n - 1:
         try:
-            return _tree_metric(_RootedTree(g))
+            return _RootedTree(g)
         except PreconditionFailed:  # a cycle beside an isolated vertex, say
             pass
-    return shortest_path_metric(g)
+    return None
+
+
+def _source_metric(g: MetricGraph) -> DistanceMatrix:
+    """All-pairs distances of a source graph: a tree's from its rooting
+    (`_source_tree`), any other graph's from `shortest_path_metric`."""
+    tree = _source_tree(g)
+    return shortest_path_metric(g) if tree is None else _tree_metric(tree)
 
 
 # --- averaged edge stretch --------------------------------------------------
@@ -820,7 +875,13 @@ class AverageStretch:
 
 def average_edge_stretch(g: MetricGraph, sample: EmbeddingSample,
                          require_noncontraction: bool = True) -> AverageStretch:
-    """Exact per-edge average of target distances, both normalizations."""
+    """Exact per-edge average of target distances, both normalizations.
+
+    With `require_noncontraction`, a sample that contracts some distance
+    raises PreconditionFailed.  That check reads the target's links first:
+    under a bijection, links no shorter than d_G of their ends' preimages
+    shrink no pair, by the triangle inequality along each tree path, and
+    a source that is a tree then needs no n x n table (`_noncontraction`)."""
     if g.m == 0:
         raise EmptyEdgeSet("the source graph has no edges")
     _check_mapped(sample, g.vertices, "the source graph")
@@ -828,7 +889,7 @@ def average_edge_stretch(g: MetricGraph, sample: EmbeddingSample,
     if require_noncontraction:
         if sample.source is not g:
             _check_mapped(sample, sample.source.vertices, "its source")
-        if not _noncontraction(sample, _source_metric(sample.source), _tree_metric(tree)):
+        if not _noncontraction(sample, tree):
             raise PreconditionFailed("sample contracts some distance")
     # target distances of the edges alone, as integers over the tree's
     # scale; one Fraction each at the end
@@ -920,9 +981,12 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
     `s` must be a tree.  `subtrees` are vertex sets of s, each joined to
     `root` by a leg (its tree path) of source length >= `min_leg`; legs may
     share only `root`.  `target_path` is a vertex list forming a simple path
-    in the target tree.  When the sample's source is `s`, the distances of
-    the rooting of `s` also serve the non-contraction check; any other
-    source is measured by `_source_metric`.
+    in the target tree.  The sample must not contract (`_noncontraction`):
+    under a bijection its target's links are checked alone, since links no
+    shorter than d_G of their ends' preimages shrink no pair, by the
+    triangle inequality along each tree path.  When the sample's source is
+    `s`, the rooting of `s` gives d_G there, and any other source is
+    rooted when it is a tree and measured whole otherwise.
     """
     L = Fraction(min_leg)
     _check_mapped(sample, s.vertices, "s", HypothesisViolation)
@@ -932,13 +996,14 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
     except PreconditionFailed as exc:
         raise HypothesisViolation("s is not a tree") from exc
     dm_s = _tree_metric(s_tree)
-    dm_t = _tree_metric(_RootedTree(sample.target))
-    if sample.source == s:  # its distances are already at hand
-        dm_src = dm_s
+    tree = _RootedTree(sample.target)
+    dm_t = _tree_metric(tree)
+    if sample.source == s:  # its rooting is already at hand
+        own = s_tree
     else:
         _check_mapped(sample, sample.source.vertices, "its source", HypothesisViolation)
-        dm_src = _source_metric(sample.source)
-    if not _noncontraction(sample, dm_src, dm_t):
+        own = None
+    if not _noncontraction(sample, tree, own):
         raise HypothesisViolation("sample contracts some distance")
     if root not in s_tree.index:
         raise HypothesisViolation(f"root {root!r} is not a vertex of s")

@@ -3,15 +3,19 @@
 Every expected value is built from `distance_reference.reference_distances`
 (a `Fraction` Dijkstra) run on both the source and the target, and from
 `tree_pathwidth_reference`; nothing is shared with the harness's
-distance layers.  The sources are trees, graphs with n - 1 edges and a
-cycle (so not connected), and forests, whose rows hold infinite
-distances; the vertex maps are the identity, the identity into a target
-with extra vertices, a relabelling and an arbitrary map onto the
-source's own vertices; the targets are paths along the source distances,
-which may contract slightly on a finer scale, or random trees, which
-mostly contract.  The
-comparison raises by itself rather than by `assert`, so the test also
-checks under ``python -O``.
+distance layers.  The sources are trees (drawn twice as often),
+graphs with n - 1 edges and a cycle (so not connected), and forests,
+whose rows hold infinite distances; the vertex maps are the identity, the
+identity into a target with extra vertices, a relabelling, a permutation
+of the source's own labels out of their order, and an arbitrary map onto
+them; the targets are paths along the source distances, which may
+contract slightly on a finer scale, spanning trees whose edges sit at or
+above d_G of their ends, on scales of their own, but for at most one
+edge just below it or at zero, and random trees, which mostly contract.
+A spy on the pairwise scan shows that both ways the checkers decide, by
+the target's links alone and by every pair, take a real share of the
+examples.  The comparison raises by itself rather than by `assert`, so
+the test also checks under ``python -O``.
 """
 
 import os
@@ -26,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 import pwtree
 from conftest import LENGTHS
 from distance_reference import reference_distances
+from pwtree import harness
 from pwtree.graphs import build_metric_graph
 from pwtree.harness import (
     EmbeddingSample,
@@ -37,9 +42,14 @@ from pwtree.harness import (
 )
 from tree_pathwidth_reference import tree_pathwidth
 
-SOURCES = ("tree", "cycle", "forest")
-MAPS = ("identity", "steiner", "relabel", "arbitrary")
+SOURCES = ("tree", "tree", "cycle", "forest")
+MAPS = ("identity", "steiner", "relabel", "permute", "arbitrary")
+TARGETS = ("path", "tree", "random")
 STRETCH = (1, 1, 1, 2, Fraction(8, 7), Fraction(999_999, 1_000_003))
+# a spanning tree's edges at or above d_G of their ends, on scales of their
+# own, and the one edge that may shrink: just below d_G, or to zero
+ABOVE = (1, 1, 2, Fraction(8, 7), Fraction(10**9 + 7, 10**9))
+BELOW = (Fraction(999_999, 1_000_003), 0)
 
 
 @st.composite
@@ -63,18 +73,35 @@ def cases(draw):
     shift = 1000 if how == "relabel" else 0
     order = sorted(source.vertices)
     names = [v + shift for v in order] + ([99] if how == "steiner" else [])
-    if draw(st.booleans()):
+    fmap = dict(zip(order, names))
+    if how == "permute":  # a bijection onto the source's own labels, out of their order
+        image = rng.sample(names, n)
+        fmap = dict(zip(order, image if image != names else image[::-1]))
+    # the image of each source vertex, in the source's order, along which
+    # the path and the spanning tree lay their edges
+    walk = [fmap[v] for v in order]
+    shape = draw(st.sampled_from(TARGETS))
+    d = reference_distances(source)
+    if shape == "path":
         # a path along the source distances, times factors that may make it
         # contract slightly, on a finer scale
-        d = reference_distances(source)
         edges = [(a, b, (d[u, v] or 1) * rng.choice(STRETCH))
-                 for (u, v), a, b in zip(zip(order, order[1:]), names, names[1:])]
+                 for (u, v), a, b in zip(zip(order, order[1:]), walk, walk[1:])]
+    elif shape == "tree":
+        # a random recursive tree, each edge at or above d_G of its ends'
+        # preimages (a drawn length across two components), and in half
+        # the cases one edge below it
+        ends = [(rng.randrange(i), i) for i in range(1, n)]
+        edges = [(walk[j], walk[i], draw(LENGTHS) if d[order[j], order[i]] is None
+                  else d[order[j], order[i]] * rng.choice(ABOVE)) for j, i in ends]
+        if edges and rng.random() < 0.5:
+            a, b, length = edges.pop(rng.randrange(len(edges)))
+            edges.append((a, b, length * rng.choice(BELOW)))
     else:
-        edges = [(names[rng.randrange(i)], names[i], draw(LENGTHS)) for i in range(1, n)]
+        edges = [(walk[rng.randrange(i)], walk[i], draw(LENGTHS)) for i in range(1, n)]
     if how == "steiner":
         edges.append((names[rng.randrange(n)], 99, draw(LENGTHS)))
     target = build_metric_graph(names, edges)
-    fmap = {v: v + shift for v in order}
     if how == "arbitrary":
         fmap = {v: rng.choice(names) for v in order}
     sample = EmbeddingSample(source, target, fmap)
@@ -143,10 +170,31 @@ def mismatches(source, sample, k, r):
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(cases())
-def test_checkers_match_the_reference(case):
+def compare(scans, scanned, case):
+    """Raise on any mismatch with the reference, and add to `scanned`
+    whether the checkers scanned every pair of the example, read from
+    `scans`, which grows by one per scan."""
+    before = len(scans)
     problems = mismatches(*case)
     if problems:
         raise AssertionError(problems)
+    scanned.append(len(scans) > before)
+
+
+def test_checkers_match_the_reference():
+    # every checker decides through one function: the target's links alone
+    # when the map is a bijection and no link contracts, else the pairwise
+    # scan; each must decide a real share of the examples
+    scans, scanned, scan = [], [], harness._contracted_pairs
+    harness._contracted_pairs = lambda *args: scans.append(args) or scan(*args)
+    try:
+        compare(scans, scanned)
+    finally:
+        harness._contracted_pairs = scan
+    # about a quarter of the examples are certified by the links, and at
+    # least 26 of 150 in each of eight runs
+    if not 0.1 * len(scanned) <= sum(scanned) <= 0.9 * len(scanned):
+        raise AssertionError(f"{sum(scanned)} of {len(scanned)} examples scanned every pair")
 
 
 def test_checkers_match_the_reference_under_optimize(tmp_path):

@@ -179,6 +179,24 @@ class TestRootedTree:
         assert report.to_json() == reference_estimate(g, lambda rng: t, 2, 0, "all").to_json()
 
 
+def spy_tables(monkeypatch):
+    """(tables, runs): the rooted trees whose n x n table the harness
+    builds from here on, and the graphs it runs all-pairs shortest paths on."""
+    tables, runs = [], []
+    table, run = harness._tree_metric, harness.shortest_path_metric
+    monkeypatch.setattr(harness, "_tree_metric", lambda tree: tables.append(tree) or table(tree))
+    monkeypatch.setattr(harness, "shortest_path_metric", lambda g: runs.append(g) or run(g))
+    return tables, runs
+
+
+def squeezed(sample):
+    """`sample` with every target edge cut to half its length, so that its
+    ends contract, and many pairs across it."""
+    target = sample.target
+    return EmbeddingSample(sample.source, target.with_edges({e: w / 2 for e, w in target.edges()}),
+                           sample.fmap)
+
+
 class TestNonContraction:
     def test_identity_passes(self):
         t = unit_path(5)
@@ -231,6 +249,29 @@ class TestNonContraction:
         with pytest.raises(PreconditionFailed, match=r"every vertex of its source into its "
                                                      r"target \(source vertex 3\)"):
             check_noncontraction(EmbeddingSample(g, g, fmap))
+
+    def test_passing_tree_builds_no_table(self, monkeypatch):
+        # a 300-vertex tree laid out on a path: the check reads d_G on the
+        # path's 299 links from the source's rooting, with no n x n table
+        # and no all-pairs run; it used to build both tables and compare them
+        rng = random.Random(11)
+        g = build_metric_graph(range(300), [(v, rng.randrange(v), small_rational_lengths(rng))
+                                            for v in range(1, 300)])
+        sample = flatten_to_path(g)
+        tables, runs = spy_tables(monkeypatch)
+        assert check_noncontraction(sample) == harness.NonContractionVerdict(True, [])
+        assert tables == [] and runs == []
+        # a contracting sample builds both tables, once each, and lists its
+        # violations pair by pair, in the order of the source's pairs
+        bad = squeezed(sample)
+        verdict = check_noncontraction(bad)
+        assert len(tables) == 2 and runs == []
+        d_s, d_t = shortest_path_metric(g), shortest_path_metric(bad.target)
+        expected = [(u, v, d_s.dist(u, v), d_t.dist(u, v))
+                    for u, v in itertools.combinations(range(300), 2)
+                    if d_t.dist(u, v) < d_s.dist(u, v)]
+        assert len(expected) > 100
+        assert verdict.violations == expected and not verdict.ok
 
 
 class TestOneDistanceRun:
@@ -678,8 +719,8 @@ class TestBundle:
         """The counts of the distinct trees of each bundle walk from here
         on, in the order the bundle met them."""
         walks, real = [], harness._Bundle.rows
-        monkeypatch.setattr(harness._Bundle, "rows", lambda self, *args: (
-            walks.append(list(self.counts.values())) or real(self, *args)))
+        monkeypatch.setattr(harness._Bundle, "rows", lambda self, keys, mult: (
+            walks.append([self.counts[key] for key in keys]) or real(self, keys, mult)))
         return walks
 
     def test_plan_trees_measured_in_one_walk(self, monkeypatch):
@@ -692,6 +733,25 @@ class TestBundle:
             per_tree.append(self) or tree_rows(self)))
         got = estimate_distortion(g, scripted(script), len(script), 5, pairs="all")
         assert [sorted(counts) for counts in walks] == [[1, 2, 3, 4, 5, 6]]
+        assert per_tree == []
+        want = reference_estimate(g, scripted(script), len(script), 5, pairs="all")
+        assert got.to_json() == want.to_json()
+
+    def test_a_bundle_past_the_width_is_walked_in_groups(self, monkeypatch):
+        # one walk held every tree's distances at once, 2 GB for 20,000
+        # trees at n = 80.  Ten trees at width 3 take walks of 3, 3, 3 and
+        # 1 tree; the last tree is not the first, so its walk must not read
+        # the first tree's rows
+        monkeypatch.setattr(harness, "_WALK_WIDTH", 3)
+        g, trees = self.plan_trees(10)
+        script = [t for i, t in enumerate(trees) for _ in range(i % 4 + 1)]
+        random.Random(2).shuffle(script)
+        walks, per_tree, tree_rows = self.counting_walks(monkeypatch), [], harness._RootedTree.rows
+        monkeypatch.setattr(harness._RootedTree, "rows", lambda self: (
+            per_tree.append(self) or tree_rows(self)))
+        got = estimate_distortion(g, scripted(script), len(script), 5, pairs="all")
+        assert [len(counts) for counts in walks] == [3, 3, 3, 1]
+        assert sorted(sum(walks, [])) == sorted(i % 4 + 1 for i in range(10))
         assert per_tree == []
         want = reference_estimate(g, scripted(script), len(script), 5, pairs="all")
         assert got.to_json() == want.to_json()
@@ -749,7 +809,7 @@ class TestBundle:
         bundles = recording_bundles(monkeypatch)
         got = estimate_distortion(g, scripted(script), len(script), 5, pairs="all")
         (bundle,) = bundles
-        (moves,) = bundle._changed().values()
+        (moves,) = bundle._changed(bundle.counts).values()
         # every tree but the first moves vertex 1, each to its own edge
         assert [t for t, _, _ in moves] == list(range(1, 300))
         assert len({(p, w) for _, p, w in moves}) == 299
@@ -913,7 +973,7 @@ class TestEdgeBundle:
         assert got.to_json() == reference_estimate(g, embedder, 200, 3, pairs="edges").to_json()
         (bundle,) = bundles
         assert len(bundle.counts) > 10
-        assert 0 < len(bundle._changed()) < g.n - 1
+        assert 0 < len(bundle._changed(bundle.counts)) < g.n - 1
 
 
 class TestAverageEdgeStretch:
@@ -999,10 +1059,11 @@ class TestAverageEdgeStretch:
 
     def test_target_table_only_for_the_check(self, monkeypatch):
         # the edge average reads the target's distances on the edges alone;
-        # its n x n table used to be built even without the check
-        tables = []
-        real = harness._tree_metric
-        monkeypatch.setattr(harness, "_tree_metric", lambda tree: tables.append(tree) or real(tree))
+        # its n x n table used to be built even without the check, and the
+        # check built the source's table and the target's.  A passing check
+        # on a tree source now reads d_G on the target's links from the
+        # source's rooting, and builds no table at all
+        tables, runs = spy_tables(monkeypatch)
         rng = random.Random(5)
         g = build_metric_graph(range(40), [(v, rng.randrange(v), small_rational_lengths(rng))
                                            for v in range(1, 40)])
@@ -1010,8 +1071,12 @@ class TestAverageEdgeStretch:
         unchecked = average_edge_stretch(g, sample, require_noncontraction=False)
         assert tables == []
         assert average_edge_stretch(g, sample) == unchecked
-        # the check builds the source's table and the target's, once each
-        assert len(tables) == 2
+        assert tables == [] and runs == []
+        # a contracting sample builds the source's table and the target's,
+        # once each, to list its violations
+        with pytest.raises(PreconditionFailed):
+            average_edge_stretch(g, squeezed(sample))
+        assert len(tables) == 2 and runs == []
 
 
 class TestLowerBoundThreshold:

@@ -20,7 +20,10 @@ reads a sample's stream: only `pw2._draw` and `sample_prefix_length` use
 the draw rule `pw2._draw_lengths`, only that rule reads a stream's
 `random` in the samplers, and no function there that draws reads a
 plan's `departures`, so no sampler draws past the plan's last departure
-that can vary."""
+that can vary.  One function decides non-contraction for every checker,
+`harness._noncontraction`, and only it reaches the pairwise scan
+(`_contracted_pairs`), so no checker compares all pairs before the
+certificate on the target's links has failed."""
 
 import ast
 import sys
@@ -219,6 +222,17 @@ def name_loads(path, name):
     return [(func, node.lineno) for func, node in nodes_by_function(path)
             if isinstance(getattr(node, "ctx", None), ast.Load)
             and name in (getattr(node, "id", None), getattr(node, "attr", None))]
+
+
+def name_uses(path, name):
+    """Sorted (function, line) of every read of `name` in a source file:
+    as a plain name or an attribute (`name_loads`), or by a `getattr`
+    call naming it."""
+    named = [(func, node.lineno) for func, node in nodes_by_function(path)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "getattr" and len(node.args) > 1
+             and isinstance(node.args[1], ast.Constant) and node.args[1].value == name]
+    return sorted(name_loads(path, name) + named, key=lambda f: f[1])
 
 
 # the calls that make a new MetricGraph, by plain or dotted name
@@ -494,3 +508,36 @@ def test_load_guard_sees_every_read(tmp_path):
                     "s = '_draw_lengths'\n_draw_length = 1\n")
     assert name_loads(path, "_draw_lengths") == [("direct", 4), ("dotted", 6), ("alias", 8),
                                                  ("passed", 11), (None, 12)]
+
+
+def test_one_function_scans_every_pair():
+    # each checker built the source's and the target's n x n tables and
+    # compared them; now the one non-contraction function checks the
+    # target's links first, and only it falls back to the pairwise scan
+    found = {(path.name, func) for path in package_files()
+             for func, _ in name_uses(path, "_contracted_pairs")}
+    assert found == {("harness.py", "_noncontraction")}
+
+
+def test_scan_guard_sees_every_form(tmp_path):
+    # a call, a call through the module, a method's call, an alias, a
+    # callback, a default argument, a getattr and a read at module level;
+    # the import, the definition, a store, a string and another name use
+    # nothing
+    path = tmp_path / "probe.py"
+    path.write_text("from .harness import _contracted_pairs\nfrom . import harness\n"
+                    "def direct(s, a, b):\n    return _contracted_pairs(s, a, b)\n"
+                    "def dotted(s, a, b):\n    return harness._contracted_pairs(s, a, b)\n"
+                    "class C:\n    def method(self, s):\n"
+                    "        return self._contracted_pairs(s, None, None)\n"
+                    "def alias():\n    scan = _contracted_pairs\n    return scan\n"
+                    "def callback(samples):\n    return map(_contracted_pairs, samples)\n"
+                    "def default(s, scan=_contracted_pairs):\n    return scan(s)\n"
+                    "def named(m):\n    return getattr(m, '_contracted_pairs')(None)\n"
+                    "rule = _contracted_pairs\n"
+                    "def _contracted_pairs(s, a, b):\n    return []\n"
+                    "def store(m):\n    m._contracted_pairs = None\n"
+                    "s = '_contracted_pairs'\n_contracted_pair = 1\n")
+    assert name_uses(path, "_contracted_pairs") == [
+        ("direct", 4), ("dotted", 6), ("method", 9), ("alias", 11), ("callback", 14),
+        ("default", 15), ("named", 18), (None, 19)]
