@@ -20,15 +20,11 @@ rows and several in walks along their order, `_WALK_WIDTH` trees at a
 time; over the edges of g, each pair climbs once in the first tree, and
 only the pairs whose path there crosses a link that varies are measured
 per tree.  Every checker decides non-contraction in one function,
-`_noncontraction`: under a bijection onto the target's vertices, a tree
-whose n - 1 links each keep at least d_G of their ends' preimages
-shrinks no pair, since a tree distance sums the links along its path and
-d_G obeys the triangle inequality, so only a sample with a link that
-contracts, or under another map, has its pairs compared one by one.  A
-source is rooted when it is a tree, m = n - 1 and connected
-(`_source_tree`), and any other source, a graph with a cycle or a
-disconnected one, goes to `shortest_path_metric`; `_source_metric` gives
-either one's all-pairs distances.
+`_noncontraction`, which under a bijection reads the target's n - 1
+links alone.  A source is rooted when it is a tree, m = n - 1 and
+connected (`_source_tree`), and any other source goes to
+`shortest_path_metric`; `_source_metric` gives either one's all-pairs
+distances, and no target tree is ever made such a table.
 """
 
 from __future__ import annotations
@@ -102,14 +98,9 @@ class NonContractionVerdict:
 def check_noncontraction(sample: EmbeddingSample) -> NonContractionVerdict:
     """Exact check that no pairwise distance shrank; lists every violation.
     A source vertex that the sample does not map into its target raises
-    PreconditionFailed.
-
-    When the map is a bijection onto the target's vertices, the target's
-    n - 1 edges decide it (`_noncontraction`): d_T(f u, f v) sums the
-    edges along the tree path, and by the triangle inequality the d_G of
-    their ends' preimages sum to at least d_G(u, v), so no pair shrinks if
-    no edge does.  Only a sample with an edge that contracts, or under
-    another map, is scanned pair by pair."""
+    PreconditionFailed.  `_noncontraction` decides: under a bijection by
+    the target's n - 1 edges alone, and pair by pair when an edge
+    contracts or under another map."""
     _check_mapped(sample, sample.source.vertices, "its source")
     return _noncontraction(sample, _RootedTree(sample.target))
 
@@ -157,26 +148,31 @@ def _noncontraction(sample, tree, s_tree=None) -> NonContractionVerdict:
         if None not in d_s and all(d * t_scale <= to_parent[x] * s_scale
                                    for d, x in zip(d_s, links)):
             return NonContractionVerdict(True, [])
-    if dm_s is None:
-        dm_s = _tree_metric(s_tree)
-    return _contracted_pairs(sample, dm_s, _tree_metric(tree))
+    if dm_s is None:  # a tree source, rooted again: O(n), on this path alone
+        dm_s = _source_metric(source)
+    return _contracted_pairs(sample, dm_s, tree)
 
 
-def _contracted_pairs(sample, dm_s, dm_t) -> NonContractionVerdict:
+def _contracted_pairs(sample, dm_s, tree) -> NonContractionVerdict:
     """The violations of `sample` over the source distances `dm_s` and the
-    target distances `dm_t`, pair by pair in the order of `scaled_pairs`:
+    target's rooting `tree`, pair by pair in the order of `scaled_pairs`:
     a pair whose target distance is below its source distance, or whose
-    source distance is infinite."""
-    s_scale, t_scale, image = dm_s.scale, dm_t.scale, sample.image
+    source distance is infinite.  The tree's own rows give the target
+    distances, in its preorder."""
+    s_scale, t_scale, verts = dm_s.scale, tree.scale, dm_s.vertices
+    rows, pos = tree.rows()
+    img = [tree.index[sample.image(v)] for v in verts]
     violations = []
     # scaled integers compared across the two scales; Fractions only for
     # output.  The target is a tree, so every d_t is finite
-    for u, v, d_s in dm_s.scaled_pairs():
-        d_t = dm_t.scaled(image(u), image(v))
-        if d_s is None:
-            violations.append((u, v, None, Fraction(d_t, t_scale)))
-        elif d_t * s_scale < d_s * t_scale:
-            violations.append((u, v, Fraction(d_s, s_scale), Fraction(d_t, t_scale)))
+    for i, row in enumerate(dm_s.rows):
+        u, t_row = verts[i], rows[img[i]]
+        for j in range(i + 1, len(verts)):
+            d_s, d_t = row[j], t_row[pos[img[j]]]
+            if d_s is None:
+                violations.append((u, verts[j], None, Fraction(d_t, t_scale)))
+            elif d_t * s_scale < d_s * t_scale:
+                violations.append((u, verts[j], Fraction(d_s, s_scale), Fraction(d_t, t_scale)))
     return NonContractionVerdict(not violations, violations)
 
 
@@ -837,14 +833,6 @@ class _RootedTree:
         return [self.vertices[i] for i in head + [x] + tail[::-1]]
 
 
-def _tree_metric(tree: _RootedTree) -> DistanceMatrix:
-    """A rooted tree's all-pairs distances in sorted vertex order, over its scale."""
-    rows, pos = tree.rows()
-    for row in rows:  # in place, so one n x n table is alive at a time
-        row[:] = [row[p] for p in pos]
-    return DistanceMatrix(tree.vertices, rows, tree.scale)
-
-
 def _source_tree(g: MetricGraph) -> Optional[_RootedTree]:
     """The rooting of a source graph that is a tree (m = n - 1 and
     connected), or None."""
@@ -857,10 +845,17 @@ def _source_tree(g: MetricGraph) -> Optional[_RootedTree]:
 
 
 def _source_metric(g: MetricGraph) -> DistanceMatrix:
-    """All-pairs distances of a source graph: a tree's from its rooting
-    (`_source_tree`), any other graph's from `shortest_path_metric`."""
+    """All-pairs distances of a source graph: a tree's from the rows of its
+    rooting (`_source_tree`), in sorted vertex order, any other graph's
+    from `shortest_path_metric`.  No other tree becomes a `DistanceMatrix`,
+    so no target tree is ever tabulated."""
     tree = _source_tree(g)
-    return shortest_path_metric(g) if tree is None else _tree_metric(tree)
+    if tree is None:
+        return shortest_path_metric(g)
+    rows, pos = tree.rows()
+    for row in rows:  # in place, so one n x n table is alive at a time
+        row[:] = [row[p] for p in pos]
+    return DistanceMatrix(tree.vertices, rows, tree.scale)
 
 
 # --- averaged edge stretch --------------------------------------------------
@@ -878,10 +873,7 @@ def average_edge_stretch(g: MetricGraph, sample: EmbeddingSample,
     """Exact per-edge average of target distances, both normalizations.
 
     With `require_noncontraction`, a sample that contracts some distance
-    raises PreconditionFailed.  That check reads the target's links first:
-    under a bijection, links no shorter than d_G of their ends' preimages
-    shrink no pair, by the triangle inequality along each tree path, and
-    a source that is a tree then needs no n x n table (`_noncontraction`)."""
+    raises PreconditionFailed, as `_noncontraction` decides."""
     if g.m == 0:
         raise EmptyEdgeSet("the source graph has no edges")
     _check_mapped(sample, g.vertices, "the source graph")
@@ -979,14 +971,15 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
     least |near|^2 * min_leg / 16.
 
     `s` must be a tree.  `subtrees` are vertex sets of s, each joined to
-    `root` by a leg (its tree path) of source length >= `min_leg`; legs may
-    share only `root`.  `target_path` is a vertex list forming a simple path
-    in the target tree.  The sample must not contract (`_noncontraction`):
-    under a bijection its target's links are checked alone, since links no
-    shorter than d_G of their ends' preimages shrink no pair, by the
-    triangle inequality along each tree path.  When the sample's source is
-    `s`, the rooting of `s` gives d_G there, and any other source is
-    rooted when it is a tree and measured whole otherwise.
+    `root` by a leg of source length >= `min_leg`, the tree path from the
+    root to the subtree's nearest vertex up to its first vertex in the
+    subtree; legs may share only `root`.  `target_path` is a vertex list
+    forming a simple path in the target tree.  The sample must not
+    contract (`_noncontraction`, given the rooting of `s` when `s` is the
+    sample's source).  Both trees are read by pair queries on their
+    rootings, with no n x n table.  The target path P is the tree path
+    between its ends a and b, and x's path to P meets it where x's paths
+    to a and to b part, so 2 d(x, P) = d(x, a) + d(x, b) - d(a, b).
     """
     L = Fraction(min_leg)
     _check_mapped(sample, s.vertices, "s", HypothesisViolation)
@@ -995,9 +988,7 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
         s_tree = _RootedTree(s)
     except PreconditionFailed as exc:
         raise HypothesisViolation("s is not a tree") from exc
-    dm_s = _tree_metric(s_tree)
     tree = _RootedTree(sample.target)
-    dm_t = _tree_metric(tree)
     if sample.source == s:  # its rooting is already at hand
         own = s_tree
     else:
@@ -1005,25 +996,30 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
         own = None
     if not _noncontraction(sample, tree, own):
         raise HypothesisViolation("sample contracts some distance")
-    if root not in s_tree.index:
+    s_index = s_tree.index
+    if root not in s_index:
         raise HypothesisViolation(f"root {root!r} is not a vertex of s")
     subtrees = [set(t) for t in subtrees]
     seen = set()
     for i, sub in enumerate(subtrees):
         if not sub or root in sub:
             raise HypothesisViolation(f"subtree {i} is empty or contains the root")
-        if not sub.issubset(s_tree.index):
+        if not sub.issubset(s_index):
             raise HypothesisViolation(f"subtree {i} leaves the vertex set of s")
         if sub & seen:
             raise HypothesisViolation(f"subtree {i} overlaps another subtree")
         seen |= sub
+    r = s_index[root]
+    from_root = iter(s_tree.pair_distances([(r, s_index[v]) for sub in subtrees for v in sub]))
     # every leg is checked against all the subtrees, whatever their order
     first_steps = {}
     for i, sub in enumerate(subtrees):
-        entry = min(sub, key=lambda v: (dm_s.dist(root, v), v))
-        if dm_s.dist(root, entry) < L:
+        d, entry = min((next(from_root), v) for v in sub)
+        if d < L * s_tree.scale:
             raise HypothesisViolation(f"leg to subtree {i} is shorter than {L}")
+        # the first vertex of the subtree on the path is as near as `entry`
         leg = s_tree.path(root, entry)
+        leg = leg[:next(k for k, x in enumerate(leg) if x in sub) + 1]
         if set(leg[1:-1]) & seen:
             raise HypothesisViolation(f"leg to subtree {i} passes through a subtree")
         # two tree paths from the root that meet again share their first edge
@@ -1039,14 +1035,15 @@ def check_close_to_P(s: MetricGraph, root, subtrees, target_path,
         if not sample.target.has_edge(a, b):
             raise HypothesisViolation(f"({a!r}, {b!r}) is not a target edge")
 
-    near = []
+    index, image = tree.index, sample.image
+    a, b = index[path[0]], index[path[-1]]
+    d_ab, *ends = tree.pair_distances(
+        [(a, b)] + [(index[image(v)], e) for sub in subtrees for v in sub for e in (a, b)])
+    ends, near = iter(ends), []
     for i, sub in enumerate(subtrees):
-        d = min(dm_t.dist(sample.image(v), p) for v in sub for p in path)
-        if d < L / 2:
+        if min(next(ends) + next(ends) for _ in sub) - d_ab < L * tree.scale:  # 2 d(x, P) < L
             near.append(i)
-    lhs = Fraction(0)
-    for (u, v), _ in s.edges():
-        lhs += dm_t.dist(sample.image(u), sample.image(v))
+    edges = [(index[image(u)], index[image(v)]) for (u, v), _ in s.edges()]
+    lhs = Fraction(sum(tree.pair_distances(edges)), tree.scale)
     rhs = Fraction(len(near) ** 2) * L / 16
     return ProximityVerdict(lhs >= rhs, near, lhs, rhs)
-

@@ -14,10 +14,16 @@ above d_G of their ends, on scales of their own, but for at most one
 edge just below it or at zero, and random trees, which mostly contract.
 A spy on the pairwise scan shows that both ways the checkers decide, by
 the target's links alone and by every pair, take a real share of the
-examples.  The comparison raises by itself rather than by `assert`, so
-the test also checks under ``python -O``.
+examples.  `check_close_to_P` is checked on random trees s with one
+subtree per branch at a random root, on samples of s as above or onto s
+itself stretched, along a random path of the target, with a `min_leg`
+that puts some subtrees' distances to the path at or within the
+threshold; the reference takes each subtree's least distance to every
+path vertex.  The comparisons raise by themselves rather than by
+`assert`, so the tests also check under ``python -O``.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -28,16 +34,19 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import pwtree
-from conftest import LENGTHS
+from conftest import LENGTHS, adjacency
 from distance_reference import reference_distances
 from pwtree import harness
 from pwtree.graphs import build_metric_graph
 from pwtree.harness import (
     EmbeddingSample,
     EmptyEdgeSet,
+    HypothesisViolation,
     PreconditionFailed,
     average_edge_stretch,
+    check_close_to_P,
     check_noncontraction,
+    identity_sample,
     verify_lower_bound_witness,
 )
 from tree_pathwidth_reference import tree_pathwidth
@@ -68,8 +77,17 @@ def cases(draw):
         if kind == "forest":
             pairs = [p for p in pairs if rng.random() < 0.6]
     source = build_metric_graph(label, [(label[a], label[b], draw(LENGTHS)) for a, b in pairs])
+    sample = draw_sample(draw, rng, source, MAPS, TARGETS)
+    k = draw(st.integers(1, 2))
+    r = 2 * draw(st.integers(1, 2 ** 16))  # threshold r / (2^(8+2k) k), around the means
+    return source, sample, k, r
 
-    how = draw(st.sampled_from(MAPS))
+
+def draw_sample(draw, rng, source, maps, shapes):
+    """A sample of `source` under a map of one of the kinds `maps`, onto a
+    target of one of the shapes `shapes`."""
+    n = source.n
+    how = draw(st.sampled_from(maps))
     shift = 1000 if how == "relabel" else 0
     order = sorted(source.vertices)
     names = [v + shift for v in order] + ([99] if how == "steiner" else [])
@@ -80,7 +98,7 @@ def cases(draw):
     # the image of each source vertex, in the source's order, along which
     # the path and the spanning tree lay their edges
     walk = [fmap[v] for v in order]
-    shape = draw(st.sampled_from(TARGETS))
+    shape = draw(st.sampled_from(shapes))
     d = reference_distances(source)
     if shape == "path":
         # a path along the source distances, times factors that may make it
@@ -104,11 +122,79 @@ def cases(draw):
     target = build_metric_graph(names, edges)
     if how == "arbitrary":
         fmap = {v: rng.choice(names) for v in order}
-    sample = EmbeddingSample(source, target, fmap)
+    return EmbeddingSample(source, target, fmap)
 
-    k = draw(st.integers(1, 2))
-    r = 2 * draw(st.integers(1, 2 ** 16))  # threshold r / (2^(8+2k) k), around the means
-    return source, sample, k, r
+
+@st.composite
+def proximity_cases(draw):
+    """(s, root, subtrees, target_path, sample, min_leg): a random weighted
+    tree s, lengths of zero included, with one subtree per branch at a
+    random root, each a vertex x of the branch and some of the vertices
+    below it; a sample under a bijection or onto a Steiner target, on a
+    path or a spanning tree as in `cases`, or onto s stretched, so mostly
+    dominating; the target path from a random target vertex to another,
+    or to the image of an x's parent; and `min_leg` at most the shortest
+    leg, the distance from the root to an x."""
+    n = draw(st.integers(2, 9))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    label = rng.sample(range(-40, 40), n)
+    root, reach = rng.choice(label), rng.choice((0, 20))
+    edges = [(label[rng.randrange(v)], label[v]) for v in range(1, n)]
+    # in half the cases each edge at the root is longer by 20, so the legs
+    # are long beside the subtrees' distances to the path
+    s = build_metric_graph(label, [(a, b, draw(LENGTHS) + (reach if root in (a, b) else 0))
+                                   for a, b in edges])
+    parent = tree_parents(s, root)
+
+    def above(v):  # v and the vertices on its way up to the root
+        while v != root:
+            yield v
+            v = parent[v]
+
+    branches = {}
+    for v in label:
+        if v != root:
+            branches.setdefault(list(above(v))[-1], []).append(v)
+    subtrees, tops = [], []
+    for members in branches.values():
+        x = rng.choice(members)
+        tops.append(x)
+        subtrees.append({x} | {v for v in members if x in above(v) and rng.random() < 0.6})
+    if rng.random() < 0.5:
+        sample = draw_sample(draw, rng, s, MAPS[:-1], TARGETS[:-1])
+    else:  # s itself, each edge at or above its length, so its paths pass by the subtrees
+        sample = identity_sample(s, s.with_edges({e: w * rng.choice(ABOVE) for e, w in s.edges()}))
+    ends = sorted(sample.target.vertices)
+    # in half the cases the path ends beside a subtree: at the image of
+    # the parent of its vertex nearest the root
+    a = rng.choice(ends)
+    b = sample.fmap[parent[rng.choice(tops)]] if rng.random() < 0.5 else rng.choice(ends)
+    to_a = tree_parents(sample.target, a)
+    path = [b]
+    while path[-1] != a:
+        path.append(to_a[path[-1]])
+    # a part of the shortest leg, or a multiple of a subtree's distance to
+    # the path, around the nearness threshold min_leg / 2, within the leg
+    d, d_t, f = reference_distances(s), reference_distances(sample.target), sample.fmap
+    shortest = min(d[root, x] for x in tops)
+    gaps = [g for g in (min(d_t[f[v], p] for v in sub for p in path) for sub in subtrees) if g]
+    if gaps and rng.random() < 0.7:  # a gap at the threshold, or a half or a quarter of it
+        min_leg = min(shortest, rng.choice(gaps) * rng.choice((2, 3, 4)))
+    else:
+        min_leg = shortest * Fraction(rng.randint(0, 4), 4)
+    return s, root, subtrees, path, sample, min_leg
+
+
+def tree_parents(t, root):
+    """{vertex: its parent} of the tree `t` hung from `root`."""
+    adj, parent, todo = adjacency(t), {root: None}, [root]
+    while todo:
+        v = todo.pop()
+        for u, _ in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                todo.append(u)
+    return parent
 
 
 def expected(source, sample, k, r):
@@ -197,6 +283,52 @@ def test_checkers_match_the_reference():
         raise AssertionError(f"{sum(scanned)} of {len(scanned)} examples scanned every pair")
 
 
+def expected_proximity(s, root, subtrees, path, sample, min_leg):
+    """`check_close_to_P`'s (passed, near_indices, lhs, rhs), or
+    HypothesisViolation for a sample that contracts, from the reference
+    distances, each subtree's distance to the path over every path vertex."""
+    d_s, d_t = reference_distances(s), reference_distances(sample.target)
+    f = sample.fmap
+    if any(d_t[f[u], f[v]] < d_s[u, v] for u, v in itertools.combinations(s.vertices, 2)):
+        return HypothesisViolation
+    near = [i for i, sub in enumerate(subtrees)
+            if min(d_t[f[v], p] for v in sub for p in path) < Fraction(min_leg) / 2]
+    lhs = sum(d_t[f[u], f[v]] for (u, v), _ in s.edges())
+    rhs = len(near) ** 2 * Fraction(min_leg) / 16
+    return lhs >= rhs, near, lhs, rhs
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(proximity_cases())
+def compare_proximity(seen, case):
+    """Raise on any mismatch with the reference, and add to `seen` the
+    reference verdict of the example."""
+    want = expected_proximity(*case)
+    try:
+        got = check_close_to_P(*case)
+        got = got.passed, got.near_indices, got.lhs, got.rhs
+    except HypothesisViolation:
+        got = HypothesisViolation
+    if got != want:
+        raise AssertionError(f"{got} != {want}")
+    seen.append((want, len(case[2])))
+
+
+def test_close_to_P_matches_the_reference():
+    # nearness is read from two distances to the path's ends; the
+    # reference takes the least distance to every vertex of the path
+    seen = []
+    compare_proximity(seen)
+    checked = [(want, subtrees) for want, subtrees in seen if want is not HypothesisViolation]
+    near = sum(bool(want[1]) for want, _ in checked)
+    far = sum(len(want[1]) < subtrees for want, subtrees in checked)
+    # a subtree near the path and one far from it, each in at least a
+    # tenth of the examples: 18 to 39 and 42 to 61 of 100 in three runs
+    if not min(near, far) >= 0.1 * len(seen):
+        raise AssertionError(f"of {len(seen)} examples, {near} had a subtree near the path "
+                             f"and {far} one far from it")
+
+
 def test_checkers_match_the_reference_under_optimize(tmp_path):
     code = textwrap.dedent("""
         import sys
@@ -204,6 +336,7 @@ def test_checkers_match_the_reference_under_optimize(tmp_path):
             sys.exit("asserts are live")
         import test_checker_oracle
         test_checker_oracle.test_checkers_match_the_reference()
+        test_checker_oracle.test_close_to_P_matches_the_reference()
         print("checked")
     """)
     tests = os.path.dirname(os.path.abspath(__file__))

@@ -24,6 +24,7 @@ from pwtree.harness import (
     EmptyEdgeSet,
     HypothesisViolation,
     PreconditionFailed,
+    ProximityVerdict,
     average_edge_stretch,
     check_close_to_P,
     check_noncontraction,
@@ -93,7 +94,7 @@ class TestRootedTree:
         want = [dm.scaled(verts[i], verts[j]) for i, j in pairs]
         assert [rows[i][pos[j]] for i, j in pairs] == want
         assert tree.pair_distances(pairs) == want
-        own = harness._tree_metric(tree)
+        own = harness._source_metric(t)
         assert own.scale == dm.scale and list(own.scaled_pairs()) == list(dm.scaled_pairs())
         for a, b in itertools.product(verts, verts):
             path = tree.path(a, b)
@@ -181,10 +182,12 @@ class TestRootedTree:
 
 def spy_tables(monkeypatch):
     """(tables, runs): the rooted trees whose n x n table the harness
-    builds from here on, and the graphs it runs all-pairs shortest paths on."""
+    builds from here on, one per `_RootedTree.rows` call, and the graphs it
+    runs all-pairs shortest paths on."""
     tables, runs = [], []
-    table, run = harness._tree_metric, harness.shortest_path_metric
-    monkeypatch.setattr(harness, "_tree_metric", lambda tree: tables.append(tree) or table(tree))
+    table, run = harness._RootedTree.rows, harness.shortest_path_metric
+    monkeypatch.setattr(harness._RootedTree, "rows",
+                        lambda tree: tables.append(tree) or table(tree))
     monkeypatch.setattr(harness, "shortest_path_metric", lambda g: runs.append(g) or run(g))
     return tables, runs
 
@@ -1247,6 +1250,28 @@ class TestCloseToPath:
         s = build_metric_graph(range(6), [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (4, 5, 1)])
         with pytest.raises(HypothesisViolation, match="passes through a subtree"):
             check_close_to_P(s, 0, subtrees, [0], identity_sample(s, s), min_leg=1)
+
+    @pytest.mark.parametrize("edges", [[(0, 2, 1), (2, 1, 0)], [(0, 1, 1), (1, 2, 0)]],
+                             ids=["nearest-label-beyond", "nearest-label-first"])
+    def test_leg_ends_at_its_first_subtree_vertex(self, edges):
+        # 1 and 2 are both at distance 1 from the root, across a zero-length
+        # edge.  The leg used to run to the smaller label, so in the first
+        # labelling it ran 0-2-1 and "passed through a subtree", its own
+        s = build_metric_graph(range(3), edges)
+        verdict = check_close_to_P(s, 0, [{1, 2}], [0], identity_sample(s, s), min_leg=1)
+        assert verdict.passed and verdict.near_indices == [] and verdict.lhs == 1
+
+    def test_spider_builds_no_table(self, monkeypatch):
+        # phi(40), n = 1,601, the far half of each arm a subtree and arm 0
+        # the target path: the legs, the nearness and the edge sum are pair
+        # queries on the two rootings.  Both trees used to become 1,601 x
+        # 1,601 tables
+        s, i = phi(40), 40
+        arms = [set(range(a * i + i // 2 + 1, (a + 1) * i + 1)) for a in range(i)]
+        tables, runs = spy_tables(monkeypatch)
+        verdict = check_close_to_P(s, 0, arms, range(i + 1), identity_sample(s, s), min_leg=i // 2)
+        assert tables == [] and runs == []
+        assert verdict == ProximityVerdict(True, [0], Fraction(i * i), Fraction(i // 2, 16))
 
     @pytest.mark.parametrize("root, subtrees, path, message", [
         (9, [{3}], [0], "root 9 is not a vertex of s"),

@@ -519,6 +519,15 @@ def test_one_function_scans_every_pair():
     assert found == {("harness.py", "_noncontraction")}
 
 
+def test_no_target_tree_becomes_a_table():
+    # `check_close_to_P` and the pairwise scan turned the target tree into
+    # an n x n `DistanceMatrix`; now only a source that the all-pairs
+    # estimate or the scan reads whole becomes one, in one function, and
+    # every target is read by `_RootedTree` queries
+    harness = Path(pwtree.__file__).parent / "harness.py"
+    assert {func for func, _ in name_uses(harness, "DistanceMatrix")} == {"_source_metric"}
+
+
 def test_scan_guard_sees_every_form(tmp_path):
     # a call, a call through the module, a method's call, an alias, a
     # callback, a default argument, a getattr and a read at module level;
