@@ -2,15 +2,20 @@
 
 The exact oracle works on any small graph via a reachability search over
 vertex-separation prefixes, each carrying its boundary, which placing a
-vertex updates.  Trees get rooted critical labels (Ellis,
-Sudborough & Turner): one iterative bottom-up pass gives the pathwidth,
-and a top-down rerooting pass gives the pathwidth of every branch at every
-vertex, in O(n log n) time without recursion.  Each public tree call
-roots its tree once, at its lowest vertex, by `graphs.spanning_links`,
-the one check that it is a tree.  The path peeling reads its heavy
-branches from that branch table and removes a simple path from the
-rooting's index lists, dropping every remaining component's pathwidth by
-one; recursive peeling on those lists builds an optimal decomposition.
+vertex updates.  It decides each width k = 0, 1, ... by a depth-first
+search that stops at the first full prefix and places a vertex that does
+not grow the boundary as the only move (Coudert, Mazauric & Nisse); a
+decomposition then takes one breadth-first search at the width found, so
+its layout is the least-width layout of that search.  Trees get rooted
+critical labels (Ellis, Sudborough & Turner): one iterative bottom-up pass
+gives the pathwidth, and a top-down rerooting pass gives the pathwidth of
+every branch at every vertex, in O(n log n) time without recursion.  Each
+public tree call roots its tree once, at its lowest vertex, by
+`graphs.spanning_links`, the one check that it is a tree.  The path
+peeling reads its heavy branches from that branch table and removes a
+simple path from the rooting's index lists, dropping every remaining
+component's pathwidth by one; recursive peeling on those lists builds an
+optimal decomposition.
 Checks that a constructed decomposition is valid at the width the proof
 promises raise BrokenInvariant, also under ``python -O``.  A composition
 sequence's steps are read by one walk, `departures`, which validates the
@@ -399,7 +404,8 @@ PATHWIDTH_ORACLE_LIMIT = 20
 
 def exact_pathwidth(g: MetricGraph, limit: int = PATHWIDTH_ORACLE_LIMIT) -> int:
     """Exact pathwidth by vertex-separation search; exponential, n <= limit."""
-    return _vs_search(g, limit)[1]
+    verts, adj = _vs_masks(g, limit)
+    return _vs_width(adj, len(verts))
 
 
 def exact_path_decomposition(g: MetricGraph, limit: int = PATHWIDTH_ORACLE_LIMIT) -> PathDecomposition:
@@ -420,7 +426,18 @@ def exact_path_decomposition(g: MetricGraph, limit: int = PATHWIDTH_ORACLE_LIMIT
 
 
 def _vs_search(g: MetricGraph, limit):
-    """(order, width, sorted vertices, bitmask adjacency) of an optimal layout."""
+    """(order, width, sorted vertices, bitmask adjacency) of an optimal layout:
+    the width from the depth-first `_vs_fits`, then one breadth-first
+    `_vs_layout` at that width, whose layout does not depend on the search
+    that found the width."""
+    verts, adj = _vs_masks(g, limit)
+    n = len(verts)
+    k = _vs_width(adj, n)
+    return _vs_layout(adj, n, k), k, verts, adj
+
+
+def _vs_masks(g: MetricGraph, limit):
+    """(sorted vertices, bitmask adjacency over their positions)."""
     n = g.n
     if n > limit:
         raise TooLarge(f"{n} vertices exceeds the oracle limit of {limit}")
@@ -432,11 +449,75 @@ def _vs_search(g: MetricGraph, limit):
     for (u, v) in g.edge_keys():
         adj[index[u]] |= 1 << index[v]
         adj[index[v]] |= 1 << index[u]
-    for k in range(n):
-        order = _vs_layout(adj, n, k)
-        if order is not None:
-            return order, k, verts, adj
-    raise AssertionError("unreachable: pathwidth is at most n - 1")
+    return verts, adj
+
+
+def _vs_width(adj, n):
+    """The least k for which `_vs_fits` finds a layout."""
+    k = 0
+    while not _vs_fits(adj, n, k):
+        k += 1
+    return k
+
+
+def _vs_fits(adj, n, k):
+    """Whether some vertex order has vertex separation <= k.
+
+    A depth-first search over the placed sets, each carried with its
+    boundary, the placed vertices that still have an unplaced neighbour;
+    it returns at the first full set.  A set is marked when it is pushed,
+    and a marked set is skipped before its boundary is computed.
+
+    When placing a vertex v leaves the boundary no larger than the
+    parent's, that child is the set's only move (Coudert, Mazauric &
+    Nisse, SEA 2014).  This is safe.  Let S be the parent, and take any
+    completion of S whose prefixes all have boundaries of size <= k.  Move
+    v to its front: a prefix that held v is unchanged, and one that did
+    not, P with S <= P, becomes P plus v.  Placing v into a set X changes
+    its boundary by [v has a neighbour outside X and v], as v joins at
+    most once, minus the number of boundary vertices whose last unplaced
+    neighbour is v, as each leaves.  From X = S to X = P the first term
+    can only fall, and a vertex of S whose last unplaced neighbour is v
+    keeps v as its last unplaced neighbour in P, so the second term can
+    only rise.  So placing v grows P's boundary by no more than S's, that
+    is by at most zero, and the new order has width <= k too.  A neutral
+    child found marked is skipped like any other: it was pushed before,
+    so the search reaches the full set from it if from S."""
+    full = (1 << n) - 1
+    seen = {0}
+    stack = [(0, 0)]
+    while stack:
+        state, boundary = stack.pop()
+        if state == full:
+            return True
+        size = boundary.bit_count()
+        moves = []
+        unplaced = full & ~state
+        while unplaced:  # the bits inline, as in `_vs_layout`
+            bit = unplaced & -unplaced
+            unplaced ^= bit
+            new = state | bit
+            if new in seen:
+                continue
+            i = bit.bit_length() - 1
+            rest = ~new
+            b = boundary | bit if adj[i] & rest else boundary
+            leaving = boundary & adj[i]
+            while leaving:
+                low = leaving & -leaving
+                leaving ^= low
+                if not adj[low.bit_length() - 1] & rest:
+                    b ^= low
+            grown = b.bit_count()
+            if grown <= size:
+                moves = [(new, b)]
+                break
+            if grown <= k:
+                moves.append((new, b))
+        for move in moves:
+            seen.add(move[0])
+            stack.append(move)
+    return False
 
 
 def _vs_layout(adj, n, k):

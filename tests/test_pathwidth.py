@@ -1,8 +1,10 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -436,6 +438,140 @@ class TestExactOracle:
         for g in (unit_path(6), FOUR_CYCLE, complete(4), phi(3)):
             pd = exact_path_decomposition(g)
             assert validate_path_decomposition(g, pd) == exact_pathwidth(g)
+
+
+def vertex_separation_by_every_order(g):
+    """The least, over every vertex order, of the largest number of placed
+    vertices with an unplaced neighbour; shares no code with the searches."""
+    near = {v: set() for v in g.vertices}
+    for u, v in g.edge_keys():
+        near[u].add(v)
+        near[v].add(u)
+    best = len(near)
+    for order in itertools.permutations(near):
+        placed, worst = set(), 0
+        for v in order:
+            placed.add(v)
+            worst = max(worst, sum(1 for u in placed if near[u] - placed))
+            if worst >= best:
+                break
+        best = min(best, worst)
+    return best
+
+
+def least_reference_width(g):
+    """The least k for which `layout_reference.vs_layout` finds a layout."""
+    verts, adj = layout_reference.adjacency_masks(g)
+    return next(k for k in range(len(verts))
+                if layout_reference.vs_layout(adj, len(verts), k) is not None)
+
+
+@st.composite
+def oracle_graphs(draw, max_n=12):
+    """Graphs on up to `max_n` spread-out labels: random, edgeless, with
+    isolated vertices, a clique on some vertices, or two disjoint parts;
+    lengths may be zero."""
+    n = draw(st.integers(1, max_n))
+    labels = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    shape = draw(st.sampled_from(["random", "edgeless", "clique", "two parts"]))
+    pairs = list(itertools.combinations(range(n), 2))
+    if shape == "edgeless":
+        chosen = []
+    elif shape == "clique":
+        size = draw(st.integers(1, n))
+        chosen = list(itertools.combinations(range(size), 2))
+    else:
+        cut = draw(st.integers(0, n)) if shape == "two parts" else n
+        pairs = [(a, b) for a, b in pairs if (a < cut) == (b < cut)]
+        chosen = [pair for pair, keep in zip(pairs, draw(
+            st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    lengths = st.sampled_from([0, 1, Fraction(1, 2), 3])
+    return build_metric_graph(labels, [(labels[a], labels[b], draw(lengths)) for a, b in chosen])
+
+
+def certified_instances(seed):
+    """The random unit trees and width-3 graphs the benchmark's `certify`
+    workload gives `pathwidth --method exact`, drawn the same way."""
+    rng = random.Random(f"{seed}:small-trees")
+    trees = [random_unit_tree(n, rng) for n in (12, 14, 16, 18, 20)]
+    width3 = [random_pathwidth_graph(3, n, small_rational_lengths,
+                                     random.Random(f"{seed}:exact-{n}"))[0]
+              for n in (16, 18, 20)]
+    return trees, width3
+
+
+class TestWidthSearch:
+    """`exact_pathwidth` decides each width by the pruned depth-first
+    `_vs_fits`, which builds no layout."""
+
+    def test_matches_every_order_up_to_7_vertices(self):
+        rng = random.Random(30)
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            p = rng.random()
+            edges = [(a, b, 1) for a, b in itertools.combinations(range(n), 2) if rng.random() < p]
+            g = build_metric_graph(range(n), edges)
+            assert exact_pathwidth(g) == vertex_separation_by_every_order(g), edges
+
+    @given(oracle_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference_layout_search(self, g):
+        assert exact_pathwidth(g) == least_reference_width(g)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_certified_instances(self, seed):
+        trees, width3 = certified_instances(seed)
+        assert [exact_pathwidth(t) for t in trees] == [tree_pathwidth(t) for t in trees]
+        widths = [exact_pathwidth(g) for g in width3]
+        assert widths == [least_reference_width(g) for g in width3]
+        assert max(widths) <= 3
+
+    def test_each_set_is_expanded_once(self):
+        # at a failing width the search expands every set it reaches; a set
+        # expanded once reads at most k + 2 adjacency masks per move, so the
+        # reads stay within (sets reachable at width k) * n * (k + 2)
+        class Counting(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                Counting.reads += 1
+                return super().__getitem__(i)
+
+        rng = random.Random(3)
+        bipartite = build_metric_graph(range(10), [(a, b, 1) for a in range(5) for b in range(5, 10)])
+        dense = build_metric_graph(range(12), [(a, b, 1) for a, b in itertools.combinations(range(12), 2)
+                                               if rng.random() < 0.4])
+        for g in (bipartite, dense):
+            _, adj = layout_reference.adjacency_masks(g)
+            n, k = len(adj), exact_pathwidth(g) - 1
+            reached, todo = {0}, [0]
+            while todo:
+                placed = todo.pop()
+                for bit in (1 << i for i in range(n) if not placed >> i & 1):
+                    new = placed | bit
+                    if new not in reached and k >= sum(
+                            1 for j in range(n) if new >> j & 1 and adj[j] & ~new):
+                        reached.add(new)
+                        todo.append(new)
+            Counting.reads = 0
+            assert not pw._vs_fits(Counting(adj), n, k)
+            assert 0 < Counting.reads <= len(reached) * n * (k + 2)
+
+    def test_width_builds_no_layout(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact_pathwidth built a layout")
+        monkeypatch.setattr(pw, "_vs_layout", refuse)
+        trees, width3 = certified_instances(1)
+        assert [exact_pathwidth(g) for g in (unit_path(5), complete(4), phi(3), *width3)] == [
+            1, 3, 2, *(least_reference_width(g) for g in width3)]
+
+    def test_decomposition_runs_one_layout_at_its_width(self, monkeypatch):
+        calls, real = [], pw._vs_layout
+        monkeypatch.setattr(pw, "_vs_layout", lambda adj, n, k: calls.append(k) or real(adj, n, k))
+        for g in (unit_path(5), FOUR_CYCLE, complete(4), phi(3)):
+            calls.clear()
+            width = validate_path_decomposition(g, exact_path_decomposition(g))
+            assert calls == [width] == [exact_pathwidth(g)]
 
 
 class TestLayoutSearch:

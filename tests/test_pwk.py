@@ -468,6 +468,80 @@ class TestParentLinks:
         assert traversals == []
 
 
+def canonical_ranks(k, rank):
+    """A name for a (k+1)-clique's edge ranks `rank` (frozenset -> rank)
+    that every relabelling shares: the vertices are ordered by their sorted
+    incident ranks, which a relabelling keeps, and the least rank tuple over
+    `combinations(range(k + 1), 2)` is taken over the orders that permute
+    only vertices with equal incident ranks."""
+    def incident(v):
+        return tuple(sorted(rank[frozenset((u, v))] for u in range(k + 1) if u != v))
+    groups = {}
+    for v in range(k + 1):
+        groups.setdefault(incident(v), []).append(v)
+    blocks = [itertools.permutations(groups[key]) for key in sorted(groups)]
+    return min(tuple(rank[frozenset((order[a], order[b]))]
+                     for a, b in itertools.combinations(range(k + 1), 2))
+               for order in (sum(choice, ()) for choice in itertools.product(*blocks)))
+
+
+def rank_closure(k):
+    """Every clique state the real step rule reaches from the zero state, up
+    to relabelling, when each departure may pick any departing vertex, any
+    order of its k candidates and any drawn length j in 1..k: a superset of
+    what any metric and tau reach, since the rule reads no length."""
+    cap = math.comb(k + 1, 2)
+    pairs = list(itertools.combinations(range(k), 2))
+    # candidates 0..k-1 with an identity `out`: the state comes back in the
+    # layout it went in, the departing vertex's edges first, then the pairs
+    departure = pw2._Departure(k, tuple(range(k)), tuple(((i, k), 1) for i in range(k)),
+                               (), tuple(range(cap)), (), ())
+    start = (0,) * cap
+    seen, todo = {start}, [start]
+    while todo:
+        rank = dict(zip(map(frozenset, itertools.combinations(range(k + 1), 2)), todo.pop()))
+        for w in range(k + 1):
+            for xs in itertools.permutations([v for v in range(k + 1) if v != w]):
+                state = tuple([rank[frozenset((w, x))] for x in xs]
+                              + [rank[frozenset((xs[a], xs[b]))] for a, b in pairs])
+                for j in range(1, k + 1):
+                    _, after = _keep(state, departure, j, cap)
+                    # the candidates keep their positions; the new vertex is k
+                    nxt = {frozenset(pair): after[k + i] for i, pair in enumerate(pairs)}
+                    nxt.update((frozenset((a, k)), 0) for a in range(k))
+                    form = canonical_ranks(k, nxt)
+                    if form not in seen:
+                        seen.add(form)
+                        todo.append(form)
+    return seen
+
+
+class TestRankClosure:
+    """The width-k rule's reachable ranks, closed by exhaustion: no sample
+    of any instance holds a rank above k - 1 for k <= 4, far below the cap
+    C(k+1, 2) that `_keep` and criterion 05 check."""
+
+    def test_closure_up_to_width_4(self):
+        closures = {k: rank_closure(k) for k in (1, 2, 3, 4)}
+        assert {k: len(states) for k, states in closures.items()} == {1: 1, 2: 2, 3: 7, 4: 77}
+        assert {k: max(map(max, states)) for k, states in closures.items()} == {
+            1: 0, 2: 1, 3: 2, 4: 3}
+
+    def test_canonical_form_names_the_state_up_to_relabelling(self):
+        # one of the state's own relabellings, and the same for all of them
+        rng = random.Random(30)
+        edges = list(itertools.combinations(range(4), 2))
+        for _ in range(100):
+            rank = {frozenset(e): rng.randint(0, 2) for e in edges}
+            relabellings = [{frozenset(perm[v] for v in e): r for e, r in rank.items()}
+                            for perm in itertools.permutations(range(4))]
+            forms = {canonical_ranks(3, other) for other in relabellings}
+            assert len(forms) == 1
+            assert forms <= {tuple(other[frozenset(e)] for e in edges) for other in relabellings}
+        rank = dict(zip(map(frozenset, edges), (2, 0, 1, 0, 1, 0)))
+        assert canonical_ranks(3, rank) == (0, 0, 0, 1, 1, 2)
+
+
 def wide_lengths(rng):
     """A small rational length times 2^j, j <= 40: prefix probabilities
     far below 1 even at the default tau."""
